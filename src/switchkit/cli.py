@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import iia as iia_mod
-from .distributions import parse_distribution
+from .distributions import compound_density, parse_distribution
 from .divisibility import gd_check
 from .errors import (
     DomainError,
@@ -27,13 +27,12 @@ from .errors import (
     SwitchKitError,
 )
 from .grid import GridFunction, GridSpec
-from .laplace import CMConfig, invert_laplace
+from .laplace import CMConfig
 from .recovery import (
     covariance_from_expected,
     divisor_from_covariance,
     divisor_from_expected,
     expected_value_series,
-    switching_law_from_divisor,
 )
 from .simulation import estimate_covariance, estimate_expected_value, simulate_switch
 from .svgplot import Panel, render_panels
@@ -84,13 +83,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("expected-value", help="series E(t) from a switching law")
     p.add_argument("--dist", required=True)
     _add_grid_args(p)
-    p.add_argument("--tol", type=float, default=1e-6, help="series truncation tolerance")
+    p.add_argument("--tol", type=float, default=1e-6, help="renewal-solve residual bound")
     p.add_argument("--out", default="expected_value.csv")
 
     p = sub.add_parser("covariance", help="stationary covariance C(t) from a switching law")
     p.add_argument("--dist", required=True)
     _add_grid_args(p)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=float, default=1e-6, help="renewal-solve residual bound")
     p.add_argument("--out", default="covariance.csv")
 
     p = sub.add_parser("gd-check", help="r-geometric divisibility screen")
@@ -106,8 +105,7 @@ def build_parser() -> _Parser:
                    help="switching-time mean (expected route only; covariance derives it)")
     p.add_argument("--out-prefix", default="recovered")
     p.add_argument("--compound-pdf-out", default=None,
-                   help="also tabulate the compound density by transform inversion")
-    p.add_argument("--talbot-nodes", type=int, default=64)
+                   help="also tabulate the 2-geometric compound density on the input grid")
 
     p = sub.add_parser("iia", help="clipped-Gaussian admissibility screen and recovery")
     p.add_argument("--r", required=True,
@@ -238,25 +236,9 @@ def _cmd_recover(args) -> dict:
     outputs = [cdf_path, pdf_path]
     summary = {"verb": "recover", "from": args.source, "mu": mu, "outputs": outputs}
     if args.compound_pdf_out:
-        from .distributions import make_tabulated
-
-        # approximate preview: stride the divisor table so each contour
-        # node costs a bounded quadrature, and invert on a coarse grid
-        stride = max(1, (len(divisor_pdf) - 1) // 2000)
-        coarse = GridFunction(t0=0.0, h=divisor_pdf.h * stride,
-                              values=divisor_pdf.values[::stride])
-        compound = switching_law_from_divisor(make_tabulated(coarse))
-        n_inv = min(max(table.spec().n // 10, 8), 200)
-        h_inv = table.t_end / n_inv
-        inv_grid = GridSpec(h=h_inv, n=n_inv, t0=h_inv)
-        approx = invert_laplace(compound.laplace, inv_grid, nodes=args.talbot_nodes)
-        approx.to_csv(args.compound_pdf_out)
+        compound_density(divisor_pdf, r=2.0).to_csv(args.compound_pdf_out)
         outputs.append(args.compound_pdf_out)
-        summary["compound_pdf"] = {
-            "path": args.compound_pdf_out,
-            "approximate": True,
-            "talbot_nodes": args.talbot_nodes,
-        }
+        summary["compound_pdf"] = {"path": args.compound_pdf_out, "approximate": False}
     return summary
 
 

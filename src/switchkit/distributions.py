@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import gammainc, gammaln
 
 from .errors import InvalidArgumentError, ResourceLimitError
-from .grid import GridFunction, GridSpec, convolve, cumulative_integral
+from .grid import GridFunction, GridSpec, cumulative_integral, solve_renewal
 
 # Mass discrepancy above this is an error; below it the density is
 # renormalized exactly.
@@ -103,8 +103,8 @@ class GeometricCompound(SwitchingDistribution):
 
     The transform is exact, the sampler is exact, the mean is r times the
     divisor mean; no closed-form density exists, so ``pdf``/``cdf`` are None
-    and grid tabulations go through the convolution series in
-    :func:`tabulate_pdf`.
+    and grid tabulations solve the geometric renewal equation in
+    :func:`compound_density`.
     """
 
     divisor: SwitchingDistribution = None
@@ -356,11 +356,11 @@ def tabulate_pdf(dist: SwitchingDistribution, grid: GridSpec) -> GridFunction:
     Analytic and tabulated laws are evaluated pointwise; an integrable
     singularity at the origin is replaced by one-sided extrapolation and
     flagged in ``notes``.  Geometric compounds have no pointwise density, so
-    their grid density is assembled from the geometrically weighted
-    convolution powers of the divisor density.
+    their grid density is solved from the divisor's by
+    :func:`compound_density`.
     """
     if isinstance(dist, GeometricCompound):
-        return _compound_pdf_grid(dist, grid)
+        return compound_density(tabulate_pdf(dist.divisor, grid), dist.r)
     if dist.pdf is None:
         raise InvalidArgumentError(f"{dist.name}: no density available for tabulation")
     t = grid.times()
@@ -380,8 +380,7 @@ def tabulate_pdf(dist: SwitchingDistribution, grid: GridSpec) -> GridFunction:
 def tabulate_cdf(dist: SwitchingDistribution, grid: GridSpec) -> GridFunction:
     """Distribution function of ``dist`` on a uniform grid."""
     if isinstance(dist, GeometricCompound):
-        pdf = _compound_pdf_grid(dist, grid)
-        cdf = cumulative_integral(pdf)
+        cdf = cumulative_integral(tabulate_pdf(dist, grid))
         return cdf.with_values(np.minimum(cdf.values, 1.0))
     if dist.cdf is None:
         raise InvalidArgumentError(f"{dist.name}: no distribution function available")
@@ -389,33 +388,17 @@ def tabulate_cdf(dist: SwitchingDistribution, grid: GridSpec) -> GridFunction:
     return GridFunction(t0=grid.t0, h=grid.h, values=np.asarray(dist.cdf(t), dtype=float))
 
 
-def _compound_pdf_grid(
-    dist: GeometricCompound, grid: GridSpec, weight_tol: float = 1e-12
-) -> GridFunction:
-    """Grid density of a geometric compound via divisor convolution powers.
+def compound_density(divisor_pdf: GridFunction, r: float) -> GridFunction:
+    """Grid density of the Geometric(1/r) compound of a tabulated divisor.
 
-    f_W = p * sum_{n>=1} (1-p)^(n-1) f~^(n-fold); the dropped weight after N
-    terms is (1-p)^N, which is driven below ``weight_tol``.  The loop also
-    stops once the dropped terms cannot reach weight_tol on the grid: every
-    later power is bounded on [0, t_end] by the current power's maximum, so
-    the dropped sum is below (remaining weight) * max(term).
+    The density f_W = p sum_{n>=1} (1-p)^(n-1) f~^(n-fold), p = 1/r, solves
+    the geometric renewal equation x - (1 - p) (x * f~) = p f~, which is
+    solved exactly on the divisor's grid (it must start at t0 = 0).
     """
-    if grid.t0 != 0.0:
-        raise InvalidArgumentError("compound tabulation requires a grid starting at 0")
-    p = 1.0 / dist.r
-    q = 1.0 - p
-    base = tabulate_pdf(dist.divisor, grid)
-    n_terms = max(1, int(math.ceil(math.log(weight_tol) / math.log(q))))
-    acc = np.zeros(grid.n)
-    term = base
-    weight = p
-    for k in range(1, n_terms + 1):
-        acc += weight * term.values
-        weight *= q
-        if k == n_terms or weight / p * float(term.values.max()) <= weight_tol:
-            break
-        term = convolve(term, base)
-    return GridFunction(t0=0.0, h=grid.h, values=acc, notes=base.notes)
+    if not (r > 1 and math.isfinite(r)):
+        raise InvalidArgumentError(f"r must be > 1, got {r}")
+    return solve_renewal(divisor_pdf, divisor_pdf.with_values(divisor_pdf.values / r),
+                         -(1.0 - 1.0 / r))
 
 
 # -- string DSL used by the CLI -------------------------------------------

@@ -2,12 +2,13 @@
 function E(t) of the switch process, and the covariance C(t) of its
 stationary counterpart.
 
-The expected value is built from the alternating series over convolution
-powers of the distribution function, E = 1 + 2 sum_k (-1)^k F^(k-fold),
-truncated with an explicit geometric tail bound.  The bridges are
-C'(t) = -(2/mu) E(t) with C(0) = 1, integrated or differentiated on the
-grid.  For laws whose E is non-negative and decreasing, the 2-geometric
-divisor is read off directly: divisor CDF = 1 - E, divisor density = -E'.
+The expected value is the alternating series over convolution powers of
+the distribution function, E = 1 + 2 sum_k (-1)^k F^(k-fold), summed
+exactly by one discrete renewal solve (:func:`switchkit.grid.solve_renewal`).
+The bridges are C'(t) = -(2/mu) E(t) with C(0) = 1, integrated or
+differentiated on the grid.  For laws whose E is non-negative and
+decreasing, the 2-geometric divisor is read off directly: divisor
+CDF = 1 - E, divisor density = -E'.
 """
 
 from __future__ import annotations
@@ -25,25 +26,19 @@ from .distributions import (
     tabulate_cdf,
     tabulate_pdf,
 )
-from .errors import (
-    InvalidArgumentError,
-    NumericError,
-    ResourceLimitError,
-    ShapeCheckError,
-)
+from .errors import InvalidArgumentError, NumericError, ShapeCheckError
 from .grid import (
     GridFunction,
     GridSpec,
-    convolution_tail_bound,
     convolve,
     cumulative_integral,
     derivative,
     integral,
     second_derivative,
+    solve_renewal,
 )
 
 DEFAULT_SERIES_TOL = 1e-6
-MAX_CONVOLUTIONS = 10_000
 
 # Sign conditions (monotonicity, convexity, non-negativity) tolerate this
 # much numerical wobble; limit conditions (values at the ends) get a looser
@@ -111,119 +106,35 @@ def _sign_condition(name, values, times, upper=True):
 # -- series ----------------------------------------------------------------
 
 
-def _series_truncation_order(F_end: float, tol: float, prefactor: float = 1.0):
-    """(order, guaranteed) for the geometric tail bound
-    prefactor * F_end^n / (1 - F_end) <= tol.
-
-    When F at the grid end is so close to 1 that the one-step bound would
-    need more than the convolution cap, the caller must rely on the
-    blockwise stop (grouping terms by the first convolution power whose end
-    value has dropped below 1/2); ``guaranteed`` is False in that case and
-    exhausting the cap without the blockwise certificate is a resource
-    error.
-    """
-    if F_end <= 0:
-        return 1, True
-    if F_end >= 1.0 - 1e-12:
-        return MAX_CONVOLUTIONS, False
-    n = 1
-    target = tol / prefactor
-    while convolution_tail_bound(F_end, n) > target:
-        n += 1
-        if n > MAX_CONVOLUTIONS:
-            return MAX_CONVOLUTIONS, False
-    return n, True
-
-
 def expected_value_series(dist: SwitchingDistribution, grid: GridSpec,
                           tol: float = DEFAULT_SERIES_TOL) -> GridFunction:
     """E(t) = 1 + 2 sum_{k>=1} (-1)^k F^(k-fold)(t) on the grid.
 
-    The truncation order comes from the geometric tail bound at the grid
-    end; on top of that the loop stops as soon as the running term is small
-    enough that the product bound certifies the remaining tail below
-    ``tol`` (blockwise when F at the grid end is numerically 1).  Total
-    truncation error is at most 2*tol on the grid.
+    The alternating series is summed exactly by one renewal solve:
+    x + (x * f) = F gives E = 1 - 2x.  ``tol`` bounds the solve's
+    a-posteriori residual; a larger residual raises NumericError.
     """
     if grid.t0 != 0.0:
         raise InvalidArgumentError("series evaluation requires a grid starting at 0")
     F = tabulate_cdf(dist, grid)
     f = tabulate_pdf(dist, grid)
-    F_end = float(F.values[-1])
-    n_max, guaranteed = _series_truncation_order(F_end, tol)
-
-    acc = np.zeros(grid.n)
-    term = F
-    sign = -1.0
-    certified = guaranteed
-    block = None  # (k*, F^(k*-fold)(t_end)) once the end value drops below 1/2
-    for k in range(1, n_max + 1):
-        acc += sign * term.values
-        term_end = float(term.values[-1])
-        term_max = float(term.values.max())
-        if block is None and term_end <= 0.5:
-            block = (k, term_end)
-        if block is not None:
-            # tail <= max(term) * k* / (1 - F^(k*-fold)(t_end))
-            if term_max * block[0] / (1.0 - block[1]) <= tol:
-                certified = True
-                break
-        if k == n_max:
-            break
-        term = convolve(term, f)
-        sign = -sign
-    if not certified:
-        raise ResourceLimitError(
-            f"series tail not certified within {MAX_CONVOLUTIONS} convolutions "
-            f"(F at grid end = {F_end:.6f}); use a shorter grid"
-        )
-
-    values = 1.0 + 2.0 * acc
-    return GridFunction(t0=0.0, h=grid.h, values=values, notes=f.notes)
+    x = solve_renewal(f, F, 1.0, tol)
+    return GridFunction(t0=0.0, h=grid.h, values=1.0 - 2.0 * x.values, notes=f.notes)
 
 
 def expected_derivative_series(dist: SwitchingDistribution, grid: GridSpec,
                                tol: float = DEFAULT_SERIES_TOL) -> GridFunction:
     """E'(t) = 2 sum_{k>=1} (-1)^k f^(k-fold)(t) on the grid.
 
-    Truncation uses the same geometric bound scaled by sup f (the density
-    itself is assumed bounded on the grid; tabulation extrapolates a
-    singular origin and flags it).
+    Summed by one renewal solve, x + (x * f) = f, giving E' = -2x; ``tol``
+    bounds the residual as in :func:`expected_value_series`.  A singular
+    density origin is extrapolated by tabulation and flagged in ``notes``.
     """
     if grid.t0 != 0.0:
         raise InvalidArgumentError("series evaluation requires a grid starting at 0")
     f = tabulate_pdf(dist, grid)
-    F = tabulate_cdf(dist, grid)
-    F_end = float(F.values[-1])
-    sup_f = float(f.values.max())
-    n_max, guaranteed = _series_truncation_order(F_end, tol, prefactor=max(sup_f, 1e-300))
-
-    acc = np.zeros(grid.n)
-    term = f
-    sign = -1.0
-    certified = guaranteed
-    block = None  # (k*, F^(k*-fold)(t_end)): grouping size for the tail bound
-    for k in range(1, n_max + 1):
-        acc += sign * term.values
-        # the integral of the k-fold density power is the k-fold CDF power
-        cdf_end = float(integral(term))
-        if block is None and cdf_end <= 0.5:
-            block = (k, cdf_end)
-        if block is not None:
-            if float(term.values.max()) * block[0] / (1.0 - block[1]) <= tol:
-                certified = True
-                break
-        if k == n_max:
-            break
-        term = convolve(term, f)
-        sign = -sign
-    if not certified:
-        raise ResourceLimitError(
-            f"density series tail not certified within {MAX_CONVOLUTIONS} convolutions "
-            f"(F at grid end = {F_end:.6f}); use a shorter grid"
-        )
-
-    return GridFunction(t0=0.0, h=grid.h, values=2.0 * acc, notes=f.notes)
+    x = solve_renewal(f, f, 1.0, tol)
+    return GridFunction(t0=0.0, h=grid.h, values=-2.0 * x.values, notes=f.notes)
 
 
 # -- bridges ----------------------------------------------------------------
@@ -431,8 +342,8 @@ def divisor_from_covariance(C: GridFunction, sign_tol: float = SIGN_TOL,
 def switching_law_from_divisor(divisor: SwitchingDistribution) -> GeometricCompound:
     """The switching-time law whose 2-geometric divisor is ``divisor``.
 
-    Sampler and transform are exact.  No closed-form density exists; a
-    time-domain density can be approximated by inverting the transform or by
-    tabulating the geometric convolution series.
+    Sampler and transform are exact.  No closed-form density exists;
+    :func:`tabulate_pdf` solves the geometric renewal equation for it on a
+    grid (:func:`compound_density` does so from a tabulated divisor).
     """
     return make_geometric_compound(divisor, r=2.0)

@@ -185,3 +185,62 @@ def test_env_seed_overrides_flag(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SWITCHKIT_SEED", "1")
     run_json(capsys, ["simulate", "--dist", "exp(rate=1)", "--seed", "999", "--out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+def _arcsine_table(tmp_path):
+    t = np.arange(0, 40 + 5e-4, 1e-3)
+    C = GridFunction(t0=0.0, h=1e-3, values=(2 / np.pi) * np.arcsin(1 / np.cosh(t / 2)))
+    src = tmp_path / "C.csv"
+    C.to_csv(src)
+    return src
+
+
+def _compound_reference(h=0.01, t_end=40.0):
+    """x = f/2 + (x * f)/2 by forward substitution with the closed-form
+    divisor density f = sech(t/2) tanh(t/2) / 2 (f(0) = 0, so each step is
+    explicit)."""
+    n = int(round(t_end / h)) + 1
+    t = np.arange(n) * h
+    f = 0.5 * np.tanh(t / 2) / np.cosh(t / 2)
+    x = np.zeros(n)
+    for k in range(1, n):
+        x[k] = 0.5 * f[k] + 0.5 * h * np.dot(f[k - 1:0:-1], x[1:k])
+    return h, x
+
+
+def test_recover_compound_pdf_out(capsys, tmp_path):
+    src = _arcsine_table(tmp_path)
+    out = tmp_path / "compound.csv"
+    summary = run_json(capsys, [
+        "recover", "--from", "covariance", "--input", str(src),
+        "--out-prefix", str(tmp_path / "rec"), "--compound-pdf-out", str(out),
+    ])
+    assert summary["compound_pdf"] == {"path": str(out), "approximate": False}
+    assert str(out) in summary["outputs"]
+    got = GridFunction.from_csv(out)
+    table = GridFunction.from_csv(src)
+    assert got.same_grid(table) and got.t0 == 0.0
+    h_ref, ref = _compound_reference()
+    stride = int(round(h_ref / got.h))
+    sampled = got.values[::stride]
+    assert len(sampled) == len(ref)
+    assert np.sum(np.abs(sampled - ref)) / np.sum(np.abs(ref)) <= 1e-2
+
+
+def test_talbot_nodes_flag_is_gone(capsys, tmp_path):
+    src = _arcsine_table(tmp_path)
+    code = run(["recover", "--from", "covariance", "--input", str(src),
+                "--compound-pdf-out", str(tmp_path / "c.csv"), "--talbot-nodes", "32"])
+    assert code == 64
+
+
+@pytest.mark.parametrize("row", ["0.1,abc", "0.1"])
+def test_malformed_input_row_exits_one(capsys, tmp_path, row):
+    src = tmp_path / "bad.csv"
+    src.write_text(f"t,value\n0.0,1.0\n{row}\n0.2,0.5\n")
+    code = run(["recover", "--from", "expected", "--input", str(src),
+                "--out-prefix", str(tmp_path / "rec")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and str(src) in err
+    assert len(err.strip().splitlines()) == 1

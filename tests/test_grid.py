@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -218,6 +220,49 @@ def test_csv_round_trip(tmp_path):
     back = GridFunction.from_csv(path)
     assert back.t0 == g.t0 and back.h == g.h
     np.testing.assert_array_equal(back.values, g.values)
+
+
+# Output of the earlier writer (one csv.writer row per sample) on the table
+# below, frozen byte for byte: -0.0 keeps its sign, NaN marks a failed point.
+FROZEN_CSV = (
+    b"t,value,stderr\r\n"
+    b"0.00000000000000000e+00,1.00000000000000000e+00,1.00000000000000006e-01\r\n"
+    b"5.00000000000000000e-01,-0.00000000000000000e+00,0.00000000000000000e+00\r\n"
+    b"1.00000000000000000e+00,nan,1.00000000000000005e+300\r\n"
+    b"1.50000000000000000e+00,2.49999999999999998e-300,-3.00000000000000000e+00\r\n"
+)
+
+
+def test_csv_writer_bytes_are_frozen(tmp_path):
+    g = GridFunction(t0=0.0, h=0.5, values=np.array([1.0, -0.0, np.nan, 2.5e-300]),
+                     nan_ok=True)
+    path = tmp_path / "g.csv"
+    g.to_csv(path, extra_columns={"stderr": np.array([0.1, 0.0, 1e300, -3.0])})
+    assert path.read_bytes() == FROZEN_CSV
+
+
+def test_csv_writer_matches_row_writer_across_blocks(tmp_path):
+    # longer than one formatting block, compared with a per-row csv.writer
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=20_000) * 10.0 ** rng.integers(-300, 300, 20_000)
+    g = GridFunction(t0=0.0, h=1e-3, values=values)
+    path = tmp_path / "g.csv"
+    g.to_csv(path)
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(["t", "value"])
+    for row in zip(g.times(), g.values):
+        writer.writerow([f"{x:.17e}" for x in row])
+    assert path.read_bytes() == buf.getvalue().encode()
+    np.testing.assert_array_equal(GridFunction.from_csv(path).values, g.values)
+
+
+@pytest.mark.parametrize("body", ["0.0,1.0\n0.1,abc\n", "0.0,1.0\n0.1\n", ""])
+def test_csv_malformed_rows_rejected(tmp_path, body):
+    path = tmp_path / "bad.csv"
+    path.write_text("t,value\n" + body)
+    with pytest.raises(InvalidArgumentError, match="bad.csv"):
+        GridFunction.from_csv(path)
 
 
 def test_csv_header_checked(tmp_path):
