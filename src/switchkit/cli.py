@@ -137,11 +137,11 @@ def _emit(summary: dict) -> None:
     print(json.dumps(summary, sort_keys=True))
 
 
-def _figure_panels(dist, traj, t_end: float) -> list:
-    grid = GridSpec.from_t_end(t_end, max(t_end / 2000.0, 1e-4))
+def _figure_panels(dist, traj, grid: GridSpec) -> list:
+    """Sample path to its horizon, then E(t) and C(t) on the grid."""
     E = expected_value_series(dist, grid)
     C = covariance_from_expected(E, dist.mean)
-    xs, ys = traj.step_points(t_end)
+    xs, ys = traj.step_points()
     t = grid.times()
     return [
         Panel(title="sample path").add(xs, ys, "X(t)"),
@@ -159,7 +159,8 @@ def _cmd_simulate(args) -> dict:
             fh.write(f"{e:.17e}\n")
     outputs = [args.out]
     if args.plot:
-        render_panels(_figure_panels(dist, traj, args.horizon), args.plot)
+        grid = GridSpec.from_t_end(args.horizon, max(args.horizon / 2000.0, 1e-4))
+        render_panels(_figure_panels(dist, traj, grid), args.plot)
         outputs.append(args.plot)
     return {
         "verb": "simulate",
@@ -175,12 +176,8 @@ def _cmd_estimate(args) -> dict:
     dist = parse_distribution(args.dist)
     grid = GridSpec.from_t_end(args.t_end, args.h)
     seed = _resolve_seed(args)
-    if args.target == "expected":
-        mean, stderr = estimate_expected_value(dist, grid, args.n_paths, seed,
-                                               workers=args.workers)
-    else:
-        mean, stderr = estimate_covariance(dist, grid, args.n_paths, seed,
-                                           workers=args.workers)
+    estimate = estimate_expected_value if args.target == "expected" else estimate_covariance
+    mean, stderr = estimate(dist, grid, args.n_paths, seed, workers=args.workers)
     mean.to_csv(args.out, extra_columns={"stderr": stderr.values})
     outputs = [args.out]
     if args.plot:
@@ -290,16 +287,7 @@ def _cmd_figure1(args) -> dict:
     grid = GridSpec.from_t_end(args.t_end, args.h)
     seed = _resolve_seed(args)
     traj = simulate_switch(dist, args.t_end, seed)
-    E = expected_value_series(dist, grid)
-    C = covariance_from_expected(E, dist.mean)
-    xs, ys = traj.step_points(args.t_end)
-    t = grid.times()
-    panels = [
-        Panel(title="sample path").add(xs, ys, "X(t)"),
-        Panel(title="expected value").add(t, E.values, "E(t)"),
-        Panel(title="stationary covariance").add(t, C.values, "C(t)"),
-    ]
-    render_panels(panels, args.out)
+    render_panels(_figure_panels(dist, traj, grid), args.out)
     return {"verb": "figure1", "dist": dist.name, "seed": seed, "outputs": [args.out]}
 
 

@@ -9,9 +9,10 @@ on them).
 Randomness contract: samplers draw from a caller-owned
 ``numpy.random.Generator``.  :func:`make_rng` builds one from an explicit
 64-bit seed on top of the Philox counter-based bit generator, and
-:func:`path_rng` derives independent per-path streams with
-``SeedSequence(seed, spawn_key=(path_index,))`` so parallel workers can
-consume disjoint streams in any order.
+``make_rng(seed, stream=(b,))`` derives the independent stream
+``SeedSequence(seed, spawn_key=(b,))``: the Monte Carlo estimators take one
+per fixed-size block of paths, so worker threads consume disjoint streams in
+any order, and :func:`path_rng` gives single paths their own.
 """
 
 from __future__ import annotations
@@ -24,14 +25,12 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammainc, gammaln
 
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError
 from .grid import GridFunction, GridSpec, cumulative_integral, solve_renewal
 
 # Mass discrepancy above this is an error; below it the density is
 # renormalized exactly.
 MASS_TOLERANCE = 1e-3
-
-_REJECTION_CAP = 100_000
 
 
 def make_rng(seed, stream: tuple[int, ...] = ()) -> np.random.Generator:
@@ -208,7 +207,8 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
     renormalized exactly.  The CDF is the trapezoid antiderivative, the
     transform is trapezoid quadrature of e^{-s t} f(t) on the stored grid
     (truncation beyond the grid is bounded by exp(-s * t_end)), and sampling
-    inverts the CDF with linear interpolation.
+    inverts the CDF with linear interpolation; the size-biased sampler
+    inverts the cumulative of t f(t)/mean the same way.
     """
     if pdf.t0 != 0.0:
         raise InvalidArgumentError("tabulated densities must start at t0=0")
@@ -228,8 +228,7 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
         )
     vals = vals / mass
     density = GridFunction(t0=0.0, h=pdf.h, values=vals, notes=pdf.notes)
-    cdf_grid = cumulative_integral(density)
-    cdf_vals = np.minimum(cdf_grid.values, 1.0)
+    cdf_vals = cdf_from_density(density).values
     mean = float(np.dot(weights, t * vals))
     wv = weights * vals
 
@@ -265,30 +264,11 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
         u = rng.random(size)
         return np.interp(u, cdf_vals, t)
 
-    t_end = float(t[-1])
-    envelope = float(np.max(t * vals)) / mean  # sup of the size-biased density
+    # the length-biased law t*f(t)/mean, inverted the same way
+    biased_cdf_vals = cdf_from_density(density.with_values(t * vals / mean)).values
 
     def size_biased(rng, size=None):
-        # Rejection against a uniform proposal on [0, t_end]; the target
-        # t*f(t)/mean is bounded by the envelope.
-        n = 1 if size is None else int(size)
-        out = np.empty(n)
-        filled = 0
-        attempts = 0
-        while filled < n:
-            block = max(64, 2 * (n - filled))
-            attempts += block
-            if attempts > _REJECTION_CAP * max(n, 1):
-                raise ResourceLimitError(
-                    f"size-biased rejection sampler exceeded {_REJECTION_CAP} proposals per draw"
-                )
-            cand = rng.random(block) * t_end
-            accept = rng.random(block) * envelope <= cand * pdf_fn(cand) / mean
-            good = cand[accept]
-            take = min(len(good), n - filled)
-            out[filled : filled + take] = good[:take]
-            filled += take
-        return float(out[0]) if size is None else out
+        return np.interp(rng.random(size), biased_cdf_vals, t)
 
     return SwitchingDistribution(
         name="tabulated",
@@ -380,12 +360,17 @@ def tabulate_pdf(dist: SwitchingDistribution, grid: GridSpec) -> GridFunction:
 def tabulate_cdf(dist: SwitchingDistribution, grid: GridSpec) -> GridFunction:
     """Distribution function of ``dist`` on a uniform grid."""
     if isinstance(dist, GeometricCompound):
-        cdf = cumulative_integral(tabulate_pdf(dist, grid))
-        return cdf.with_values(np.minimum(cdf.values, 1.0))
+        return cdf_from_density(tabulate_pdf(dist, grid))
     if dist.cdf is None:
         raise InvalidArgumentError(f"{dist.name}: no distribution function available")
     t = grid.times()
     return GridFunction(t0=grid.t0, h=grid.h, values=np.asarray(dist.cdf(t), dtype=float))
+
+
+def cdf_from_density(pdf: GridFunction) -> GridFunction:
+    """Trapezoid antiderivative of a grid density, clipped at one."""
+    cdf = cumulative_integral(pdf)
+    return cdf.with_values(np.minimum(cdf.values, 1.0))
 
 
 def compound_density(divisor_pdf: GridFunction, r: float) -> GridFunction:

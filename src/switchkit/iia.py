@@ -22,14 +22,14 @@ from .distributions import GeometricCompound, make_tabulated
 from .errors import InvalidArgumentError
 from .grid import GridFunction, GridSpec, derivative, second_derivative
 from .recovery import (
+    SIGN_TOL,
     ShapeReport,
-    _finish_report,
-    _sign_condition,
     divisor_from_covariance,
+    finish_report,
+    sign_condition,
     switching_law_from_divisor,
 )
 
-SIGN_TOL = 1e-6
 # Points with 1 - r^2 below this are excluded from the curvature condition
 # (its denominator vanishes with r -> 1 at the origin).
 DEGENERACY_FLOOR = 1e-10
@@ -111,12 +111,12 @@ def check_iia_conditions(r: GaussianCovariance, grid: GridSpec,
     margin = np.where(excluded, 0.0, r2 - bound)
 
     conds = [
-        _sign_condition("nonnegative", rv, t, upper=False),
-        _sign_condition("nonincreasing", r1, t, upper=True),
-        _sign_condition("curvature_bound", margin, t, upper=False),
+        sign_condition("nonnegative", rv, t, upper=False),
+        sign_condition("nonincreasing", r1, t, upper=True),
+        sign_condition("curvature_bound", margin, t, upper=False),
     ]
     tols = {"nonnegative": sign_tol, "nonincreasing": sign_tol, "curvature_bound": sign_tol}
-    return _finish_report(conds, tols, (float(rv[0]), float(rv[-1])), notes)
+    return finish_report(conds, tols, (float(rv[0]), float(rv[-1])), notes)
 
 
 def iia_pipeline(r: GaussianCovariance, grid: GridSpec,

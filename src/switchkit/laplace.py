@@ -97,16 +97,16 @@ def covariance_laplace(le, mu: float) -> LaplaceFunction:
     return LaplaceFunction(fn=fn, domain_floor=le.domain_floor, name=f"LC[{le.name}]")
 
 
-def _eval_maybe_vector(fn, arr: np.ndarray) -> np.ndarray:
-    """Evaluate fn on an array, falling back to elementwise calls."""
+def _eval_vector(fn, arr: np.ndarray) -> np.ndarray:
+    """Evaluate fn on a whole array, as :class:`LaplaceFunction` requires."""
+    contract = "Laplace evaluators must be vectorized (see LaplaceFunction)"
     try:
         out = np.asarray(fn(arr))
-        if out.shape == arr.shape:
-            return out
-    except (TypeError, ValueError):
-        pass
-    flat = np.array([fn(x) for x in arr.ravel()])
-    return flat.reshape(arr.shape)
+    except TypeError as exc:
+        raise InvalidArgumentError(f"{contract}: {exc}") from exc
+    if out.shape != arr.shape:
+        raise InvalidArgumentError(f"{contract}: input shape {arr.shape} gave {out.shape}")
+    return out
 
 
 def invert_laplace(fn, grid: GridSpec, nodes: int = 64) -> GridFunction:
@@ -135,7 +135,7 @@ def invert_laplace(fn, grid: GridSpec, nodes: int = 64) -> GridFunction:
     base = theta * (cot + 1j)
     base[0] = 1.0
     p = np.multiply.outer(r / t, base).astype(np.clongdouble)
-    F = _eval_maybe_vector(fn.fn, p).astype(np.clongdouble)
+    F = _eval_vector(fn.fn, p).astype(np.clongdouble)
 
     gamma = np.empty_like(p)
     gamma[:, 0] = 0.5 * np.exp(p[:, 0] * t)
@@ -221,7 +221,7 @@ def cm_check(fn, s_grid=None, max_order: int = 6, tol: float = 1e-7,
 
     s_arr = np.asarray(cfg.s_grid)
     h = np.maximum(1e-2 * s_arr, 1e-3)
-    f_at_s = np.abs(_eval_maybe_vector(fn.fn, s_arr))
+    f_at_s = np.abs(_eval_vector(fn.fn, s_arr))
     scale = f_at_s + 1.0
 
     worst = -math.inf
@@ -230,7 +230,7 @@ def cm_check(fn, s_grid=None, max_order: int = 6, tol: float = 1e-7,
         offsets = n / 2.0 - np.arange(n + 1)
         coef = np.array([(-1.0) ** j * math.comb(n, j) for j in range(n + 1)])
         nodes = s_arr[:, None] + offsets[None, :] * h[:, None]
-        fvals = _eval_maybe_vector(fn.fn, nodes)
+        fvals = _eval_vector(fn.fn, nodes)
         dn = fvals @ coef  # ~ f^(n)(s) h^n
         signed = ((-1.0) ** n) * dn / h**n
         guard = cfg.noise_guard * (2.0**n) * _EPS * scale / h**n

@@ -22,6 +22,7 @@ import numpy as np
 from .distributions import (
     GeometricCompound,
     SwitchingDistribution,
+    cdf_from_density,
     make_geometric_compound,
     tabulate_cdf,
     tabulate_pdf,
@@ -85,7 +86,9 @@ class ShapeReport:
         }
 
 
-def _finish_report(conds, tols, limits, notes=()) -> ShapeReport:
+def finish_report(conds, tols, limits, notes=()) -> ShapeReport:
+    """Report that passes when each condition's worst violation is within
+    its tolerance."""
     passed = all(worst <= tols[name] for name, worst, _ in conds)
     return ShapeReport(
         passed=passed,
@@ -96,7 +99,7 @@ def _finish_report(conds, tols, limits, notes=()) -> ShapeReport:
     )
 
 
-def _sign_condition(name, values, times, upper=True):
+def sign_condition(name, values, times, upper=True):
     """Worst violation of values <= 0 (upper) or values >= 0 (lower)."""
     excess = values if upper else -values
     idx = int(np.argmax(excess))
@@ -116,8 +119,9 @@ def expected_value_series(dist: SwitchingDistribution, grid: GridSpec,
     """
     if grid.t0 != 0.0:
         raise InvalidArgumentError("series evaluation requires a grid starting at 0")
-    F = tabulate_cdf(dist, grid)
     f = tabulate_pdf(dist, grid)
+    # a compound's density is a renewal solve: do it once and integrate it
+    F = cdf_from_density(f) if isinstance(dist, GeometricCompound) else tabulate_cdf(dist, grid)
     x = solve_renewal(f, F, 1.0, tol)
     return GridFunction(t0=0.0, h=grid.h, values=1.0 - 2.0 * x.values, notes=f.notes)
 
@@ -221,7 +225,7 @@ def check_expected_shape(E: GridFunction, sign_tol: float = SIGN_TOL,
         ("starts_at_one", abs(float(v[0]) - 1.0), float(t[0])),
         ("decays_to_zero", abs(float(v[-1])), float(t[-1])),
         ("differentiable", float(jumps[j_idx]) if len(jumps) else 0.0, float(t[j_idx])),
-        _sign_condition("nonincreasing", dE.values, t, upper=True),
+        sign_condition("nonincreasing", dE.values, t, upper=True),
     ]
     tols = {
         "starts_at_one": limit_tol,
@@ -229,7 +233,7 @@ def check_expected_shape(E: GridFunction, sign_tol: float = SIGN_TOL,
         "differentiable": jump_tol,
         "nonincreasing": sign_tol,
     }
-    return _finish_report(conds, tols, (float(v[0]), float(v[-1])))
+    return finish_report(conds, tols, (float(v[0]), float(v[-1])))
 
 
 def check_covariance_shape(C: GridFunction, sign_tol: float = SIGN_TOL,
@@ -246,9 +250,9 @@ def check_covariance_shape(C: GridFunction, sign_tol: float = SIGN_TOL,
     dC = derivative(C)
     d2C = second_derivative(C)
     conds = [
-        _sign_condition("nonnegative", v, t, upper=False),
-        _sign_condition("nonincreasing", dC.values, t, upper=True),
-        _sign_condition("convex", d2C.values, t, upper=False),
+        sign_condition("nonnegative", v, t, upper=False),
+        sign_condition("nonincreasing", dC.values, t, upper=True),
+        sign_condition("convex", d2C.values, t, upper=False),
         ("starts_at_one", abs(float(v[0]) - 1.0), float(t[0])),
         ("decays_to_zero", abs(float(v[-1])), float(t[-1])),
     ]
@@ -259,7 +263,7 @@ def check_covariance_shape(C: GridFunction, sign_tol: float = SIGN_TOL,
         "starts_at_one": limit_tol,
         "decays_to_zero": limit_tol,
     }
-    return _finish_report(conds, tols, (float(v[0]), float(v[-1])))
+    return finish_report(conds, tols, (float(v[0]), float(v[-1])))
 
 
 # -- divisor recovery --------------------------------------------------------

@@ -3,10 +3,10 @@ counterpart.
 
 These simulators are the brute-force oracle for every analytic result in the
 package.  Determinism contract: a path is a pure function of its seed, and
-estimators derive per-path streams from (seed, path_index), so results do
-not depend on how paths are scheduled across workers.  The reductions are
-integer counts (the processes are +/-1 valued), which makes them exactly
-order-insensitive.
+estimators derive one stream per fixed-size block of paths from
+(seed, block_index), so results do not depend on how blocks are scheduled
+across workers.  The reductions are integer counts (the processes are +/-1
+valued), which makes them exactly order-insensitive.
 """
 
 from __future__ import annotations
@@ -17,9 +17,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import SwitchingDistribution, make_rng, path_rng
+from .distributions import SwitchingDistribution, make_rng
 from .errors import InvalidArgumentError
 from .grid import GridFunction, GridSpec
+
+# Paths per random stream: a constant, so an estimate does not depend on the
+# number of worker threads.
+_BLOCK = 1024
+# Inter-arrival draws per round of one block, which bounds a block's memory
+# whatever t_end / mean is.
+_ROUND_DRAWS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -165,88 +172,93 @@ def evaluate_stationary(initial: StationaryInitial, forward: SwitchTrajectory,
     return out
 
 
-def _mean_and_stderr(plus_counts: np.ndarray, n_paths: int):
-    mean = 2.0 * plus_counts / n_paths - 1.0
-    var = np.maximum(1.0 - mean * mean, 0.0)
-    stderr = np.sqrt(var / (n_paths - 1)) if n_paths > 1 else np.zeros_like(mean)
-    return mean, stderr
+def _odd_counts(dist: SwitchingDistribution, t: np.ndarray, start: np.ndarray,
+                rng) -> np.ndarray:
+    """Number of paths whose switch count in (0, t_j] is odd, for each t_j.
+
+    Path i switches at start[i] (unless it is 0) and then at start[i] plus
+    each partial sum of i.i.d. draws from ``dist``.  The number of odd paths
+    at t_j is the number of odd-numbered switches up to t_j minus the number
+    of even-numbered ones: two integer histograms over the grid, never a
+    matrix of paths by grid times.  Each round tops up, in row order, the rows whose
+    last epoch has not passed t[-1], with at most ``_ROUND_DRAWS`` draws.
+    """
+    n = len(t)
+    t_end = t[-1]
+    # bin 2j + 1 (2j) counts the odd- (even-) numbered switches in
+    # (t[j-1], t[j]]; bins 2n and 2n + 1 those past the grid
+    hist = np.bincount(2 * np.searchsorted(t, start[start > 0]) + 1, minlength=2 * n + 2)
+    numbered = (start > 0).astype(np.int64)
+    last = np.array(start, dtype=float)
+    rows = np.flatnonzero(last <= t_end)
+    while rows.size:
+        want = 1.5 * (t_end - last[rows].min()) / dist.mean
+        k = int(min(max(want, 8.0), max(_ROUND_DRAWS // rows.size, 1)))
+        gaps = np.reshape(dist.sample(rng, rows.size * k), (rows.size, k))
+        epochs = last[rows, None] + np.cumsum(gaps, axis=1)
+        is_odd = (numbered[rows, None] + np.arange(1, k + 1)) & 1
+        hist += np.bincount((2 * np.searchsorted(t, epochs) + is_odd).ravel(),
+                            minlength=2 * n + 2)
+        numbered[rows] += k
+        last[rows] = epochs[:, -1]
+        rows = rows[epochs[:, -1] <= t_end]
+    return np.cumsum(hist[1:2 * n:2] - hist[0:2 * n:2])
 
 
-def _chunked_counts(worker, n_paths: int, n_out: int, workers: int) -> np.ndarray:
-    """Accumulate integer counts over path chunks; the sum is order-exact, so
-    the result is independent of worker count and scheduling."""
+def _estimate(dist: SwitchingDistribution, grid: GridSpec, n_paths: int, seed,
+              workers: int, draw_start):
+    """(mean, stderr) of the sign (-1)^(switches in (0, t]) over n_paths paths.
+
+    Paths come in blocks of ``_BLOCK``; block b draws ``draw_start(rng, m)``
+    and then its inter-arrivals from ``make_rng(seed, stream=(b,))``.  The
+    counts are integers, so the sum over blocks does not depend on how
+    ``workers`` threads schedule them.
+    """
+    if n_paths < 100:
+        raise InvalidArgumentError(f"need at least 100 paths, got {n_paths}")
+    if isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
+        raise InvalidArgumentError("block streams derive from an integer seed")
+    t = grid.times()
+
+    def block(b: int) -> np.ndarray:
+        m = min(_BLOCK, n_paths - b * _BLOCK)
+        rng = make_rng(seed, stream=(b,))
+        return _odd_counts(dist, t, draw_start(rng, m), rng)
+
+    blocks = range(-(-n_paths // _BLOCK))
     if workers <= 1:
-        return worker(range(n_paths))
-    chunk = (n_paths + workers - 1) // workers
-    ranges = [range(lo, min(lo + chunk, n_paths)) for lo in range(0, n_paths, chunk)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(worker, ranges))
-    return np.sum(parts, axis=0)
+        parts = [block(b) for b in blocks]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(block, blocks))
+    mean = 1.0 - 2.0 * np.sum(parts, axis=0) / n_paths
+    stderr = np.sqrt(np.maximum(1.0 - mean * mean, 0.0) / (n_paths - 1))
+    return (GridFunction(t0=grid.t0, h=grid.h, values=mean),
+            GridFunction(t0=grid.t0, h=grid.h, values=stderr))
 
 
 def estimate_expected_value(dist: SwitchingDistribution, grid: GridSpec,
                             n_paths: int, seed, workers: int = 1):
     """Pointwise Monte Carlo mean of the switch process with standard errors.
 
-    Returns (mean, stderr) as GridFunctions.  Each path uses the stream
-    derived from (seed, path_index).
+    Returns (mean, stderr) as GridFunctions.  Every path starts a switching
+    interval at 0.  Block b of ``_BLOCK`` paths draws from
+    ``make_rng(seed, stream=(b,))``, so ``seed`` must be an integer and the
+    result does not depend on ``workers``.
     """
-    if n_paths < 100:
-        raise InvalidArgumentError(f"need at least 100 paths, got {n_paths}")
-    t = grid.times()
-    horizon = float(t[-1]) if t[-1] > 0 else grid.h
-
-    def worker(indices) -> np.ndarray:
-        counts = np.zeros(len(t), dtype=np.int64)
-        for i in indices:
-            rng = path_rng(seed, i)
-            ep = _draw_epochs(dist, horizon, rng)
-            counts += (np.searchsorted(ep, t, side="right") & 1) == 0
-        return counts
-
-    plus = _chunked_counts(worker, n_paths, len(t), workers)
-    mean, stderr = _mean_and_stderr(plus, n_paths)
-    return (GridFunction(t0=grid.t0, h=grid.h, values=mean),
-            GridFunction(t0=grid.t0, h=grid.h, values=stderr))
+    return _estimate(dist, grid, n_paths, seed, workers, lambda rng, m: np.zeros(m))
 
 
 def estimate_covariance(dist: SwitchingDistribution, grid: GridSpec,
                         n_paths: int, seed, workers: int = 1):
     """Monte Carlo mean of Y(t) Y(0) over stationary paths, with stderr.
 
-    Only the forward construction matters for t >= 0: the product is +1
-    until the first switch at the forward delay, then follows the embedded
-    switch path with its sign flipped; the symmetric sign cancels.
+    Only the forward construction matters for t >= 0: Y(t) Y(0) is +1 until
+    the first switch at the forward delay a, a uniform split of the
+    length-biased straddling interval (drawn in that order), and flips at
+    every switch after it; the symmetric sign cancels and is not drawn.
     """
-    if n_paths < 100:
-        raise InvalidArgumentError(f"need at least 100 paths, got {n_paths}")
     if grid.t0 != 0.0:
         raise InvalidArgumentError("covariance estimation needs a grid starting at 0")
-    t = grid.times()
-    t_end = float(t[-1]) if t[-1] > 0 else grid.h
-
-    def worker(indices) -> np.ndarray:
-        counts = np.zeros(len(t), dtype=np.int64)
-        for i in indices:
-            rng = path_rng(seed, i)
-            _, a, _, _ = _draw_stationary_start(dist, rng)
-            if a > t_end:
-                counts += 1
-                continue
-            ep = _draw_epochs(dist, t_end - a if t_end > a else dist.mean, rng)
-            after = t >= a
-            prod = np.ones(len(t), dtype=np.int64)
-            parity = np.searchsorted(ep, t[after] - a, side="right") & 1
-            if a > 0:
-                # Y(0) = -delta, Y(t) = delta * X(t - a): product flips with X.
-                prod[after] = 2 * parity - 1
-            else:
-                # zero forward delay: Y(0) already sits on the forward path
-                prod[after] = 1 - 2 * parity
-            counts += prod == 1
-        return counts
-
-    plus = _chunked_counts(worker, n_paths, len(t), workers)
-    mean, stderr = _mean_and_stderr(plus, n_paths)
-    return (GridFunction(t0=grid.t0, h=grid.h, values=mean),
-            GridFunction(t0=grid.t0, h=grid.h, values=stderr))
+    return _estimate(dist, grid, n_paths, seed, workers,
+                     lambda rng, m: dist.sample_size_biased(rng, m) * rng.random(m))

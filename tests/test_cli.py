@@ -108,6 +108,18 @@ def test_estimate_verb_round_trips(capsys, tmp_path):
     assert g.values[0] == 1.0
 
 
+def test_estimate_plot(capsys, tmp_path):
+    svg = tmp_path / "est.svg"
+    summary = run_json(capsys, [
+        "estimate", "--dist", "gamma(shape=2,scale=2)", "--target", "covariance",
+        "--t-end", "4", "--h", "0.5", "--n-paths", "500", "--seed", "3",
+        "--out", str(tmp_path / "est.csv"), "--plot", str(svg),
+    ])
+    assert summary["outputs"] == [str(tmp_path / "est.csv"), str(svg)]
+    text = svg.read_text()
+    assert text.startswith("<svg") and text.count("<polyline") == 3  # estimate and band
+
+
 def test_recover_verb_covariance_route(capsys, tmp_path):
     t = np.arange(0, 40 + 5e-4, 1e-3)
     C = GridFunction(t0=0.0, h=1e-3, values=(2 / np.pi) * np.arcsin(1 / np.cosh(t / 2)))

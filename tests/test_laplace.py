@@ -201,6 +201,15 @@ def test_cm_check_max_order_capped():
         cm_check(LaplaceFunction(lambda s: 1.0 / (1.0 + s)), max_order=9)
 
 
+@pytest.mark.parametrize("fn", [lambda s: 1.0 / (1.0 + complex(s)), lambda s: 0.5])
+def test_scalar_only_evaluator_is_refused(fn):
+    # evaluators must be vectorized; there is no elementwise fallback
+    with pytest.raises(InvalidArgumentError, match="vectorized"):
+        invert_laplace(LaplaceFunction(fn), GridSpec.from_t_end(1.0, 0.1, t0=0.1))
+    with pytest.raises(InvalidArgumentError, match="vectorized"):
+        cm_check(LaplaceFunction(fn))
+
+
 def test_cm_report_json_round_trip():
     report = cm_check(LaplaceFunction(lambda s: 1.0 / (1.0 + s)))
     obj = report.to_json_dict()

@@ -27,9 +27,12 @@ from switchkit import (
     make_rng,
     make_tabulated,
     mean_from_expected,
+    solve_renewal,
     switching_law_from_divisor,
     tabulate_cdf,
+    tabulate_pdf,
 )
+from switchkit import distributions
 
 from conftest import gamma22_expected, gamma22_expected_deriv, grid_fn
 
@@ -67,6 +70,19 @@ def test_series_compound_matches_exponential(compound2):
     grid = GridSpec.from_t_end(5.0, 2e-3)
     E = expected_value_series(compound2, grid, tol=1e-6)
     assert np.max(np.abs(E.values - np.exp(-2 * grid.times()))) < 5e-4
+
+
+def test_compound_series_solves_the_density_once(compound2, monkeypatch):
+    grid = GridSpec.from_t_end(5.0, 2e-3)
+    # E from a separately solved density and distribution function
+    x = solve_renewal(tabulate_pdf(compound2, grid), tabulate_cdf(compound2, grid), 1.0, 1e-6)
+    solve = distributions.compound_density
+    calls = []
+    monkeypatch.setattr(distributions, "compound_density",
+                        lambda *args: calls.append(args) or solve(*args))
+    E = expected_value_series(compound2, grid, tol=1e-6)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(E.values, 1.0 - 2.0 * x.values)
 
 
 # -- expected_derivative_series -----------------------------------------------------

@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import ks_2samp
+from scipy.stats import ks_2samp, kstest
 
 from switchkit import (
     GridSpec,
     InvalidArgumentError,
+    SwitchingDistribution,
     estimate_covariance,
     estimate_expected_value,
     evaluate_stationary,
@@ -16,8 +18,10 @@ from switchkit import (
     simulate_stationary,
     simulate_switch,
 )
+from switchkit.simulation import _BLOCK, _odd_counts
 
 from conftest import grid_fn
+from mc_oracle import covariance_plus_counts, expected_plus_counts
 
 
 # -- simulate_switch -------------------------------------------------------------
@@ -124,6 +128,12 @@ def test_tabulated_size_biased_sampler_mean():
     assert abs(drails.mean() - 2.0) < 4 * se
 
 
+def test_tabulated_size_biased_sampler_is_gamma2():
+    tab = make_tabulated(grid_fn(lambda t: np.exp(-t), 40.0, 2e-3))
+    draws = tab.sample_size_biased(make_rng(22), size=20_000)
+    assert kstest(draws, "gamma", args=(2.0,)).pvalue > 1e-3
+
+
 # -- estimators -----------------------------------------------------------------------
 
 
@@ -179,6 +189,13 @@ def test_estimators_need_enough_paths(exp1):
         estimate_expected_value(exp1, GridSpec.from_t_end(1.0, 0.5), 50, seed=0)
 
 
+@pytest.mark.parametrize("seed", [np.random.SeedSequence(5), make_rng(5)])
+def test_estimators_need_an_integer_seed(exp1, seed):
+    # a SeedSequence or live Generator would give every block the same stream
+    with pytest.raises(InvalidArgumentError):
+        estimate_covariance(exp1, GridSpec.from_t_end(1.0, 0.5), 200, seed=seed)
+
+
 def test_estimated_variance_is_flat_in_time(exp1):
     # stationarity witness: Var Y(t) = 1 - C-ish mean^2 stays near 1
     grid = GridSpec.from_t_end(3.0, 1.0)
@@ -193,3 +210,88 @@ def test_estimated_variance_is_flat_in_time(exp1):
         acc2 += y * y
     var = acc2 / n - (acc / n) ** 2
     assert np.all(np.abs(var - 1.0) < 0.02)
+
+
+def test_estimates_are_worker_independent_over_blocks(exp1):
+    grid = GridSpec.from_t_end(2.0, 0.5)
+    n = 3 * _BLOCK + 17
+    for estimate in (estimate_expected_value, estimate_covariance):
+        runs = [estimate(exp1, grid, n, seed=6, workers=w)[0].values for w in (1, 2, 3)]
+        np.testing.assert_array_equal(runs[0], runs[1])
+        np.testing.assert_array_equal(runs[0], runs[2])
+
+
+def test_estimates_do_not_depend_on_the_grid_step(gamma22):
+    coarse = GridSpec.from_t_end(4.0, 0.5)
+    fine = GridSpec.from_t_end(4.0, 1e-3)
+    _, i, j = np.intersect1d(coarse.times(), fine.times(), return_indices=True)
+    assert len(i) == coarse.n and coarse.t_end == fine.t_end
+    for estimate in (estimate_expected_value, estimate_covariance):
+        a, _ = estimate(gamma22, coarse, 3000, seed=8)
+        b, _ = estimate(gamma22, fine, 3000, seed=8)
+        np.testing.assert_array_equal(a.values[i], b.values[j])
+
+
+def test_block_memory_does_not_grow_with_the_horizon(exp1):
+    # one full block to t_end / mean = 1e4 draws about 1e7 epochs: 80 MB if
+    # they were all held at once
+    grid = GridSpec.from_t_end(1e4, 1e3)
+    tracemalloc.start()
+    try:
+        mean, _ = estimate_expected_value(exp1, grid, _BLOCK, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
+    assert abs(mean.values[-1]) < 0.2
+
+
+def _recording_dyadic_law(rounds):
+    """Gaps in {0, 1/32, 4/32, ..., 2}: every epoch sum and grid comparison
+    is exact (ties included), and each round's draws are kept."""
+
+    def sampler(rng, size=None):
+        draws = rng.integers(0, 9, size) ** 2 / 32.0
+        rounds.append(draws)
+        return draws
+
+    return SwitchingDistribution(name="dyadic", mean=51 / 72, laplace=lambda s: s,
+                                 sampler=sampler)
+
+
+def _epoch_rows(start, t_end, rounds):
+    """Each path's epochs, measured from its start, rebuilt from the rounds:
+    a round tops up, in row order, the rows not yet past t_end."""
+    gaps = [[] for _ in start]
+    last = np.array(start, dtype=float)
+    rows = np.flatnonzero(last <= t_end)
+    for draws in rounds:
+        block = draws.reshape(rows.size, -1)
+        for i, g in zip(rows, block):
+            gaps[i].extend(g)
+        last[rows] += block.sum(axis=1)
+        rows = rows[last[rows] <= t_end]
+    assert rows.size == 0
+    return [np.cumsum(g) for g in gaps]
+
+
+# two horizons, so that rounds of both an odd and an even number of draws occur
+@pytest.mark.parametrize("t_end", [6.0, 6.5])
+@pytest.mark.parametrize("target", ["expected", "covariance"])
+def test_kernel_matches_frozen_per_path_counts(target, t_end):
+    t = GridSpec.from_t_end(t_end, 0.25).times()
+    if target == "expected":
+        start = np.zeros(2000)
+    else:
+        # exactly 0, positive, exactly t_end and beyond it
+        start = np.concatenate([[0.0, 0.0, 0.125, t_end, t_end + 0.125, 40.0],
+                                make_rng(4).integers(0, 56, 2000) / 8.0])
+    rounds = []
+    odd = _odd_counts(_recording_dyadic_law(rounds), t, start, make_rng(5))
+    assert len(rounds) >= 2  # rows carry their switch parity across rounds
+    rows = _epoch_rows(start, t[-1], rounds)
+    if target == "expected":
+        want = expected_plus_counts(rows, t)
+    else:
+        want = covariance_plus_counts(start, rows, t)
+    np.testing.assert_array_equal(len(start) - odd, want)
