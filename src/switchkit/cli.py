@@ -26,8 +26,7 @@ from .errors import (
     ResourceLimitError,
     SwitchKitError,
 )
-from .grid import GridFunction, GridSpec
-from .laplace import CMConfig
+from .grid import GridFunction, GridSpec, write_rows
 from .recovery import (
     covariance_from_expected,
     divisor_from_covariance,
@@ -155,8 +154,7 @@ def _cmd_simulate(args) -> dict:
     traj = simulate_switch(dist, args.horizon, _resolve_seed(args))
     with open(args.out, "w") as fh:
         fh.write("epoch\n")
-        for e in traj.epochs:
-            fh.write(f"{e:.17e}\n")
+        write_rows(fh, traj.epochs[:, None], end="\n")
     outputs = [args.out]
     if args.plot:
         grid = GridSpec.from_t_end(args.horizon, max(args.horizon / 2000.0, 1e-4))
@@ -214,8 +212,7 @@ def _cmd_covariance(args) -> dict:
 
 def _cmd_gd_check(args) -> dict:
     dist = parse_distribution(args.dist)
-    cfg = CMConfig(max_order=args.cm_max_order, tol=args.cm_tol)
-    report = gd_check(dist, args.r, cfg=cfg)
+    report = gd_check(dist, args.r, max_order=args.cm_max_order, tol=args.cm_tol)
     return {"verb": "gd-check", "dist": dist.name, **report.to_json_dict()}
 
 

@@ -27,6 +27,7 @@ from scipy.special import gammainc, gammaln
 
 from .errors import InvalidArgumentError
 from .grid import GridFunction, GridSpec, cumulative_integral, solve_renewal
+from .laplace import geometric_map
 
 # Mass discrepancy above this is an error; below it the density is
 # renormalized exactly.
@@ -37,14 +38,15 @@ def make_rng(seed, stream: tuple[int, ...] = ()) -> np.random.Generator:
     """Generator over Philox seeded from an explicit seed.
 
     ``seed`` may be an int, a SeedSequence, or an existing Generator (passed
-    through unchanged, which lets samplers accept either form).
+    through unchanged, which lets samplers accept either form).  ``stream``
+    extends the seed's spawn key, so SeedSequence(s) and s give equal streams.
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, np.random.SeedSequence):
-        seq = seed
-    else:
-        seq = np.random.SeedSequence(seed, spawn_key=stream)
+    if not isinstance(seed, np.random.SeedSequence):
+        seed = np.random.SeedSequence(seed)
+    seq = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + tuple(stream),
+                                 pool_size=seed.pool_size)
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -284,8 +286,8 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
 def make_geometric_compound(divisor: SwitchingDistribution, r: float) -> GeometricCompound:
     """Geometric(p=1/r) compound of i.i.d. divisor draws.
 
-    Transform: (psi/r) / (1 - (1 - 1/r) psi) where psi is the divisor
-    transform.  The geometric count is drawn by inversion,
+    Transform: the geometric map (psi/r) / (1 - (1 - 1/r) psi) of the
+    divisor transform psi.  The geometric count is drawn by inversion,
     nu = 1 + floor(log U / log(1-p)), so a fixed uniform stream reproduces
     identical counts on any platform.
     """
@@ -294,14 +296,6 @@ def make_geometric_compound(divisor: SwitchingDistribution, r: float) -> Geometr
     r = float(r)
     p = 1.0 / r
     log_q = math.log1p(-p)
-    div_laplace = divisor.laplace
-
-    def laplace(s):
-        # algebraically (psi/r) / (1 - (1-p) psi); this form stays finite
-        # when an approximate divisor transform blows up off-axis
-        psi = div_laplace(s)
-        with np.errstate(divide="ignore"):
-            return 1.0 / (r / psi - (r - 1.0))
 
     def draw_counts(rng, n):
         u = rng.random(n)
@@ -320,7 +314,7 @@ def make_geometric_compound(divisor: SwitchingDistribution, r: float) -> Geometr
     return GeometricCompound(
         name=f"compound(r={r:g},divisor={divisor.name})",
         mean=r * divisor.mean,
-        laplace=laplace,
+        laplace=geometric_map(divisor.laplace, p),
         sampler=sampler,
         divisor=divisor,
         r=r,

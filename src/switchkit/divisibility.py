@@ -4,6 +4,7 @@ order reduction.
 A law is r-geometric divisible when it is a Geometric(1/r) compound of some
 positive law, equivalently when the extracted divisor transform
 r*psi / (1 + (r-1)*psi) is completely monotone and equals one at s=0.
+Extraction and order reduction are both :func:`~switchkit.laplace.geometric_map`.
 Membership here is a numerical screen over a finite s grid, so a pass is
 "no violation found", not a certification.  Non-integer r is permitted
 throughout.
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 from .distributions import SwitchingDistribution
 from .errors import InvalidArgumentError
-from .laplace import CMConfig, CMReport, LaplaceFunction, as_laplace, cm_check
+from .laplace import CMReport, LaplaceFunction, cm_check, geometric_map
 
 
 @dataclass(frozen=True)
@@ -38,29 +39,21 @@ class DivisibilityReport:
 
 
 def divisor_laplace(psi, r: float) -> LaplaceFunction:
-    """Transform of the order-r divisor: r*psi(s) / (1 + (r-1)*psi(s))."""
+    """Transform of the order-r divisor: r*psi / (1 + (r-1)*psi) = G_r(psi)."""
     if not (r > 1 and math.isfinite(r)):
         raise InvalidArgumentError(f"r must be > 1, got {r}")
-    psi = as_laplace(psi)
-
-    def fn(s):
-        v = psi(s)
-        return r * v / (1.0 + (r - 1.0) * v)
-
-    return LaplaceFunction(fn=fn, domain_floor=psi.domain_floor, name=f"divisor[r={r:g}]")
+    return geometric_map(psi, r)
 
 
-def gd_check(dist: SwitchingDistribution, r: float, cfg: CMConfig | None = None,
+def gd_check(dist: SwitchingDistribution, r: float, max_order: int = 6, tol: float = 1e-7,
              zero_tol: float = 1e-6) -> DivisibilityReport:
     """Screen whether ``dist`` is r-geometric divisible.
 
-    Runs the complete-monotonicity screen on the extracted divisor transform
-    and checks the s=0 normalization.
+    Runs ``cm_check(max_order=..., tol=...)`` on the extracted divisor
+    transform and checks the s=0 normalization to within ``zero_tol``.
     """
-    cfg = cfg or CMConfig()
     candidate = divisor_laplace(dist.laplace, r)
-    report = cm_check(candidate, s_grid=cfg.s_grid, max_order=cfg.max_order,
-                      tol=cfg.tol, noise_guard=cfg.noise_guard)
+    report = cm_check(candidate, max_order=max_order, tol=tol)
     at_zero = float(candidate(0.0))
     passed = report.passed and abs(at_zero - 1.0) <= zero_tol
     return DivisibilityReport(
@@ -82,12 +75,4 @@ def reduce_order(divisor_psi, r: float, u: float) -> LaplaceFunction:
         raise InvalidArgumentError(f"r must be > 1, got {r}")
     if not (1 < u <= r):
         raise InvalidArgumentError(f"u must lie in (1, r], got u={u}, r={r}")
-    ratio = u / r
-    divisor_psi = as_laplace(divisor_psi)
-
-    def fn(s):
-        v = divisor_psi(s)
-        return ratio * v / (1.0 - (1.0 - ratio) * v)
-
-    return LaplaceFunction(fn=fn, domain_floor=divisor_psi.domain_floor,
-                           name=f"reduced[u={u:g}]")
+    return geometric_map(divisor_psi, u / r)

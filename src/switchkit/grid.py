@@ -22,14 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import fft as sp_fft
-from scipy.signal import fftconvolve
 
 from .errors import DomainError, InvalidArgumentError, NumericError
 
-# Direct summation below this length; FFT above.  Both evaluate the same
-# discrete sum (verified to 1e-10 in the test suite), FFT is just faster.
-_FFT_THRESHOLD = 256
-# Rows formatted per write in GridFunction.to_csv; bounds the formatted buffer.
+# Rows formatted per write in write_rows; bounds the formatted buffer.
 _CSV_BLOCK = 8192
 
 
@@ -136,12 +132,9 @@ class GridFunction:
         """Write ``t,value[,...]`` rows in full-precision scientific notation."""
         extra = extra_columns or {}
         cols = np.column_stack([self.times(), self.values, *extra.values()])
-        row = ",".join(["%.17e"] * cols.shape[1]) + "\r\n"  # csv.writer's terminator
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(["t", "value", *extra.keys()])
-            for lo in range(0, len(cols), _CSV_BLOCK):
-                block = cols[lo : lo + _CSV_BLOCK]
-                fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+            write_rows(fh, cols)
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
@@ -176,6 +169,15 @@ class GridFunction:
         return cls(t0=float(obj["t0"]), h=float(obj["h"]), values=np.asarray(obj["values"], dtype=float))
 
 
+def write_rows(fh, cols: np.ndarray, end: str = "\r\n") -> None:
+    """Write each row of the 2-d array ``cols`` to ``fh`` as comma-separated
+    ``%.17e`` fields followed by ``end`` (by default csv.writer's terminator)."""
+    row = ",".join(["%.17e"] * cols.shape[1]) + end
+    for lo in range(0, len(cols), _CSV_BLOCK):
+        block = cols[lo : lo + _CSV_BLOCK]
+        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+
+
 def _check_combinable(f: GridFunction, g: GridFunction, op: str) -> None:
     if not f.same_grid(g):
         raise InvalidArgumentError(
@@ -197,11 +199,7 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     if f.t0 != 0.0:
         raise InvalidArgumentError("convolve requires grids starting at t0=0")
     a, b = f.values, g.values
-    n = len(a)
-    if n >= _FFT_THRESHOLD:
-        full = fftconvolve(a, b)[:n]
-    else:
-        full = np.convolve(a, b)[:n]
+    full = _product(a, b, len(a))
     # full[k] = sum_i a[k-i] b[i]; trapezoid halves both endpoint products.
     out = f.h * (full - 0.5 * (a * b[0] + a[0] * b))
     out[0] = 0.0

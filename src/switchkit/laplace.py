@@ -3,8 +3,8 @@ monotonicity screen.
 
 The relations connect three transforms: psi(s) of the switching-time law,
 L(E)(s) of the switch-process expected value, and L(C)(s) of the stationary
-covariance.  All three are represented as :class:`LaplaceFunction` wrappers
-around vectorized evaluators.
+covariance.  Every function here takes a transform as any vectorized
+callable s -> value and returns a :class:`LaplaceFunction`.
 
 Inversion uses the fixed Talbot contour.  The contour weights grow like
 exp(2M/5), so at the default node count the sum is accumulated in extended
@@ -24,27 +24,38 @@ from .grid import GridFunction, GridSpec
 
 _EPS = float(np.finfo(float).eps)
 
+# 40 log-spaced points spanning [1e-2, 1e2] straddle both the small-s and
+# large-s behavior of a transform.
+CM_S_GRID = tuple(np.logspace(-2, 2, 40))
+
 
 @dataclass(frozen=True)
 class LaplaceFunction:
-    """An evaluable transform s -> value for s > domain_floor.
+    """An evaluable transform s -> value.
 
     Evaluators must be pure and vectorized and should accept complex input
     with positive real part (required for contour inversion).
     """
 
     fn: object
-    domain_floor: float = 0.0
-    name: str = ""
 
     def __call__(self, s):
         return self.fn(s)
 
 
-def as_laplace(fn, name: str = "") -> LaplaceFunction:
-    if isinstance(fn, LaplaceFunction):
-        return fn
-    return LaplaceFunction(fn=fn, name=name)
+def geometric_map(psi, q: float) -> LaplaceFunction:
+    """G_q(psi)(s) = q psi(s) / (1 - (1 - q) psi(s)).
+
+    The maps compose by multiplying q, G_q(G_p(psi)) = G_{qp}(psi): the
+    Geometric(1/r) compound of psi is q = 1/r, its r-geometric divisor q = r,
+    and the order-u reduction of that divisor q = u/r.
+    """
+
+    def fn(s):
+        v = psi(s)
+        return q * v / (1.0 - (1.0 - q) * v)
+
+    return LaplaceFunction(fn)
 
 
 def expected_laplace_from_psi(psi) -> LaplaceFunction:
@@ -54,13 +65,12 @@ def expected_laplace_from_psi(psi) -> LaplaceFunction:
     of the switch process.  The denominator stays >= 1 for genuine transforms,
     so no guard is needed.
     """
-    psi = as_laplace(psi)
 
     def fn(s):
         v = psi(s)
         return (1.0 - v) / (1.0 + v) / s
 
-    return LaplaceFunction(fn=fn, domain_floor=psi.domain_floor, name=f"LE[{psi.name}]")
+    return LaplaceFunction(fn)
 
 
 def psi_from_expected_laplace(le) -> LaplaceFunction:
@@ -70,7 +80,6 @@ def psi_from_expected_laplace(le) -> LaplaceFunction:
     For real s the product s*L(E)(s) must lie in [-1, 1]; points violating
     that are marked NaN rather than raising so a scan over s can proceed.
     """
-    le = as_laplace(le)
 
     def fn(s):
         s_arr = np.asarray(s)
@@ -82,19 +91,18 @@ def psi_from_expected_laplace(le) -> LaplaceFunction:
                 out = np.where(bad, np.nan, out)
         return out if np.asarray(s).ndim else out[()]
 
-    return LaplaceFunction(fn=fn, domain_floor=le.domain_floor, name=f"psi[{le.name}]")
+    return LaplaceFunction(fn)
 
 
 def covariance_laplace(le, mu: float) -> LaplaceFunction:
     """L(C)(s) = (1/s) (1 - (2/mu) L(E)(s)) for the stationary covariance."""
     if not (mu > 0 and math.isfinite(mu)):
         raise InvalidArgumentError(f"mu must be positive, got {mu}")
-    le = as_laplace(le)
 
     def fn(s):
         return (1.0 - (2.0 / mu) * le(s)) / s
 
-    return LaplaceFunction(fn=fn, domain_floor=le.domain_floor, name=f"LC[{le.name}]")
+    return LaplaceFunction(fn)
 
 
 def _eval_vector(fn, arr: np.ndarray) -> np.ndarray:
@@ -119,7 +127,6 @@ def invert_laplace(fn, grid: GridSpec, nodes: int = 64) -> GridFunction:
 
     The caller asserts analyticity of ``fn`` to the right of the contour.
     """
-    fn = as_laplace(fn)
     if nodes < 4:
         raise InvalidArgumentError(f"need at least 4 contour nodes, got {nodes}")
     if grid.t0 <= 0:
@@ -135,7 +142,7 @@ def invert_laplace(fn, grid: GridSpec, nodes: int = 64) -> GridFunction:
     base = theta * (cot + 1j)
     base[0] = 1.0
     p = np.multiply.outer(r / t, base).astype(np.clongdouble)
-    F = _eval_vector(fn.fn, p).astype(np.clongdouble)
+    F = _eval_vector(fn, p).astype(np.clongdouble)
 
     gamma = np.empty_like(p)
     gamma[:, 0] = 0.5 * np.exp(p[:, 0] * t)
@@ -152,28 +159,6 @@ def invert_laplace(fn, grid: GridSpec, nodes: int = 64) -> GridFunction:
     vals = np.where(finite, vals, np.nan)
     note = f"inversion failed at {int((~finite).sum())} of {grid.n} grid points (NaN markers)"
     return GridFunction(t0=grid.t0, h=grid.h, values=vals, notes=(note,), nan_ok=True)
-
-
-@dataclass(frozen=True)
-class CMConfig:
-    """Settings for the complete-monotonicity screen.
-
-    The default s-grid (40 log-spaced points spanning [1e-2, 1e2]) straddles
-    both the small-s and large-s behavior of the transform.
-    """
-
-    s_grid: tuple[float, ...] = tuple(np.logspace(-2, 2, 40))
-    max_order: int = 6
-    tol: float = 1e-7
-    noise_guard: float = 1e3
-
-    def __post_init__(self):
-        if self.max_order > 8:
-            raise InvalidArgumentError("finite differences beyond order 8 are pure noise")
-        if any(s <= 0 for s in self.s_grid):
-            raise InvalidArgumentError("s grid must be strictly positive")
-        if list(self.s_grid) != sorted(self.s_grid):
-            raise InvalidArgumentError("s grid must be ascending")
 
 
 @dataclass(frozen=True)
@@ -201,7 +186,7 @@ class CMReport:
         }
 
 
-def cm_check(fn, s_grid=None, max_order: int = 6, tol: float = 1e-7,
+def cm_check(fn, s_grid=CM_S_GRID, max_order: int = 6, tol: float = 1e-7,
              noise_guard: float = 1e3) -> CMReport:
     """Screen (-1)^n f^(n)(s) >= 0 for n = 0..max_order over an s grid.
 
@@ -212,37 +197,41 @@ def cm_check(fn, s_grid=None, max_order: int = 6, tol: float = 1e-7,
     a noise allowance of ``noise_guard`` times that floor, so only
     violations that exceed what roundoff can produce are reported.
     Violations are normalized by |f(s)| + 1.
-    """
-    fn = as_laplace(fn)
-    if s_grid is None:
-        s_grid = CMConfig().s_grid
-    cfg = CMConfig(s_grid=tuple(float(s) for s in s_grid), max_order=max_order,
-                   tol=tol, noise_guard=noise_guard)
 
-    s_arr = np.asarray(cfg.s_grid)
+    The order-n stencil visits s + (n/2 - j) h, j = 0..n, which is column
+    max_order - n + 2j of the half-step lattice s + (max_order - k) h / 2,
+    k = 0..2*max_order; ``fn`` is evaluated once on that lattice.
+    """
+    if not 0 <= max_order <= 8:  # differences beyond order 8 are pure noise
+        raise InvalidArgumentError(f"max_order must lie in [0, 8], got {max_order}")
+    s_arr = np.asarray(s_grid, dtype=float)
+    if not (s_arr.size and np.all(s_arr > 0)):
+        raise InvalidArgumentError("s grid must be non-empty and strictly positive")
+    if np.any(np.diff(s_arr) < 0):
+        raise InvalidArgumentError("s grid must be ascending")
+
     h = np.maximum(1e-2 * s_arr, 1e-3)
-    f_at_s = np.abs(_eval_vector(fn.fn, s_arr))
-    scale = f_at_s + 1.0
+    lattice = (max_order - np.arange(2 * max_order + 1)) / 2.0
+    F = _eval_vector(fn, s_arr[:, None] + lattice[None, :] * h[:, None])
+    scale = np.abs(F[:, max_order]) + 1.0
 
     worst = -math.inf
     points: list[tuple[float, int]] = []
-    for n in range(cfg.max_order + 1):
-        offsets = n / 2.0 - np.arange(n + 1)
+    for n in range(max_order + 1):
+        cols = max_order - n + 2 * np.arange(n + 1)
         coef = np.array([(-1.0) ** j * math.comb(n, j) for j in range(n + 1)])
-        nodes = s_arr[:, None] + offsets[None, :] * h[:, None]
-        fvals = _eval_vector(fn.fn, nodes)
-        dn = fvals @ coef  # ~ f^(n)(s) h^n
+        dn = F[:, cols] @ coef  # ~ f^(n)(s) h^n
         signed = ((-1.0) ** n) * dn / h**n
-        guard = cfg.noise_guard * (2.0**n) * _EPS * scale / h**n
+        guard = noise_guard * (2.0**n) * _EPS * scale / h**n
         viol = (-signed - guard) / scale
         worst = max(worst, float(np.max(viol)))
-        for idx in np.nonzero(viol > cfg.tol)[0]:
+        for idx in np.nonzero(viol > tol)[0]:
             points.append((float(s_arr[idx]), n))
 
     return CMReport(
-        passed=worst <= cfg.tol,
-        max_order_checked=cfg.max_order,
+        passed=worst <= tol,
+        max_order_checked=max_order,
         worst_violation=worst,
         violation_points=tuple(points),
-        tolerance=cfg.tol,
+        tolerance=tol,
     )

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from switchkit import GridFunction
+import switchkit
+from switchkit import GridFunction, make_gamma, simulate_switch
 from switchkit.cli import run
 
 
@@ -256,3 +259,57 @@ def test_malformed_input_row_exits_one(capsys, tmp_path, row):
     assert code == 1
     assert err.startswith("error: ") and str(src) in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_gd_check_cm_flags_reach_the_screen(capsys):
+    summary = run_json(capsys, ["gd-check", "--dist", "exp(rate=1)", "--r", "2",
+                                "--cm-max-order", "4", "--cm-tol", "1e-6"])
+    assert summary["cm_report"]["max_order_checked"] == 4
+    assert summary["cm_report"]["tolerance"] == 1e-6
+
+
+def test_recover_expected_route_reports_the_given_mu(capsys, tmp_path):
+    # unit-rate exponential switching has E = exp(-2t) and divisor exp(rate=2)
+    t = np.arange(0, 20 + 5e-4, 1e-3)
+    src = tmp_path / "E.csv"
+    GridFunction(t0=0.0, h=1e-3, values=np.exp(-2 * t)).to_csv(src)
+    summary = run_json(capsys, ["recover", "--from", "expected", "--input", str(src),
+                                "--mu", "1.0", "--out-prefix", str(tmp_path / "rec")])
+    assert summary["mu"] == 1.0
+    cdf = GridFunction.from_csv(tmp_path / "rec_divisor_cdf.csv")
+    np.testing.assert_allclose(cdf.values, -np.expm1(-2 * t), atol=1e-12)
+
+
+def test_expected_value_tol_bounds_the_solve_residual(capsys, tmp_path):
+    argv = ["expected-value", "--dist", "gamma(shape=2,scale=2)", "--t-end", "5",
+            "--h", "0.01", "--out", str(tmp_path / "E.csv")]
+    run_json(capsys, argv + ["--tol", "1e-6"])
+    assert run(argv + ["--tol", "1e-300"]) == 2
+    assert "residual" in capsys.readouterr().err
+
+
+def test_estimate_workers_leave_the_bytes_unchanged(capsys, tmp_path):
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"w{workers}.csv"
+        run_json(capsys, ["estimate", "--dist", "gamma(shape=2,scale=2)", "--target",
+                          "covariance", "--t-end", "4", "--h", "0.5", "--n-paths", "3000",
+                          "--seed", "11", "--workers", workers, "--out", str(out)])
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_simulate_writes_one_full_precision_epoch_per_line(capsys, tmp_path):
+    out = tmp_path / "epochs.csv"
+    run_json(capsys, ["simulate", "--dist", "gamma(shape=2,scale=2)", "--horizon", "200",
+                      "--seed", "4", "--out", str(out)])
+    epochs = simulate_switch(make_gamma(2.0, 2.0), 200.0, 4).epochs
+    assert out.read_bytes() == ("epoch\n" + "".join(f"{e:.17e}\n" for e in epochs)).encode()
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(switchkit.__file__))}
+    code = "import sys, switchkit.cli; print('scipy.signal' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.strip() == "False"

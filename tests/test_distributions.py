@@ -201,6 +201,14 @@ def test_streams_are_independent_of_order():
     assert first[0] == second[1] and first[2] == second[0]
 
 
+def test_seed_sequence_streams_match_integer_seed_streams():
+    from switchkit import path_rng
+
+    draws = [path_rng(np.random.SeedSequence(5), i).random() for i in (0, 1)]
+    assert draws == [path_rng(5, i).random() for i in (0, 1)]
+    assert draws[0] != draws[1]
+
+
 # -- string DSL -------------------------------------------------------------------
 
 

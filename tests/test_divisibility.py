@@ -1,20 +1,33 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import transform_oracle
 from switchkit import (
+    GridSpec,
     InvalidArgumentError,
     divisor_laplace,
     gd_check,
+    geometric_map,
     make_exponential,
     make_gamma,
     make_geometric_compound,
+    make_tabulated,
     reduce_order,
+    tabulate_pdf,
 )
 
 S_PROBES = (0.1, 1.0, 10.0)
+REAL_NODES = np.logspace(-3, 3, 25)
+# fixed-Talbot contour points (25.6/t) theta (cot theta + i) for t = 0.1, 1
+# and 10: complex nodes on both sides of the imaginary axis, as
+# invert_laplace visits them
+_THETA = np.linspace(0.05, 3.1, 40)
+COMPLEX_NODES = np.multiply.outer(25.6 / np.array([0.1, 1.0, 10.0]),
+                                  _THETA * (1.0 / np.tan(_THETA) + 1j))
 
 
 def test_divisor_of_exponential_is_faster_exponential(exp1):
@@ -134,3 +147,54 @@ def test_membership_survives_order_reduction(exp1):
     assert gd_check(exp1, 2.0).passed
     for u in (1.25, 1.5, 2.0):
         assert gd_check(exp1, u).passed
+
+
+# -- one geometric map ------------------------------------------------------------
+
+
+def _map_laws():
+    gamma2 = make_gamma(2.0, 1.0)
+    return {
+        "exp": make_exponential(1.0),
+        "gamma2": gamma2,
+        "gamma0.6": make_gamma(0.6, 1.0),
+        "compound": make_geometric_compound(gamma2, r=3.0),
+        "tabulated": make_tabulated(tabulate_pdf(gamma2, GridSpec.from_t_end(40.0, 0.01))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_map_laws()))
+def test_divisor_and_reduction_equal_frozen_closures(name):
+    psi = _map_laws()[name].laplace
+    for s in (REAL_NODES, COMPLEX_NODES):
+        for r, u in ((2.0, 1.5), (3.0, 3.0), (5.5, 1.01)):
+            div = divisor_laplace(psi, r)
+            np.testing.assert_array_equal(div(s), transform_oracle.divisor(psi, r)(s))
+            np.testing.assert_array_equal(reduce_order(div, r, u)(s),
+                                          transform_oracle.reduced(div, r, u)(s))
+
+
+@pytest.mark.parametrize("name", list(_map_laws()))
+def test_compound_transform_matches_frozen_closure(name):
+    law = _map_laws()[name]
+    for s in (REAL_NODES, COMPLEX_NODES):
+        for r in (1.5, 2.0, 7.0):
+            got = make_geometric_compound(law, r=r).laplace(s)
+            want = transform_oracle.compound(law.laplace, r)(s)
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
+def test_geometric_maps_compose_by_multiplying_q():
+    psi = make_gamma(0.6, 1.0).laplace
+    for q, p in ((0.5, 3.0), (0.25, 0.4), (3.0, 1.5)):
+        np.testing.assert_allclose(geometric_map(geometric_map(psi, p), q)(COMPLEX_NODES),
+                                   geometric_map(psi, q * p)(COMPLEX_NODES), rtol=1e-12)
+
+
+@pytest.mark.parametrize("u", [1.25, 2.0, 3.0])
+def test_reduction_of_a_divisor_is_the_lower_order_divisor(gamma22, u):
+    r = 3.0
+    got = reduce_order(divisor_laplace(gamma22.laplace, r), r, u)
+    want = divisor_laplace(gamma22.laplace, u)
+    for s in (REAL_NODES, COMPLEX_NODES):
+        np.testing.assert_allclose(got(s), want(s), rtol=1e-12)

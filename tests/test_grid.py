@@ -19,7 +19,6 @@ from switchkit import (
     derivative,
     second_derivative,
 )
-from switchkit.grid import _FFT_THRESHOLD
 
 from conftest import grid_fn
 
@@ -88,17 +87,17 @@ def test_convolve_fft_matches_direct_sum():
     # the FFT path must reproduce the direct trapezoid sum to 1e-10,
     # otherwise it is not an admissible internal optimization
     rng = np.random.default_rng(0)
-    n = _FFT_THRESHOLD + 57
     h = 0.01
-    a = rng.random(n)
-    b = rng.random(n)
-    f = GridFunction(t0=0.0, h=h, values=a)
-    g = GridFunction(t0=0.0, h=h, values=b)
-    got = convolve(f, g).values
-    full = np.convolve(a, b)[:n]
-    want = h * (full - 0.5 * (a * b[0] + a[0] * b))
-    want[0] = 0.0
-    np.testing.assert_allclose(got, want, atol=1e-10)
+    for n in (57, 313):
+        a = rng.random(n)
+        b = rng.random(n)
+        f = GridFunction(t0=0.0, h=h, values=a)
+        g = GridFunction(t0=0.0, h=h, values=b)
+        got = convolve(f, g).values
+        full = np.convolve(a, b)[:n]
+        want = h * (full - 0.5 * (a * b[0] + a[0] * b))
+        want[0] = 0.0
+        np.testing.assert_allclose(got, want, atol=1e-10)
 
 
 @settings(max_examples=25, deadline=None)

@@ -201,6 +201,32 @@ def test_cm_check_max_order_capped():
         cm_check(LaplaceFunction(lambda s: 1.0 / (1.0 + s)), max_order=9)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"s_grid": ()},
+    {"s_grid": (0.0, 1.0, 2.0)},
+    {"s_grid": (-1.0, 1.0)},
+    {"s_grid": (2.0, 1.0, 3.0)},
+    {"max_order": -1},
+])
+def test_cm_check_validates_its_arguments(kwargs):
+    with pytest.raises(InvalidArgumentError):
+        cm_check(lambda s: 1.0 / (1.0 + s), **kwargs)
+
+
+def test_cm_check_evaluates_one_shared_stencil():
+    # every order's stencil lies on one half-step lattice of 2*max_order+1
+    # offsets per s, so the transform is called once
+    shapes = []
+
+    def fn(s):
+        shapes.append(np.shape(s))
+        return 1.0 / (1.0 + s)
+
+    report = cm_check(fn, s_grid=(0.5, 1.0, 2.0), max_order=4)
+    assert report.passed and report.max_order_checked == 4
+    assert shapes == [(3, 9)]
+
+
 @pytest.mark.parametrize("fn", [lambda s: 1.0 / (1.0 + complex(s)), lambda s: 0.5])
 def test_scalar_only_evaluator_is_refused(fn):
     # evaluators must be vectorized; there is no elementwise fallback
