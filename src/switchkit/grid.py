@@ -25,7 +25,9 @@ from scipy import fft as sp_fft
 
 from .errors import DomainError, InvalidArgumentError, NumericError
 
-# Rows formatted per write in write_rows; bounds the formatted buffer.
+# Rows formatted per step of write_rows.  A step holds a few float64 arrays
+# and a byte matrix of this many rows, so the writer's working memory stays
+# near 1 MB per column whatever the table length.
 _CSV_BLOCK = 8192
 
 
@@ -169,13 +171,153 @@ class GridFunction:
         return cls(t0=float(obj["t0"]), h=float(obj["h"]), values=np.asarray(obj["values"], dtype=float))
 
 
+def _split(a):
+    """Veltkamp's split a = hi + lo into two halves of at most 26 bits."""
+    c = 134217729.0 * a  # 2^27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _pow10_table():
+    """(hi, hi_hi, hi_lo, lo, b) with 10^(17-k) = (hi + lo) 2^b for k in
+    [_K_MIN, _K_MAX] and hi_hi + hi_lo = hi split for :func:`_scale`.
+
+    Each power is taken to 128 bits with integer arithmetic, so hi + lo
+    carries it to a relative 2^-106.
+    """
+    his, los, exps = [], [], []
+    for k in range(_K_MIN, _K_MAX + 1):
+        num, den = 10 ** max(17 - k, 0), 10 ** max(k - 17, 0)
+        b = num.bit_length() - den.bit_length() - 128
+        m = (num << max(-b, 0)) // (den << max(b, 0))  # 10^(17-k) 2^-b, 128 bits
+        hi = float(m)
+        his.append(math.ldexp(hi, -128))
+        los.append(math.ldexp(float(m - int(hi)), -128))
+        exps.append(b + 128)
+    hi = np.array(his)
+    return (hi, *_split(hi), np.array(los), np.array(exps, dtype=np.int32))
+
+
+# Decimal exponents of finite doubles, one spare on each side for the
+# correction of the log10 estimate.
+_K_MIN, _K_MAX = -325, 309
+_POW10 = _pow10_table()
+# Bound on the error of P + T from _scale: the table, the product's low
+# part and its last addition each err by at most ~2^-106 relative, which
+# below 10^18 is under 5e-14 absolute.  Nearer than this to a half, the
+# rounding is not certain (or is an exact tie) and the row goes to `%`.
+_ROUND_ERR = 2.0**-43
+
+# Byte slots of one field of the byte matrix in write_rows: sign, d0, '.',
+# d1..d17, 'e', exponent sign, three exponent digits, ','.
+_FIELD = 26
+_DIGIT_SLOTS = ((1, *range(3, 11)), tuple(range(11, 20)), (22, 23, 24))
+
+
+def _scale(f, e, k):
+    """(P, T) with P + T = f 2^e 10^(17-k), P an integer-valued double."""
+    i = k - _K_MIN
+    hi, hi_hi, hi_lo, lo, b = (t.take(i) for t in _POW10)
+    p = f * hi
+    f_hi, f_lo = _split(f)
+    # Dekker's two-product: f hi = p + err exactly (numpy has no fma)
+    err = ((f_hi * hi_hi - p) + f_hi * hi_lo + f_lo * hi_hi) + f_lo * hi_lo
+    s = e + b
+    return np.ldexp(p, s), np.ldexp(err + f * lo, s)
+
+
+def _decimal(x: np.ndarray):
+    """Digits of ``'%.17e' % v`` for each element v of ``x``.
+
+    Returns (D, k, ok): ``|v|`` rounds half-even to D 10^(k-17) with the
+    18-digit integer D (0 for zeros).  ``ok`` is false where v is not finite
+    or the rounding is not certified; D and k mean nothing there.
+    """
+    a = np.abs(x)
+    finite = np.isfinite(a)
+    zero = a == 0.0
+    a = np.where(finite & ~zero, a, 1.0)
+    f, e = np.frexp(a)
+    k = np.floor(np.log10(a)).astype(np.int32)
+    P, T = _scale(f, e, k)
+    # log10 can miss floor(log10|v|) by one next to a power of ten.  P + T
+    # itself would round, so it is compared with 10^17 and 10^18 in parts.
+    high = (P > 1e18) | ((P == 1e18) & (T >= 0))
+    low = (P < 1e17) | ((P == 1e17) & (T < 0))
+    step = high.astype(np.int32) - low
+    redo = high | low
+    if redo.any():
+        k[redo] += step[redo]
+        P[redo], T[redo] = _scale(f[redo], e[redo], k[redo])
+    F = np.floor(T)
+    frac = T - F
+    ok = finite & (np.abs(frac - 0.5) > _ROUND_ERR)
+    D = P.astype(np.int64) + F.astype(np.int64) + (frac > 0.5)
+    top = D == 10**18
+    D[top] = 10**17
+    k[top] += 1
+    D[zero] = 0
+    k[zero] = 0
+    return D, k, ok
+
+
 def write_rows(fh, cols: np.ndarray, end: str = "\r\n") -> None:
-    """Write each row of the 2-d array ``cols`` to ``fh`` as comma-separated
-    ``%.17e`` fields followed by ``end`` (by default csv.writer's terminator)."""
-    row = ",".join(["%.17e"] * cols.shape[1]) + end
+    """Write each row of the 2-d float array ``cols`` to ``fh`` as
+    comma-separated ``%.17e`` fields followed by ``end`` (by default
+    csv.writer's terminator).
+
+    The text is exactly ``row % tuple(values)`` for each row, built in blocks
+    of ``_CSV_BLOCK`` rows by a numpy kernel: each |v| is scaled to
+    Y = |v| 10^(17-k) in double-double arithmetic (Dekker, Numer. Math. 18,
+    1971) from an exact power-of-ten table, and Y is rounded to 18 digits
+    where its fractional part is certified away from one half.  Rows with a
+    NaN, an infinity or an uncertified rounding are formatted by ``%``.
+    """
+    cols = np.asarray(cols, dtype=np.float64)
+    n_cols = cols.shape[1]
+    row = ",".join(["%.17e"] * n_cols) + end
+    tail = np.frombuffer(end.encode(), dtype=np.uint8)
+    width = _FIELD * n_cols + len(tail)
     for lo in range(0, len(cols), _CSV_BLOCK):
         block = cols[lo : lo + _CSV_BLOCK]
-        fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        x = np.ascontiguousarray(block.T)
+        D, k, ok = _decimal(x)
+        # one matrix row per byte slot, one column per table row; slots a
+        # table row does not print are dropped by `keep`
+        buf = np.empty((width, len(block)), dtype=np.uint8)
+        keep = np.ones(buf.shape, dtype=bool)
+        fields = buf[: _FIELD * n_cols].reshape(n_cols, _FIELD, len(block))
+        kept = keep[: _FIELD * n_cols].reshape(n_cols, _FIELD, len(block))
+        fields[:, 0] = ord("-")
+        kept[:, 0] = np.signbit(x)
+        hi = D // 10**9
+        ak = np.abs(k)
+        for v, slots in zip((hi, D - hi * 10**9, ak), _DIGIT_SLOTS):
+            v = v.astype(np.uint32)
+            for s in reversed(slots):
+                q = v // 10  # v % 10 is several times slower than //
+                fields[:, s] = v - 10 * q + ord("0")
+                v = q
+        kept[:, 22] = ak >= 100
+        fields[:, 2] = ord(".")
+        fields[:, 20] = ord("e")
+        fields[:, 21] = np.where(k < 0, ord("-"), ord("+"))
+        fields[:, 25] = ord(",")
+        kept[-1:, 25] = False  # no comma after the last field
+        buf[_FIELD * n_cols :] = tail[:, None]
+        good = ok.all(axis=0)
+        keep[:, ~good] = False
+        text = buf.T[keep.T].tobytes().decode()
+        if good.all():
+            fh.write(text)
+            continue
+        ends = np.cumsum(keep.sum(axis=0))
+        parts, start = [], 0
+        for i in np.flatnonzero(~good):
+            parts += [text[start : ends[i]], row % tuple(block[i].tolist())]
+            start = ends[i]
+        parts.append(text[start:])
+        fh.write("".join(parts))
 
 
 def _check_combinable(f: GridFunction, g: GridFunction, op: str) -> None:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from switchkit import (
     convolve,
     cumulative_integral,
     derivative,
+    expected_value_series,
     second_derivative,
 )
+from switchkit.grid import _ROUND_ERR, _decimal, _scale, write_rows
 
 from conftest import grid_fn
 
@@ -254,6 +257,117 @@ def test_csv_writer_matches_row_writer_across_blocks(tmp_path):
         writer.writerow([f"{x:.17e}" for x in row])
     assert path.read_bytes() == buf.getvalue().encode()
     np.testing.assert_array_equal(GridFunction.from_csv(path).values, g.values)
+
+
+def _percent_rows(cols, end="\r\n"):
+    """The writer's contract: Python's `%` operator on each row."""
+    row = ",".join(["%.17e"] * cols.shape[1]) + end
+    return "".join(row % tuple(r) for r in cols.tolist())
+
+
+def _written(cols, end="\r\n"):
+    buf = io.StringIO(newline="")
+    write_rows(buf, cols, end=end)
+    return buf.getvalue()
+
+
+def _bit_patterns(seed, n):
+    return np.random.default_rng(seed).integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=60))
+def test_writer_matches_percent_on_any_float(xs):
+    cols = np.array(xs).reshape(-1, 1)
+    assert _written(cols) == _percent_rows(cols)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+                min_size=1, max_size=30))
+def test_writer_matches_percent_on_random_bit_patterns(bits):
+    cols = np.array(bits, dtype=np.uint64).view(np.float64).reshape(-1, 2)
+    assert _written(cols) == _percent_rows(cols)
+
+
+def test_writer_matches_percent_on_many_bit_patterns():
+    # several blocks of uniformly random 64-bit patterns: every binade,
+    # subnormals, NaN payloads and infinities
+    cols = _bit_patterns(3, 60_000).reshape(-1, 3)
+    assert _written(cols) == _percent_rows(cols)
+
+
+def test_writer_matches_percent_on_edge_values():
+    tiny, huge = 5e-324, float(np.finfo(float).max)
+    edges = [0.0, -0.0, np.nan, np.inf, -np.inf, tiny, -tiny, huge, -huge,
+             float(np.finfo(float).smallest_normal)]
+    for p in range(-307, 309):
+        x = float(f"1e{p}")
+        edges += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+    cols = np.array(edges).reshape(-1, 1)
+    assert _written(cols) == _percent_rows(cols)
+    assert _written(cols.reshape(-1, 2)) == _percent_rows(cols.reshape(-1, 2))
+
+
+def test_writer_rounds_exact_ties_half_even():
+    # m 2^e is an exact tie at the 18th digit when |x| 10^(17-k) is an odd
+    # multiple of 1/2; e.g. o 2^-18 for odd o in [2^18, 10 2^18) at k = 0
+    rng = np.random.default_rng(7)
+    odd = 2 * rng.integers(2**17, 5 * 2**17, 2_000) + 1
+    ties = np.ldexp(odd.astype(float), -18)
+    dyadic = np.ldexp(rng.integers(1, 2**53, 24_000).astype(float),
+                      rng.integers(-80, 30, 24_000).astype(np.int32))
+    cols = np.concatenate([ties, -ties, dyadic]).reshape(-1, 1)
+    assert not _decimal(ties)[2].any()  # ties are left to `%` ...
+    assert _written(cols) == _percent_rows(cols)  # ... which rounds half-even
+
+
+def _near_ties():
+    """Doubles x = m 2^e in [10^k, 10^(k+1)), k = 17 + Q, whose exact
+    x 10^(17-k) = m 2^(e-Q) / 5^Q lies within (|r| + 1/2) / 5^Q of a half:
+    m 2^(e-Q) = (5^Q - 1)/2 + r (mod 5^Q).  10^-Q is inexact in binary."""
+    out = []
+    for Q in range(19, 23):
+        e = math.ceil((17 + Q) * math.log2(10)) - 52
+        inv = pow(2 ** (e - Q), -1, 5**Q)
+        for r in range(-40, 41):
+            m = ((5**Q - 1) // 2 + r) * inv % 5**Q
+            m += -(-(2**52 - m) // 5**Q) * 5**Q  # into [2^52, 2^53)
+            out.append(math.ldexp(m, e))
+    return np.array(out)
+
+
+def test_scaling_error_is_within_the_certification_bound():
+    # _decimal rounds only where frac(Y) is further than _ROUND_ERR from a
+    # half, so the double-double Y = P + T must be that close to exact
+    x = np.abs(np.concatenate([_bit_patterns(5, 3_000), _near_ties()]))
+    x = x[np.isfinite(x) & (x > 0)]
+    k = np.array([int(("%.17e" % v).split("e")[1]) for v in x.tolist()], dtype=np.int32)
+    P, T = _scale(*np.frexp(x), k)
+    for v, kv, p, t in zip(x.tolist(), k.tolist(), P.tolist(), T.tolist()):
+        exact = Fraction(v) * Fraction(10) ** (17 - kv)
+        assert abs(exact - Fraction(p) - Fraction(t)) < _ROUND_ERR / 2
+    near = _near_ties().reshape(-1, 1)
+    assert _written(near) == _percent_rows(near)
+
+
+@pytest.mark.parametrize("shape, end", [((0, 2), "\r\n"), ((1, 1), "\r\n"), ((5, 1), "\n"),
+                                        ((3, 4), "\n"), ((2, 0), "\n")])
+def test_writer_shapes_and_terminators(shape, end):
+    cols = np.random.default_rng(1).normal(size=shape) * 1e5
+    assert _written(cols, end) == _percent_rows(cols, end)
+
+
+def test_fast_path_covers_smooth_tables_and_random_bits(exp1):
+    # Without this, a kernel that sent every row to `%` would still pass the
+    # byte tests above.
+    E = expected_value_series(exp1, GridSpec(h=1e-3, n=100_001))
+    assert _decimal(np.stack([E.times(), E.values]))[2].all()
+    # Non-finite patterns (1 in 2048) always take `%`; of the finite ones,
+    # exact ties (about 1 in 1500) do.
+    bits = _bit_patterns(11, 200_000)
+    ok = _decimal(bits[np.isfinite(bits)])[2]
+    assert ok.mean() >= 0.999
 
 
 @pytest.mark.parametrize("body", ["0.0,1.0\n0.1,abc\n", "0.0,1.0\n0.1\n", ""])

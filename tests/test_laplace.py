@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from switchkit import (
     make_gamma,
     psi_from_expected_laplace,
 )
+from switchkit.laplace import _INVERT_BLOCK, _eval_vector
 
 S_PROBES = (0.1, 1.0, 10.0)
 
@@ -170,6 +172,53 @@ def test_invert_then_retransform_round_trip():
     for s in (0.5, 1.0, 2.0, 5.0):
         got = np.trapezoid(np.exp(-s * t) * vals, t)
         assert math.isclose(got, 1.0 / (2.0 + s), abs_tol=1e-4)
+
+
+def _invert_unblocked(fn, grid, nodes=64):
+    """invert_laplace as it was before it was blocked over grid times."""
+    t = grid.times().astype(np.longdouble)
+    M = int(nodes)
+    theta = (np.pi * np.arange(M, dtype=np.longdouble)) / M
+    cot = np.zeros(M, dtype=np.longdouble)
+    cot[1:] = 1.0 / np.tan(theta[1:])
+    r = np.longdouble(2 * M) / np.longdouble(5)
+    base = theta * (cot + 1j)
+    base[0] = 1.0
+    p = np.multiply.outer(r / t, base).astype(np.clongdouble)
+    F = _eval_vector(fn, p).astype(np.clongdouble)
+    gamma = np.empty_like(p)
+    gamma[:, 0] = 0.5 * np.exp(p[:, 0] * t)
+    weights = 1.0 + 1j * theta[1:] * (1.0 + cot[1:] ** 2) - 1j * cot[1:]
+    gamma[:, 1:] = np.exp(p[:, 1:] * t[:, None]) * weights[None, :]
+    with np.errstate(invalid="ignore", over="ignore"):
+        vals = (2.0 / (5.0 * t)) * np.sum(gamma * F, axis=1).real
+    vals = vals.astype(float)
+    return np.where(np.isfinite(vals), vals, np.nan)
+
+
+def test_blocked_inversion_matches_unblocked_reference(gamma22):
+    # two whole blocks and a partial one; the second transform leaves the
+    # smallest times NaN
+    def overflowing(s):
+        return np.where(np.abs(s) > 2e3, np.inf, 1.0 / (2.0 + s))
+
+    grid = GridSpec(h=0.002, n=2 * _INVERT_BLOCK + 77, t0=0.002)
+    for fn, nodes in ((expected_laplace_from_psi(gamma22.laplace), 64), (overflowing, 32)):
+        got = invert_laplace(fn, grid, nodes=nodes)
+        np.testing.assert_array_equal(got.values, _invert_unblocked(fn, grid, nodes))
+    assert np.isnan(got.values).any() and got.notes
+
+
+def test_inversion_memory_stays_below_one_unblocked_array():
+    grid = GridSpec(h=1e-3, n=20_001, t0=1e-3)
+    unblocked = grid.n * 64 * np.dtype(np.clongdouble).itemsize  # 41 MB
+    tracemalloc.start()
+    try:
+        invert_laplace(LaplaceFunction(lambda s: 1.0 / (2.0 + s)), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < unblocked
 
 
 # -- cm_check --------------------------------------------------------------------
