@@ -14,18 +14,10 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import iia as iia_mod
-from .distributions import compound_density, parse_distribution
+from .distributions import geometric_map_grid, parse_distribution
 from .divisibility import gd_check
-from .errors import (
-    DomainError,
-    InvalidArgumentError,
-    NumericError,
-    ResourceLimitError,
-    SwitchKitError,
-)
+from .errors import DomainError, InvalidArgumentError, SwitchKitError
 from .grid import GridFunction, GridSpec, write_rows
 from .recovery import (
     covariance_from_expected,
@@ -79,17 +71,13 @@ def build_parser() -> _Parser:
     p.add_argument("--out", default="estimate.csv")
     p.add_argument("--plot", default=None)
 
-    p = sub.add_parser("expected-value", help="series E(t) from a switching law")
-    p.add_argument("--dist", required=True)
-    _add_grid_args(p)
-    p.add_argument("--tol", type=float, default=1e-6, help="renewal-solve residual bound")
-    p.add_argument("--out", default="expected_value.csv")
-
-    p = sub.add_parser("covariance", help="stationary covariance C(t) from a switching law")
-    p.add_argument("--dist", required=True)
-    _add_grid_args(p)
-    p.add_argument("--tol", type=float, default=1e-6, help="renewal-solve residual bound")
-    p.add_argument("--out", default="covariance.csv")
+    for verb, what in (("expected-value", "series E(t)"),
+                       ("covariance", "stationary covariance C(t)")):
+        p = sub.add_parser(verb, help=f"{what} from a switching law")
+        p.add_argument("--dist", required=True)
+        _add_grid_args(p)
+        p.add_argument("--tol", type=float, default=1e-6, help="renewal-solve residual bound")
+        p.add_argument("--out", default=f"{verb.replace('-', '_')}.csv")
 
     p = sub.add_parser("gd-check", help="r-geometric divisibility screen")
     p.add_argument("--dist", required=True)
@@ -191,29 +179,29 @@ def _cmd_estimate(args) -> dict:
     }
 
 
-def _cmd_expected_value(args) -> dict:
+def _cmd_series(args) -> dict:
     dist = parse_distribution(args.dist)
-    grid = GridSpec.from_t_end(args.t_end, args.h)
-    E = expected_value_series(dist, grid, tol=args.tol)
-    E.to_csv(args.out)
-    return {"verb": "expected-value", "dist": dist.name, "outputs": [args.out],
-            "notes": list(E.notes)}
-
-
-def _cmd_covariance(args) -> dict:
-    dist = parse_distribution(args.dist)
-    grid = GridSpec.from_t_end(args.t_end, args.h)
-    E = expected_value_series(dist, grid, tol=args.tol)
-    C = covariance_from_expected(E, dist.mean)
-    C.to_csv(args.out)
-    return {"verb": "covariance", "dist": dist.name, "mu": dist.mean,
-            "outputs": [args.out], "notes": list(C.notes)}
+    out = expected_value_series(dist, GridSpec.from_t_end(args.t_end, args.h), tol=args.tol)
+    summary = {"verb": args.verb, "dist": dist.name, "outputs": [args.out]}
+    if args.verb == "covariance":
+        out = covariance_from_expected(out, dist.mean)
+        summary["mu"] = dist.mean
+    out.to_csv(args.out)
+    summary["notes"] = list(out.notes)
+    return summary
 
 
 def _cmd_gd_check(args) -> dict:
     dist = parse_distribution(args.dist)
     report = gd_check(dist, args.r, max_order=args.cm_max_order, tol=args.cm_tol)
     return {"verb": "gd-check", "dist": dist.name, **report.to_json_dict()}
+
+
+def _write_divisor(prefix: str, cdf: GridFunction, pdf: GridFunction) -> list[str]:
+    paths = [f"{prefix}_divisor_cdf.csv", f"{prefix}_divisor_pdf.csv"]
+    cdf.to_csv(paths[0])
+    pdf.to_csv(paths[1])
+    return paths
 
 
 def _cmd_recover(args) -> dict:
@@ -223,14 +211,10 @@ def _cmd_recover(args) -> dict:
         mu = args.mu
     else:
         mu, divisor_cdf, divisor_pdf = divisor_from_covariance(table)
-    cdf_path = f"{args.out_prefix}_divisor_cdf.csv"
-    pdf_path = f"{args.out_prefix}_divisor_pdf.csv"
-    divisor_cdf.to_csv(cdf_path)
-    divisor_pdf.to_csv(pdf_path)
-    outputs = [cdf_path, pdf_path]
+    outputs = _write_divisor(args.out_prefix, divisor_cdf, divisor_pdf)
     summary = {"verb": "recover", "from": args.source, "mu": mu, "outputs": outputs}
     if args.compound_pdf_out:
-        compound_density(divisor_pdf, r=2.0).to_csv(args.compound_pdf_out)
+        geometric_map_grid(divisor_pdf, 0.5).to_csv(args.compound_pdf_out)
         outputs.append(args.compound_pdf_out)
         summary["compound_pdf"] = {"path": args.compound_pdf_out, "approximate": False}
     return summary
@@ -258,15 +242,12 @@ def _cmd_iia(args) -> dict:
         "outputs": [],
     }
     if result.screen.passed:
-        cdf_path = f"{args.out_prefix}_divisor_cdf.csv"
-        pdf_path = f"{args.out_prefix}_divisor_pdf.csv"
         clip_path = f"{args.out_prefix}_clipped_covariance.csv"
-        result.divisor_cdf.to_csv(cdf_path)
-        result.divisor_pdf.to_csv(pdf_path)
+        summary["outputs"] = _write_divisor(args.out_prefix, result.divisor_cdf,
+                                            result.divisor_pdf) + [clip_path]
         clipped = iia_mod.clip_covariance(r, grid)
         clipped.to_csv(clip_path)
         summary["mu"] = result.mu
-        summary["outputs"] = [cdf_path, pdf_path, clip_path]
         if args.plot:
             t = grid.times()
             panels = [
@@ -300,8 +281,8 @@ def _cmd_estimate_plot(mean, stderr, target: str, path) -> None:
 _DISPATCH = {
     "simulate": _cmd_simulate,
     "estimate": _cmd_estimate,
-    "expected-value": _cmd_expected_value,
-    "covariance": _cmd_covariance,
+    "expected-value": _cmd_series,
+    "covariance": _cmd_series,
     "gd-check": _cmd_gd_check,
     "recover": _cmd_recover,
     "iia": _cmd_iia,
@@ -319,16 +300,10 @@ def run(argv=None) -> int:
         return USAGE_EXIT
     try:
         summary = _DISPATCH[args.verb](args)
-    except (InvalidArgumentError, DomainError) as exc:
+    except (InvalidArgumentError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericError, ResourceLimitError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SwitchKitError as exc:  # any future subclasses default to numeric
+    except SwitchKitError as exc:  # NumericError, ResourceLimitError, future subclasses
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
     _emit(summary)

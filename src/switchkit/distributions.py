@@ -105,7 +105,7 @@ class GeometricCompound(SwitchingDistribution):
     The transform is exact, the sampler is exact, the mean is r times the
     divisor mean; no closed-form density exists, so ``pdf``/``cdf`` are None
     and grid tabulations solve the geometric renewal equation in
-    :func:`compound_density`.
+    :func:`geometric_map_grid`.
     """
 
     divisor: SwitchingDistribution = None
@@ -324,60 +324,70 @@ def make_geometric_compound(divisor: SwitchingDistribution, r: float) -> Geometr
 # -- grid tabulation ------------------------------------------------------
 
 
+def geometric_base(dist: SwitchingDistribution) -> tuple[SwitchingDistribution, float]:
+    """(base law, q) with ``dist`` = G_q(base law): compounds, nested or not,
+    unwrap to their innermost divisor and q = 1/(r_1 r_2 ...); else q = 1."""
+    q = 1.0
+    while isinstance(dist, GeometricCompound):
+        q, dist = q / dist.r, dist.divisor
+    return dist, q
+
+
+def geometric_map_grid(f: GridFunction, q: float, g: GridFunction | None = None,
+                       tol: float = 1e-6) -> GridFunction:
+    """G_q(psi) = q psi / (1 - (1 - q) psi) on the grid: x + (q - 1) (x * f) = q g,
+    solved exactly.  With g = f (default) x is the density of the law with
+    transform G_q(psi_f), with g = F (f's CDF) its CDF; ``tol`` bounds the
+    residual of this scaled system (:func:`solve_renewal`)."""
+    if not (q > 0 and math.isfinite(q)):
+        raise InvalidArgumentError(f"q must be in (0, inf), got {q}")
+    g = f if g is None else g
+    return f.with_values(solve_renewal(f, g.with_values(q * g.values), q - 1.0, tol).values)
+
+
 def tabulate_pdf(dist: SwitchingDistribution, grid: GridSpec) -> GridFunction:
     """Density of ``dist`` on a uniform grid.
 
     Analytic and tabulated laws are evaluated pointwise; an integrable
     singularity at the origin is replaced by one-sided extrapolation and
-    flagged in ``notes``.  Geometric compounds have no pointwise density, so
-    their grid density is solved from the divisor's by
-    :func:`compound_density`.
+    flagged in ``notes``.  Geometric compounds have no pointwise density:
+    theirs is :func:`geometric_map_grid` of their base law's.
     """
-    if isinstance(dist, GeometricCompound):
-        return compound_density(tabulate_pdf(dist.divisor, grid), dist.r)
-    if dist.pdf is None:
-        raise InvalidArgumentError(f"{dist.name}: no density available for tabulation")
+    base, q = geometric_base(dist)
+    if base.pdf is None:
+        raise InvalidArgumentError(f"{base.name}: no density available for tabulation")
     t = grid.times()
-    vals = np.asarray(dist.pdf(t), dtype=float)
+    vals = np.asarray(base.pdf(t), dtype=float)
     notes: tuple[str, ...] = ()
     if not np.isfinite(vals[0]):
         if len(vals) < 3 or not np.isfinite(vals[1:3]).all():
-            raise InvalidArgumentError(f"{dist.name}: density not finite beyond the origin")
+            raise InvalidArgumentError(f"{base.name}: density not finite beyond the origin")
         vals = vals.copy()
         vals[0] = max(2 * vals[1] - vals[2], 0.0)
         notes = ("origin value set by one-sided extrapolation (singular density)",)
     if not np.isfinite(vals).all():
-        raise InvalidArgumentError(f"{dist.name}: density not finite on the grid interior")
-    return GridFunction(t0=grid.t0, h=grid.h, values=vals, notes=notes)
+        raise InvalidArgumentError(f"{base.name}: density not finite on the grid interior")
+    f = GridFunction(t0=grid.t0, h=grid.h, values=vals, notes=notes)
+    return f if base is dist else geometric_map_grid(f, q)
 
 
 def tabulate_cdf(dist: SwitchingDistribution, grid: GridSpec) -> GridFunction:
-    """Distribution function of ``dist`` on a uniform grid."""
-    if isinstance(dist, GeometricCompound):
-        return cdf_from_density(tabulate_pdf(dist, grid))
-    if dist.cdf is None:
-        raise InvalidArgumentError(f"{dist.name}: no distribution function available")
-    t = grid.times()
-    return GridFunction(t0=grid.t0, h=grid.h, values=np.asarray(dist.cdf(t), dtype=float))
+    """Distribution function of ``dist`` on a uniform grid; a compound's is
+    :func:`geometric_map_grid` of its base law's, clipped at one."""
+    base, q = geometric_base(dist)
+    if base.cdf is None:
+        raise InvalidArgumentError(f"{base.name}: no distribution function available")
+    F = GridFunction(t0=grid.t0, h=grid.h, values=np.asarray(base.cdf(grid.times()), dtype=float))
+    if base is not dist:
+        F = geometric_map_grid(tabulate_pdf(base, grid), q, F)
+        F = F.with_values(np.minimum(F.values, 1.0))
+    return F
 
 
 def cdf_from_density(pdf: GridFunction) -> GridFunction:
     """Trapezoid antiderivative of a grid density, clipped at one."""
     cdf = cumulative_integral(pdf)
     return cdf.with_values(np.minimum(cdf.values, 1.0))
-
-
-def compound_density(divisor_pdf: GridFunction, r: float) -> GridFunction:
-    """Grid density of the Geometric(1/r) compound of a tabulated divisor.
-
-    The density f_W = p sum_{n>=1} (1-p)^(n-1) f~^(n-fold), p = 1/r, solves
-    the geometric renewal equation x - (1 - p) (x * f~) = p f~, which is
-    solved exactly on the divisor's grid (it must start at t0 = 0).
-    """
-    if not (r > 1 and math.isfinite(r)):
-        raise InvalidArgumentError(f"r must be > 1, got {r}")
-    return solve_renewal(divisor_pdf, divisor_pdf.with_values(divisor_pdf.values / r),
-                         -(1.0 - 1.0 / r))
 
 
 # -- string DSL used by the CLI -------------------------------------------

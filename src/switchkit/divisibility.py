@@ -6,18 +6,24 @@ positive law, equivalently when the extracted divisor transform
 r*psi / (1 + (r-1)*psi) is completely monotone and equals one at s=0.
 Extraction and order reduction are both :func:`~switchkit.laplace.geometric_map`.
 Membership here is a numerical screen over a finite s grid, so a pass is
-"no violation found", not a certification.  Non-integer r is permitted
-throughout.
+"no violation found", not a certification; a clearly negative grid divisor
+density refutes it.  Non-integer r is permitted throughout.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .distributions import SwitchingDistribution
-from .errors import InvalidArgumentError
+import numpy as np
+
+from .distributions import SwitchingDistribution, geometric_base, geometric_map_grid, tabulate_pdf
+from .errors import InvalidArgumentError, NumericError
+from .grid import GridFunction, GridSpec
 from .laplace import CMReport, LaplaceFunction, cm_check, geometric_map
+
+TIME_SPAN_MEANS = 40.0
+TIME_POINTS = (4001, 8001)
 
 
 @dataclass(frozen=True)
@@ -27,6 +33,7 @@ class DivisibilityReport:
     cm_report: CMReport
     laplace_at_zero: float
     zero_tolerance: float = 1e-6
+    time_domain: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -35,6 +42,7 @@ class DivisibilityReport:
             "laplace_at_zero": self.laplace_at_zero,
             "zero_tolerance": self.zero_tolerance,
             "cm_report": self.cm_report.to_json_dict(),
+            "time_domain": dict(self.time_domain),
         }
 
 
@@ -45,23 +53,57 @@ def divisor_laplace(psi, r: float) -> LaplaceFunction:
     return geometric_map(psi, r)
 
 
+def divisor_density(dist: SwitchingDistribution, r: float, grid: GridSpec,
+                    tol: float = 1e-6) -> GridFunction:
+    """Order-r divisor density on the grid, :func:`geometric_map_grid` of the
+    base law; non-negative exactly when ``dist`` is r-geometric divisible."""
+    base, q = geometric_base(dist)
+    return geometric_map_grid(tabulate_pdf(base, grid), q * r, tol=tol)
+
+
+def _time_domain(dist: SwitchingDistribution, r: float, zero_tol: float) -> dict:
+    """Minima m_h, m_h/2 of the divisor density on [0, TIME_SPAN_MEANS * mean]
+    at TIME_POINTS points (steps h, h/2); refuted if m_h/2 + |m_h - m_h/2| < -zero_tol.
+    ``min`` is None and nothing is refuted for a law without a grid density,
+    a solve over its residual bound (a divisor growing exponentially), or a
+    divisor above 2/h: its decay outruns the step, so the values oscillate."""
+    t_end = TIME_SPAN_MEANS * dist.mean
+    steps = [t_end / (n - 1) for n in TIME_POINTS]
+    out = {"min": None, "t_min": None, "h": steps, "t_end": t_end, "refuted": False}
+    mins = []
+    for h, n in zip(steps, TIME_POINTS):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = divisor_density(dist, r, GridSpec(h=h, n=n)).values
+        except (InvalidArgumentError, NumericError):
+            return out
+        if h * np.max(np.abs(x)) / 2 > 1:
+            return out
+        mins.append(float(np.min(x)))
+    out.update(min=mins, t_min=int(np.argmin(x)) * h,
+               refuted=mins[1] + abs(mins[0] - mins[1]) < -zero_tol)
+    return out
+
+
 def gd_check(dist: SwitchingDistribution, r: float, max_order: int = 6, tol: float = 1e-7,
              zero_tol: float = 1e-6) -> DivisibilityReport:
     """Screen whether ``dist`` is r-geometric divisible.
 
     Runs ``cm_check(max_order=..., tol=...)`` on the extracted divisor
-    transform and checks the s=0 normalization to within ``zero_tol``.
+    transform, checks the s=0 normalization to within ``zero_tol``, and
+    fails when the time-domain divisor density refutes divisibility.
     """
     candidate = divisor_laplace(dist.laplace, r)
     report = cm_check(candidate, max_order=max_order, tol=tol)
     at_zero = float(candidate(0.0))
-    passed = report.passed and abs(at_zero - 1.0) <= zero_tol
+    time_domain = _time_domain(dist, r, zero_tol)
     return DivisibilityReport(
         r=float(r),
-        passed=passed,
+        passed=report.passed and abs(at_zero - 1.0) <= zero_tol and not time_domain["refuted"],
         cm_report=report,
         laplace_at_zero=at_zero,
         zero_tolerance=zero_tol,
+        time_domain=time_domain,
     )
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import fft as sp_fft
 
-from .errors import DomainError, InvalidArgumentError, NumericError
+from .errors import InvalidArgumentError, NumericError
 
 # Rows formatted per step of write_rows.  A step holds a few float64 arrays
 # and a byte matrix of this many rows, so the writer's working memory stays
@@ -446,23 +446,3 @@ def second_derivative(g: GridFunction) -> GridFunction:
     d[0] = (2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / (h * h)
     d[-1] = (2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / (h * h)
     return g.with_values(d)
-
-
-def convolution_tail_bound(F_at_t1: float, n: int) -> float:
-    """Geometric bound F^n / (1 - F) on the dropped tail of the alternating
-    convolution-power series, valid for all t <= t1.
-
-    The package itself sums that series exactly with :func:`solve_renewal`;
-    the bound remains for code that truncates it.
-
-    Iterating the product bound for convolutions of distribution functions
-    gives F^{k-fold}(t) <= F(t)^k, so the tail past order n is dominated by
-    the geometric series starting at F(t1)^{n+1}.
-    """
-    if not 0.0 <= F_at_t1:
-        raise DomainError(f"F(t1) must be >= 0, got {F_at_t1}")
-    if F_at_t1 >= 1.0:
-        raise DomainError(f"F(t1) must be < 1 for the bound to hold, got {F_at_t1}")
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n}")
-    return F_at_t1**n / (1.0 - F_at_t1)

@@ -4,7 +4,8 @@ stationary counterpart.
 
 The expected value is the alternating series over convolution powers of
 the distribution function, E = 1 + 2 sum_k (-1)^k F^(k-fold), summed
-exactly by one discrete renewal solve (:func:`switchkit.grid.solve_renewal`).
+exactly by one time-domain geometric map
+(:func:`switchkit.distributions.geometric_map_grid`).
 The bridges are C'(t) = -(2/mu) E(t) with C(0) = 1, integrated or
 differentiated on the grid.  For laws whose E is non-negative and
 decreasing, the 2-geometric divisor is read off directly: divisor
@@ -22,11 +23,13 @@ import numpy as np
 from .distributions import (
     GeometricCompound,
     SwitchingDistribution,
-    cdf_from_density,
+    geometric_base,
+    geometric_map_grid,
     make_geometric_compound,
     tabulate_cdf,
     tabulate_pdf,
 )
+from .divisibility import divisor_density
 from .errors import InvalidArgumentError, NumericError, ShapeCheckError
 from .grid import (
     GridFunction,
@@ -36,7 +39,6 @@ from .grid import (
     derivative,
     integral,
     second_derivative,
-    solve_renewal,
 )
 
 DEFAULT_SERIES_TOL = 1e-6
@@ -113,32 +115,24 @@ def expected_value_series(dist: SwitchingDistribution, grid: GridSpec,
                           tol: float = DEFAULT_SERIES_TOL) -> GridFunction:
     """E(t) = 1 + 2 sum_{k>=1} (-1)^k F^(k-fold)(t) on the grid.
 
-    The alternating series is summed exactly by one renewal solve:
-    x + (x * f) = F gives E = 1 - 2x.  ``tol`` bounds the solve's
-    a-posteriori residual; a larger residual raises NumericError.
+    1 - E is the CDF of the 2-divisor, one :func:`geometric_map_grid` of the
+    base law with q doubled (x + (x * f) = 2F, E = 1 - x, for a non-compound).
+    ``tol`` bounds its residual, in units of E; a larger one raises NumericError.
     """
-    if grid.t0 != 0.0:
-        raise InvalidArgumentError("series evaluation requires a grid starting at 0")
-    f = tabulate_pdf(dist, grid)
-    # a compound's density is a renewal solve: do it once and integrate it
-    F = cdf_from_density(f) if isinstance(dist, GeometricCompound) else tabulate_cdf(dist, grid)
-    x = solve_renewal(f, F, 1.0, tol)
-    return GridFunction(t0=0.0, h=grid.h, values=1.0 - 2.0 * x.values, notes=f.notes)
+    base, q = geometric_base(dist)
+    x = geometric_map_grid(tabulate_pdf(base, grid), 2.0 * q, tabulate_cdf(base, grid), tol)
+    return x.with_values(1.0 - x.values)
 
 
 def expected_derivative_series(dist: SwitchingDistribution, grid: GridSpec,
                                tol: float = DEFAULT_SERIES_TOL) -> GridFunction:
     """E'(t) = 2 sum_{k>=1} (-1)^k f^(k-fold)(t) on the grid.
 
-    Summed by one renewal solve, x + (x * f) = f, giving E' = -2x; ``tol``
-    bounds the residual as in :func:`expected_value_series`.  A singular
-    density origin is extrapolated by tabulation and flagged in ``notes``.
+    -E' is the density of the 2-divisor (:func:`divisor_density`); ``tol`` bounds
+    its residual.  A singular density origin is extrapolated and flagged in ``notes``.
     """
-    if grid.t0 != 0.0:
-        raise InvalidArgumentError("series evaluation requires a grid starting at 0")
-    f = tabulate_pdf(dist, grid)
-    x = solve_renewal(f, f, 1.0, tol)
-    return GridFunction(t0=0.0, h=grid.h, values=-2.0 * x.values, notes=f.notes)
+    x = divisor_density(dist, 2.0, grid, tol)
+    return x.with_values(-x.values)
 
 
 # -- bridges ----------------------------------------------------------------
@@ -348,6 +342,6 @@ def switching_law_from_divisor(divisor: SwitchingDistribution) -> GeometricCompo
 
     Sampler and transform are exact.  No closed-form density exists;
     :func:`tabulate_pdf` solves the geometric renewal equation for it on a
-    grid (:func:`compound_density` does so from a tabulated divisor).
+    grid (``geometric_map_grid(pdf, 0.5)`` from a tabulated divisor).
     """
     return make_geometric_compound(divisor, r=2.0)

@@ -2,7 +2,9 @@
 renewal solver replaced.
 
 These loops are kept verbatim in test code so the solver can be checked
-against the algorithm it replaces.  They are slow (one grid convolution per
+against the algorithm it replaces.  :func:`geometric_series` is the
+q-weighted series that the time-domain geometric map sums; the alternating
+loops are its q = 2 case.  They are slow (one grid convolution per
 series term) and capped at ``MAX_CONVOLUTIONS`` terms; run them at a tight
 ``tol`` so their own truncation stays far below the comparison bound.
 """
@@ -15,7 +17,7 @@ import numpy as np
 
 from switchkit import GeometricCompound, GridFunction, GridSpec, ResourceLimitError
 from switchkit import tabulate_pdf as _tabulate_pdf
-from switchkit.grid import convolution_tail_bound, convolve, cumulative_integral, integral
+from switchkit.grid import convolve, cumulative_integral, integral
 
 MAX_CONVOLUTIONS = 10_000
 
@@ -29,7 +31,7 @@ def _series_truncation_order(F_end: float, tol: float, prefactor: float = 1.0):
         return MAX_CONVOLUTIONS, False
     n = 1
     target = tol / prefactor
-    while convolution_tail_bound(F_end, n) > target:
+    while F_end**n / (1.0 - F_end) > target:
         n += 1
         if n > MAX_CONVOLUTIONS:
             return MAX_CONVOLUTIONS, False
@@ -125,3 +127,21 @@ def expected_derivative(dist, grid: GridSpec, tol: float) -> GridFunction:
     if not certified:
         raise ResourceLimitError("oracle density series tail not certified")
     return GridFunction(t0=0.0, h=grid.h, values=2.0 * acc, notes=f.notes)
+
+
+def geometric_series(f: GridFunction, g: GridFunction, q: float, tol: float) -> GridFunction:
+    """q sum_{n>=1} (1-q)^(n-1) g * f^((n-1)-fold) for a density f and
+    0 < q < 2 (q = 1 is the single term g), by one grid convolution per
+    term.  Convolving with a density does not raise the sup norm, so the
+    sum stops once q |1-q|^n sup|term| / (1 - |1-q|) is below ``tol``."""
+    ratio = abs(1.0 - q)
+    acc = np.zeros(len(g))
+    term = g
+    weight = q
+    for _ in range(MAX_CONVOLUTIONS):
+        acc += weight * term.values
+        weight *= 1.0 - q
+        if abs(weight) * float(np.max(np.abs(term.values))) / (1.0 - ratio) <= tol:
+            return g.with_values(acc)
+        term = convolve(term, f)
+    raise ResourceLimitError("oracle geometric series tail not certified")

@@ -82,6 +82,15 @@ def test_gd_check_verb_failing_law_still_exits_zero(capsys):
     assert summary2["passed"] is True
 
 
+def test_gd_check_verb_reports_the_time_domain_refutation(capsys):
+    # the complete-monotonicity screen passes gamma(2, 1) at r = 1.5; its
+    # divisor density is negative on (pi sqrt2, 2 pi sqrt2)
+    summary = run_json(capsys, ["gd-check", "--dist", "gamma(shape=2,scale=1)", "--r", "1.5"])
+    assert summary["cm_report"]["passed"] is True
+    assert summary["time_domain"]["refuted"] is True
+    assert summary["passed"] is False
+
+
 def test_simulate_verb(capsys, tmp_path):
     out = tmp_path / "epochs.csv"
     svg = tmp_path / "path.svg"

@@ -9,7 +9,9 @@ import transform_oracle
 from switchkit import (
     GridSpec,
     InvalidArgumentError,
+    SwitchingDistribution,
     divisor_laplace,
+    expected_derivative_series,
     gd_check,
     geometric_map,
     make_exponential,
@@ -19,6 +21,7 @@ from switchkit import (
     reduce_order,
     tabulate_pdf,
 )
+from switchkit.divisibility import divisor_density
 
 S_PROBES = (0.1, 1.0, 10.0)
 REAL_NODES = np.logspace(-3, 3, 25)
@@ -84,6 +87,88 @@ def test_gd_check_json(gamma22):
     assert obj["passed"] is False
     assert obj["r"] == 2.0
     assert "cm_report" in obj
+    td = obj["time_domain"]
+    assert set(td) == {"min", "t_min", "h", "t_end", "refuted"}
+    assert td["t_end"] == 40.0 * gamma22.mean
+    assert td["h"] == [td["t_end"] / 4000, td["t_end"] / 8000]
+    assert td["refuted"] is True and td["min"][1] < 0
+
+
+# -- time-domain divisor -----------------------------------------------------------
+
+
+def _gd_laws():
+    return {
+        "exp1": make_exponential(1.0),
+        "gamma0.5": make_gamma(0.5, 1.0),
+        "gamma1.5": make_gamma(1.5, 1.0),
+        "gamma2,1": make_gamma(2.0, 1.0),
+        "gamma2,2": make_gamma(2.0, 2.0),
+        "gamma3": make_gamma(3.0, 1.0),
+        "compound2_exp2": make_geometric_compound(make_exponential(2.0), r=2.0),
+        "compound3_gamma2": make_geometric_compound(make_gamma(2.0, 1.0), r=3.0),
+    }
+
+
+# laws the complete-monotonicity screen passes although they are not
+# r-divisible: each has a clearly negative divisor density
+CM_FALSE_PASSES = [("gamma1.5", 1.25), ("gamma1.5", 1.5), ("gamma1.5", 2.0),
+                   ("gamma2,1", 1.25), ("gamma2,1", 1.5), ("gamma2,2", 1.25),
+                   ("gamma2,2", 1.5), ("gamma3", 1.25), ("compound3_gamma2", 4.0)]
+# compound(3, gamma(2, 1)) is r-divisible for r <= 3 only
+DIVISIBLE = ([(name, r) for name in ("exp1", "gamma0.5", "compound2_exp2")
+              for r in (1.25, 1.5, 2.0, 3.0, 4.0)]
+             + [("compound3_gamma2", r) for r in (1.25, 1.5, 2.0, 3.0)])
+
+
+@pytest.mark.parametrize("name,r", CM_FALSE_PASSES)
+def test_negative_divisor_density_refutes_a_cm_pass(name, r):
+    report = gd_check(_gd_laws()[name], r)
+    assert report.cm_report.passed
+    assert report.time_domain["refuted"]
+    assert not report.passed
+
+
+@pytest.mark.parametrize("name,r", DIVISIBLE)
+def test_divisible_laws_are_not_refuted(name, r):
+    report = gd_check(_gd_laws()[name], r)
+    assert report.passed
+    assert min(report.time_domain["min"]) >= -1e-14
+
+
+def test_refuted_divisor_matches_closed_form():
+    # gamma(2, 1) at r = 1.5: divisor density 1.5 sqrt2 e^-t sin(t/sqrt2),
+    # whose minimum on (pi sqrt2, 2 pi sqrt2) is at t = sqrt2 (pi + arctan(1/sqrt2))
+    td = gd_check(make_gamma(2.0, 1.0), 1.5).time_domain
+    t = math.sqrt(2.0) * (math.pi + math.atan(1.0 / math.sqrt(2.0)))
+    want = 1.5 * math.sqrt(2.0) * math.exp(-t) * math.sin(t / math.sqrt(2.0))
+    assert abs(td["t_min"] - t) <= td["h"][0]
+    assert abs(td["min"][1] - want) <= 1e-6
+
+
+@pytest.mark.parametrize("name", ["exp1", "gamma2,2", "gamma0.5", "compound2_exp2",
+                                  "compound3_gamma2"])
+def test_order_two_divisor_is_minus_expected_derivative(name):
+    # the paper's theorem as one computation: the 2-divisor density is -E'
+    dist = _gd_laws()[name]
+    grid = GridSpec(h=40.0 * dist.mean / 8000, n=8001)
+    np.testing.assert_array_equal(divisor_density(dist, 2.0, grid).values,
+                                  -expected_derivative_series(dist, grid).values)
+
+
+def test_unresolvable_divisor_is_not_refuted():
+    # exp(1) at r = 1e4 is divisible (divisor exp(1e4)), but its decay is
+    # far below the grid step: the grid values oscillate and prove nothing
+    report = gd_check(make_exponential(1.0), 1e4)
+    assert report.time_domain["min"] is None
+    assert report.passed
+
+
+def test_gd_check_without_a_density_skips_the_time_domain(exp1):
+    transform_only = SwitchingDistribution(name="transform", mean=1.0, laplace=exp1.laplace)
+    report = gd_check(transform_only, 2.0)
+    assert report.passed
+    assert report.time_domain["min"] is None and not report.time_domain["refuted"]
 
 
 # -- compound/extract identity ---------------------------------------------------

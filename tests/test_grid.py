@@ -10,11 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchkit import (
-    DomainError,
     GridFunction,
     GridSpec,
     InvalidArgumentError,
-    convolution_tail_bound,
     convolve,
     cumulative_integral,
     derivative,
@@ -180,36 +178,6 @@ def test_derivative_of_cumint_is_identity():
 def test_second_derivative():
     g = grid_fn(lambda t: np.cos(t), 3.0, 1e-3)
     np.testing.assert_allclose(second_derivative(g).values, -np.cos(g.times()), atol=1e-5)
-
-
-# -- convolution_tail_bound ----------------------------------------------------
-
-
-def test_tail_bound_values():
-    assert math.isclose(convolution_tail_bound(0.5, 10), 0.001953125, rel_tol=1e-12)
-    assert convolution_tail_bound(0.0, 3) == 0.0
-    assert math.isclose(convolution_tail_bound(0.9, 1), 9.0, rel_tol=1e-12)
-
-
-def test_tail_bound_domain():
-    with pytest.raises(DomainError):
-        convolution_tail_bound(1.0, 5)
-    with pytest.raises(DomainError):
-        convolution_tail_bound(-0.1, 5)
-    with pytest.raises(InvalidArgumentError):
-        convolution_tail_bound(0.5, 0)
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    F=st.floats(min_value=1e-6, max_value=0.999),
-    n=st.integers(min_value=1, max_value=200),
-)
-def test_tail_bound_monotone(F, n):
-    # decreasing in the truncation order, increasing in F
-    assert convolution_tail_bound(F, n + 1) <= convolution_tail_bound(F, n)
-    if F < 0.99:
-        assert convolution_tail_bound(F + 1e-3, n) >= convolution_tail_bound(F, n)
 
 
 # -- serialization -------------------------------------------------------------

@@ -23,11 +23,11 @@ from switchkit import (
     expected_value_series,
     gd_check,
     make_exponential,
+    make_gamma,
     make_geometric_compound,
     make_rng,
     make_tabulated,
     mean_from_expected,
-    solve_renewal,
     switching_law_from_divisor,
     tabulate_cdf,
     tabulate_pdf,
@@ -72,17 +72,28 @@ def test_series_compound_matches_exponential(compound2):
     assert np.max(np.abs(E.values - np.exp(-2 * grid.times()))) < 5e-4
 
 
-def test_compound_series_solves_the_density_once(compound2, monkeypatch):
+@pytest.mark.parametrize("nested", [False, True], ids=["compound", "nested"])
+def test_compound_expected_value_is_one_solve(compound2, nested, monkeypatch):
+    # a compound's E is one geometric map of its base law, at any depth
+    dist = make_geometric_compound(compound2, r=1.5) if nested else compound2
     grid = GridSpec.from_t_end(5.0, 2e-3)
-    # E from a separately solved density and distribution function
-    x = solve_renewal(tabulate_pdf(compound2, grid), tabulate_cdf(compound2, grid), 1.0, 1e-6)
-    solve = distributions.compound_density
+    solve = distributions.solve_renewal
     calls = []
-    monkeypatch.setattr(distributions, "compound_density",
+    monkeypatch.setattr(distributions, "solve_renewal",
                         lambda *args: calls.append(args) or solve(*args))
-    E = expected_value_series(compound2, grid, tol=1e-6)
+    expected_value_series(dist, grid, tol=1e-6)
     assert len(calls) == 1
-    np.testing.assert_array_equal(E.values, 1.0 - 2.0 * x.values)
+
+
+def test_nested_compound_is_the_compound_of_the_product_order():
+    # Geometric(1/1.5) of Geometric(1/2) compounds is Geometric(1/3)
+    grid = GridSpec.from_t_end(10.0, 2e-3)
+    divisor = make_gamma(2.0, 1.0)
+    nested = make_geometric_compound(make_geometric_compound(divisor, r=2.0), r=1.5)
+    flat = make_geometric_compound(divisor, r=3.0)
+    for fn in (expected_value_series, tabulate_pdf, tabulate_cdf):
+        np.testing.assert_allclose(fn(nested, grid).values, fn(flat, grid).values,
+                                   rtol=0, atol=1e-14)
 
 
 # -- expected_derivative_series -----------------------------------------------------
