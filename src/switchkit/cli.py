@@ -17,7 +17,7 @@ import sys
 from . import iia as iia_mod
 from .distributions import geometric_map_grid, parse_distribution
 from .divisibility import gd_check
-from .errors import DomainError, InvalidArgumentError, SwitchKitError
+from .errors import InvalidArgumentError, SwitchKitError
 from .grid import GridFunction, GridSpec, write_rows
 from .recovery import (
     covariance_from_expected,
@@ -76,14 +76,11 @@ def build_parser() -> _Parser:
         p = sub.add_parser(verb, help=f"{what} from a switching law")
         p.add_argument("--dist", required=True)
         _add_grid_args(p)
-        p.add_argument("--tol", type=float, default=1e-6, help="renewal-solve residual bound")
         p.add_argument("--out", default=f"{verb.replace('-', '_')}.csv")
 
     p = sub.add_parser("gd-check", help="r-geometric divisibility screen")
     p.add_argument("--dist", required=True)
     p.add_argument("--r", type=float, required=True)
-    p.add_argument("--cm-max-order", type=int, default=6)
-    p.add_argument("--cm-tol", type=float, default=1e-7)
 
     p = sub.add_parser("recover", help="divisor recovery from a tabulated E or C")
     p.add_argument("--from", dest="source", choices=["expected", "covariance"], required=True)
@@ -181,7 +178,7 @@ def _cmd_estimate(args) -> dict:
 
 def _cmd_series(args) -> dict:
     dist = parse_distribution(args.dist)
-    out = expected_value_series(dist, GridSpec.from_t_end(args.t_end, args.h), tol=args.tol)
+    out = expected_value_series(dist, GridSpec.from_t_end(args.t_end, args.h))
     summary = {"verb": args.verb, "dist": dist.name, "outputs": [args.out]}
     if args.verb == "covariance":
         out = covariance_from_expected(out, dist.mean)
@@ -193,7 +190,7 @@ def _cmd_series(args) -> dict:
 
 def _cmd_gd_check(args) -> dict:
     dist = parse_distribution(args.dist)
-    report = gd_check(dist, args.r, max_order=args.cm_max_order, tol=args.cm_tol)
+    report = gd_check(dist, args.r)
     return {"verb": "gd-check", "dist": dist.name, **report.to_json_dict()}
 
 
@@ -245,13 +242,12 @@ def _cmd_iia(args) -> dict:
         clip_path = f"{args.out_prefix}_clipped_covariance.csv"
         summary["outputs"] = _write_divisor(args.out_prefix, result.divisor_cdf,
                                             result.divisor_pdf) + [clip_path]
-        clipped = iia_mod.clip_covariance(r, grid)
-        clipped.to_csv(clip_path)
+        result.clipped.to_csv(clip_path)
         summary["mu"] = result.mu
         if args.plot:
             t = grid.times()
             panels = [
-                Panel(title="clipped covariance").add(t, clipped.values, "C"),
+                Panel(title="clipped covariance").add(t, result.clipped.values, "C"),
                 Panel(title="divisor CDF").add(t, result.divisor_cdf.values, "CDF"),
                 Panel(title="divisor density").add(t, result.divisor_pdf.values, "pdf"),
             ]
@@ -300,7 +296,7 @@ def run(argv=None) -> int:
         return USAGE_EXIT
     try:
         summary = _DISPATCH[args.verb](args)
-    except (InvalidArgumentError, DomainError, OSError) as exc:
+    except (InvalidArgumentError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SwitchKitError as exc:  # NumericError, ResourceLimitError, future subclasses

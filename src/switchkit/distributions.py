@@ -208,7 +208,8 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
     The tabulated mass must be within ``MASS_TOLERANCE`` of one; it is then
     renormalized exactly.  The CDF is the trapezoid antiderivative, the
     transform is trapezoid quadrature of e^{-s t} f(t) on the stored grid
-    (truncation beyond the grid is bounded by exp(-s * t_end)), and sampling
+    (truncation beyond the grid is bounded by exp(-s * t_end); for Re(s) << 0
+    the truncated sum overflows, which contour inversion marks NaN), and sampling
     inverts the CDF with linear interpolation; the size-biased sampler
     inverts the cumulative of t f(t)/mean the same way.
     """
@@ -240,26 +241,16 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
     def cdf_fn(x):
         return np.interp(x, t, cdf_vals, left=0.0, right=1.0)
 
-    def _kernel(z):
-        # contour evaluation visits Re(s) << 0 where the truncated transform
-        # blows up; clip the exponent so those (negligibly weighted) nodes
-        # stay finite instead of poisoning sums with inf - inf
-        if np.iscomplexobj(z):
-            z = z.copy()
-            z.real = np.minimum(z.real, 700.0)
-            return np.exp(z)
-        return np.exp(np.minimum(z, 700.0))
-
     def laplace(s):
         s_arr = np.asarray(s)
         if s_arr.ndim == 0:
-            return np.dot(_kernel(-s_arr * t), wv)
+            return np.dot(np.exp(-s_arr * t), wv)
         # block the outer product so contour-matrix inputs stay in memory
         flat = s_arr.ravel()
         out = np.empty(flat.shape, dtype=np.result_type(flat.dtype, float))
         for lo in range(0, flat.size, 64):
             blk = flat[lo : lo + 64]
-            out[lo : lo + 64] = _kernel(-np.multiply.outer(blk, t)) @ wv
+            out[lo : lo + 64] = np.exp(-np.multiply.outer(blk, t)) @ wv
         return out.reshape(s_arr.shape)
 
     def sampler(rng, size=None):
@@ -333,16 +324,14 @@ def geometric_base(dist: SwitchingDistribution) -> tuple[SwitchingDistribution, 
     return dist, q
 
 
-def geometric_map_grid(f: GridFunction, q: float, g: GridFunction | None = None,
-                       tol: float = 1e-6) -> GridFunction:
+def geometric_map_grid(f: GridFunction, q: float, g: GridFunction | None = None) -> GridFunction:
     """G_q(psi) = q psi / (1 - (1 - q) psi) on the grid: x + (q - 1) (x * f) = q g,
-    solved exactly.  With g = f (default) x is the density of the law with
-    transform G_q(psi_f), with g = F (f's CDF) its CDF; ``tol`` bounds the
-    residual of this scaled system (:func:`solve_renewal`)."""
+    solved exactly by :func:`solve_renewal`.  With g = f (default) x is the
+    density of the law with transform G_q(psi_f), with g = F (f's CDF) its CDF."""
     if not (q > 0 and math.isfinite(q)):
         raise InvalidArgumentError(f"q must be in (0, inf), got {q}")
     g = f if g is None else g
-    return f.with_values(solve_renewal(f, g.with_values(q * g.values), q - 1.0, tol).values)
+    return f.with_values(solve_renewal(f, g.with_values(q * g.values), q - 1.0).values)
 
 
 def tabulate_pdf(dist: SwitchingDistribution, grid: GridSpec) -> GridFunction:

@@ -20,10 +20,14 @@ import numpy as np
 from .distributions import SwitchingDistribution, geometric_base, geometric_map_grid, tabulate_pdf
 from .errors import InvalidArgumentError, NumericError
 from .grid import GridFunction, GridSpec
-from .laplace import CMReport, LaplaceFunction, cm_check, geometric_map
+from .laplace import CMReport, cm_check, geometric_map
 
 TIME_SPAN_MEANS = 40.0
 TIME_POINTS = (4001, 8001)
+# The divisor transform must equal one at s = 0 to within this; a grid
+# divisor density whose minimum, less its step error, is below minus this
+# refutes divisibility.
+ZERO_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -32,7 +36,7 @@ class DivisibilityReport:
     passed: bool
     cm_report: CMReport
     laplace_at_zero: float
-    zero_tolerance: float = 1e-6
+    zero_tolerance: float
     time_domain: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -46,24 +50,23 @@ class DivisibilityReport:
         }
 
 
-def divisor_laplace(psi, r: float) -> LaplaceFunction:
+def divisor_laplace(psi, r: float):
     """Transform of the order-r divisor: r*psi / (1 + (r-1)*psi) = G_r(psi)."""
     if not (r > 1 and math.isfinite(r)):
         raise InvalidArgumentError(f"r must be > 1, got {r}")
     return geometric_map(psi, r)
 
 
-def divisor_density(dist: SwitchingDistribution, r: float, grid: GridSpec,
-                    tol: float = 1e-6) -> GridFunction:
+def divisor_density(dist: SwitchingDistribution, r: float, grid: GridSpec) -> GridFunction:
     """Order-r divisor density on the grid, :func:`geometric_map_grid` of the
     base law; non-negative exactly when ``dist`` is r-geometric divisible."""
     base, q = geometric_base(dist)
-    return geometric_map_grid(tabulate_pdf(base, grid), q * r, tol=tol)
+    return geometric_map_grid(tabulate_pdf(base, grid), q * r)
 
 
-def _time_domain(dist: SwitchingDistribution, r: float, zero_tol: float) -> dict:
+def _time_domain(dist: SwitchingDistribution, r: float) -> dict:
     """Minima m_h, m_h/2 of the divisor density on [0, TIME_SPAN_MEANS * mean]
-    at TIME_POINTS points (steps h, h/2); refuted if m_h/2 + |m_h - m_h/2| < -zero_tol.
+    at TIME_POINTS points (steps h, h/2); refuted if m_h/2 + |m_h - m_h/2| < -ZERO_TOL.
     ``min`` is None and nothing is refuted for a law without a grid density,
     a solve over its residual bound (a divisor growing exponentially), or a
     divisor above 2/h: its decay outruns the step, so the values oscillate."""
@@ -81,33 +84,32 @@ def _time_domain(dist: SwitchingDistribution, r: float, zero_tol: float) -> dict
             return out
         mins.append(float(np.min(x)))
     out.update(min=mins, t_min=int(np.argmin(x)) * h,
-               refuted=mins[1] + abs(mins[0] - mins[1]) < -zero_tol)
+               refuted=mins[1] + abs(mins[0] - mins[1]) < -ZERO_TOL)
     return out
 
 
-def gd_check(dist: SwitchingDistribution, r: float, max_order: int = 6, tol: float = 1e-7,
-             zero_tol: float = 1e-6) -> DivisibilityReport:
+def gd_check(dist: SwitchingDistribution, r: float) -> DivisibilityReport:
     """Screen whether ``dist`` is r-geometric divisible.
 
-    Runs ``cm_check(max_order=..., tol=...)`` on the extracted divisor
-    transform, checks the s=0 normalization to within ``zero_tol``, and
-    fails when the time-domain divisor density refutes divisibility.
+    Runs :func:`cm_check` on the extracted divisor transform, checks the s=0
+    normalization to within ``ZERO_TOL``, and fails when the time-domain
+    divisor density refutes divisibility.
     """
     candidate = divisor_laplace(dist.laplace, r)
-    report = cm_check(candidate, max_order=max_order, tol=tol)
+    report = cm_check(candidate)
     at_zero = float(candidate(0.0))
-    time_domain = _time_domain(dist, r, zero_tol)
+    time_domain = _time_domain(dist, r)
     return DivisibilityReport(
         r=float(r),
-        passed=report.passed and abs(at_zero - 1.0) <= zero_tol and not time_domain["refuted"],
+        passed=report.passed and abs(at_zero - 1.0) <= ZERO_TOL and not time_domain["refuted"],
         cm_report=report,
         laplace_at_zero=at_zero,
-        zero_tolerance=zero_tol,
+        zero_tolerance=ZERO_TOL,
         time_domain=time_domain,
     )
 
 
-def reduce_order(divisor_psi, r: float, u: float) -> LaplaceFunction:
+def reduce_order(divisor_psi, r: float, u: float):
     """Transform of the order-u divisor of the same compound law, 1 < u <= r.
 
     The order-u divisor is itself a (u/r)-geometric compound of the order-r

@@ -15,10 +15,6 @@ class InvalidArgumentError(SwitchKitError, ValueError):
     """An argument violates a documented precondition (bad value, grid mismatch)."""
 
 
-class DomainError(SwitchKitError, ValueError):
-    """An input lies outside the mathematical domain of the operation."""
-
-
 class ResourceLimitError(SwitchKitError, RuntimeError):
     """A computation would exceed a configured resource cap."""
 

@@ -30,6 +30,10 @@ from .errors import InvalidArgumentError, NumericError
 # near 1 MB per column whatever the table length.
 _CSV_BLOCK = 8192
 
+# Bound on the a-posteriori residual max|x + c convolve(x, f) - rhs| of
+# solve_renewal, in units of rhs; a larger residual is a numeric failure.
+RENEWAL_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -105,9 +109,6 @@ class GridFunction:
 
     def times(self) -> np.ndarray:
         return self.t0 + self.h * np.arange(len(self.values))
-
-    def spec(self) -> GridSpec:
-        return GridSpec(h=self.h, n=len(self.values), t0=self.t0)
 
     def same_grid(self, other: "GridFunction") -> bool:
         return (
@@ -370,7 +371,7 @@ def _series_inverse(a: np.ndarray) -> np.ndarray:
     return b
 
 
-def solve_renewal(f: GridFunction, rhs: GridFunction, c: float, tol: float = 1e-6) -> GridFunction:
+def solve_renewal(f: GridFunction, rhs: GridFunction, c: float) -> GridFunction:
     """Solve x + c * convolve(x, f) = rhs for x on the grid.
 
     The trapezoid operator is lower-triangular Toeplitz:
@@ -381,8 +382,8 @@ def solve_renewal(f: GridFunction, rhs: GridFunction, c: float, tol: float = 1e-
     O(n log n) whatever the grid length.  Truncated alternating (c = 1) or
     geometric (c < 0) series of convolution powers of f converge to this x.
 
-    ``tol`` bounds the a-posteriori residual max|x + c convolve(x, f) - rhs|;
-    a larger residual raises NumericError.
+    An a-posteriori residual max|x + c convolve(x, f) - rhs| above
+    ``RENEWAL_TOL`` raises NumericError.
     """
     _check_combinable(f, rhs, "solve_renewal")
     if f.t0 != 0.0:
@@ -399,9 +400,9 @@ def solve_renewal(f: GridFunction, rhs: GridFunction, c: float, tol: float = 1e-
     x[0] = x0
     residual = float(np.max(np.abs(x + c * (_product(w, x, n) - (0.5 * h * x0) * fv)
                                    - rhs.values)))
-    if not residual <= tol:
+    if not residual <= RENEWAL_TOL:
         raise NumericError(
-            f"renewal solve residual {residual:.3e} exceeds tol {tol:.3e} (n={n}, c={c:g})"
+            f"renewal solve residual {residual:.3e} exceeds tol {RENEWAL_TOL:.3e} (n={n}, c={c:g})"
         )
     return rhs.with_values(x)
 

@@ -33,6 +33,8 @@ from .recovery import (
 # Points with 1 - r^2 below this are excluded from the curvature condition
 # (its denominator vanishes with r -> 1 at the origin).
 DEGENERACY_FLOOR = 1e-10
+# Grid steps from the origin over which the curvature condition is skipped.
+EXCLUSION_STEPS = 10
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,7 @@ class IIAResult:
 
     screen: ShapeReport
     mu: float | None = None
+    clipped: GridFunction | None = None
     divisor_cdf: GridFunction | None = None
     divisor_pdf: GridFunction | None = None
     compound: GeometricCompound | None = None
@@ -77,14 +80,12 @@ def clip_covariance(r: GaussianCovariance, grid: GridSpec) -> GridFunction:
     return GridFunction(t0=grid.t0, h=grid.h, values=clipped)
 
 
-def check_iia_conditions(r: GaussianCovariance, grid: GridSpec,
-                         sign_tol: float = SIGN_TOL,
-                         exclusion_steps: int = 10) -> ShapeReport:
+def check_iia_conditions(r: GaussianCovariance, grid: GridSpec) -> ShapeReport:
     """Admissibility screen on r: non-negative, non-increasing, and
     curvature r'' >= -(r')^2 r / (1 - r^2).
 
     The curvature bound degenerates where r is at its peak (1 - r^2 -> 0),
-    so an initial window of ``exclusion_steps`` grid steps plus any point
+    so an initial window of ``EXCLUSION_STEPS`` grid steps plus any point
     with 1 - r^2 below the degeneracy floor is excluded and reported.
     """
     t = grid.times()
@@ -100,11 +101,11 @@ def check_iia_conditions(r: GaussianCovariance, grid: GridSpec,
         notes.append("derivatives estimated by grid finite differences")
 
     one_minus_sq = 1.0 - rv * rv
-    excluded = (t < grid.t0 + exclusion_steps * grid.h) | (one_minus_sq < DEGENERACY_FLOOR)
+    excluded = (t < grid.t0 + EXCLUSION_STEPS * grid.h) | (one_minus_sq < DEGENERACY_FLOOR)
     if excluded.any():
         notes.append(
             f"curvature condition skipped at {int(excluded.sum())} points "
-            f"(initial window of {exclusion_steps} steps / near-degenerate 1 - r^2)"
+            f"(initial window of {EXCLUSION_STEPS} steps / near-degenerate 1 - r^2)"
         )
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = -(r1 * r1) * rv / one_minus_sq
@@ -115,28 +116,25 @@ def check_iia_conditions(r: GaussianCovariance, grid: GridSpec,
         sign_condition("nonincreasing", r1, t, upper=True),
         sign_condition("curvature_bound", margin, t, upper=False),
     ]
-    tols = {"nonnegative": sign_tol, "nonincreasing": sign_tol, "curvature_bound": sign_tol}
+    tols = {"nonnegative": SIGN_TOL, "nonincreasing": SIGN_TOL, "curvature_bound": SIGN_TOL}
     return finish_report(conds, tols, (float(rv[0]), float(rv[-1])), notes)
 
 
-def iia_pipeline(r: GaussianCovariance, grid: GridSpec,
-                 sign_tol: float = SIGN_TOL,
-                 exclusion_steps: int = 10) -> IIAResult:
+def iia_pipeline(r: GaussianCovariance, grid: GridSpec) -> IIAResult:
     """Screen r, clip it, recover the divisor, and rebuild the approximated
     switching-time law as a 2-geometric compound.
 
     A failed screen short-circuits: the report comes back with empty
     payloads.  Errors in later stages propagate.
     """
-    screen = check_iia_conditions(r, grid, sign_tol=sign_tol,
-                                  exclusion_steps=exclusion_steps)
+    screen = check_iia_conditions(r, grid)
     if not screen.passed:
         return IIAResult(screen=screen)
     clipped = clip_covariance(r, grid)
-    mu, divisor_cdf, divisor_pdf = divisor_from_covariance(clipped, sign_tol=sign_tol)
+    mu, divisor_cdf, divisor_pdf = divisor_from_covariance(clipped)
     divisor = make_tabulated(divisor_pdf)
     compound = switching_law_from_divisor(divisor)
-    return IIAResult(screen=screen, mu=mu, divisor_cdf=divisor_cdf,
+    return IIAResult(screen=screen, mu=mu, clipped=clipped, divisor_cdf=divisor_cdf,
                      divisor_pdf=divisor_pdf, compound=compound)
 
 

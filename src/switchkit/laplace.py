@@ -4,12 +4,13 @@ monotonicity screen.
 The relations connect three transforms: psi(s) of the switching-time law,
 L(E)(s) of the switch-process expected value, and L(C)(s) of the stationary
 covariance.  Every function here takes a transform as any vectorized
-callable s -> value and returns a :class:`LaplaceFunction`.
+callable s -> value and returns one.  Evaluators must be pure and vectorized
+and should accept complex input with positive real part (required for
+contour inversion).
 
 Inversion uses the fixed Talbot contour.  The contour weights grow like
-exp(2M/5), so at the default node count the sum is accumulated in extended
-precision (clongdouble); plain double precision would lose ~5 digits to
-cancellation at M=64.
+exp(2M/5), so the sum is accumulated in extended precision (clongdouble);
+plain double precision would lose ~5 digits to cancellation at M=64.
 """
 
 from __future__ import annotations
@@ -27,6 +28,16 @@ _EPS = float(np.finfo(float).eps)
 # 40 log-spaced points spanning [1e-2, 1e2] straddle both the small-s and
 # large-s behavior of a transform.
 CM_S_GRID = tuple(np.logspace(-2, 2, 40))
+# Highest derivative order the CM screen checks; differences beyond order 8
+# are pure noise.
+CM_MAX_ORDER = 6
+# A normalized sign violation above this fails the CM screen.
+CM_TOL = 1e-7
+# Multiple of the rounding-noise floor of an n-th difference that the CM
+# screen forgives (see cm_check).
+CM_NOISE_GUARD = 1e3
+# Talbot contour nodes per inverted time point.
+TALBOT_NODES = 64
 
 # Grid times inverted per step of invert_laplace.  A step holds a few
 # (block x nodes) clongdouble arrays, 2 MB each at 64 nodes, where the whole
@@ -34,21 +45,7 @@ CM_S_GRID = tuple(np.logspace(-2, 2, 40))
 _INVERT_BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class LaplaceFunction:
-    """An evaluable transform s -> value.
-
-    Evaluators must be pure and vectorized and should accept complex input
-    with positive real part (required for contour inversion).
-    """
-
-    fn: object
-
-    def __call__(self, s):
-        return self.fn(s)
-
-
-def geometric_map(psi, q: float) -> LaplaceFunction:
+def geometric_map(psi, q: float):
     """G_q(psi)(s) = q psi(s) / (1 - (1 - q) psi(s)).
 
     The maps compose by multiplying q, G_q(G_p(psi)) = G_{qp}(psi): the
@@ -60,10 +57,10 @@ def geometric_map(psi, q: float) -> LaplaceFunction:
         v = psi(s)
         return q * v / (1.0 - (1.0 - q) * v)
 
-    return LaplaceFunction(fn)
+    return fn
 
 
-def expected_laplace_from_psi(psi) -> LaplaceFunction:
+def expected_laplace_from_psi(psi):
     """L(E)(s) = (1/s) (1 - psi(s)) / (1 + psi(s)).
 
     Maps the switching-time transform to the transform of the expected value
@@ -75,10 +72,10 @@ def expected_laplace_from_psi(psi) -> LaplaceFunction:
         v = psi(s)
         return (1.0 - v) / (1.0 + v) / s
 
-    return LaplaceFunction(fn)
+    return fn
 
 
-def psi_from_expected_laplace(le) -> LaplaceFunction:
+def psi_from_expected_laplace(le):
     """psi(s) = (1 - s L(E)(s)) / (1 + s L(E)(s)); inverse of
     :func:`expected_laplace_from_psi`.
 
@@ -96,10 +93,10 @@ def psi_from_expected_laplace(le) -> LaplaceFunction:
                 out = np.where(bad, np.nan, out)
         return out if np.asarray(s).ndim else out[()]
 
-    return LaplaceFunction(fn)
+    return fn
 
 
-def covariance_laplace(le, mu: float) -> LaplaceFunction:
+def covariance_laplace(le, mu: float):
     """L(C)(s) = (1/s) (1 - (2/mu) L(E)(s)) for the stationary covariance."""
     if not (mu > 0 and math.isfinite(mu)):
         raise InvalidArgumentError(f"mu must be positive, got {mu}")
@@ -107,12 +104,12 @@ def covariance_laplace(le, mu: float) -> LaplaceFunction:
     def fn(s):
         return (1.0 - (2.0 / mu) * le(s)) / s
 
-    return LaplaceFunction(fn)
+    return fn
 
 
 def _eval_vector(fn, arr: np.ndarray) -> np.ndarray:
-    """Evaluate fn on a whole array, as :class:`LaplaceFunction` requires."""
-    contract = "Laplace evaluators must be vectorized (see LaplaceFunction)"
+    """Evaluate fn on a whole array, as the module contract requires."""
+    contract = "Laplace evaluators must be vectorized (see switchkit.laplace)"
     try:
         out = np.asarray(fn(arr))
     except TypeError as exc:
@@ -122,24 +119,22 @@ def _eval_vector(fn, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def invert_laplace(fn, grid: GridSpec, nodes: int = 64) -> GridFunction:
+def invert_laplace(fn, grid: GridSpec) -> GridFunction:
     """Fixed-Talbot inversion of ``fn`` on a grid of positive times.
 
-    Each time is handled independently with ``nodes`` contour points, so the
-    result is deterministic for a fixed node count and trivially
-    grid-point-parallel.  Times are taken ``_INVERT_BLOCK`` at a time, which
-    bounds the working memory whatever the grid length.  Points where the
-    contour sum is not finite are marked NaN (with a note) instead of
-    aborting the whole grid.
+    Each time is handled independently with ``TALBOT_NODES`` contour points,
+    so the result is deterministic and trivially grid-point-parallel.  Times
+    are taken ``_INVERT_BLOCK`` at a time, which bounds the working memory
+    whatever the grid length.  Points where the transform or the contour sum
+    is not finite are marked NaN (with a note) instead of aborting the whole
+    grid.
 
     The caller asserts analyticity of ``fn`` to the right of the contour.
     """
-    if nodes < 4:
-        raise InvalidArgumentError(f"need at least 4 contour nodes, got {nodes}")
     if grid.t0 <= 0:
         raise InvalidArgumentError("inversion grid must start at t0 > 0")
     times = grid.times().astype(np.longdouble)
-    M = int(nodes)
+    M = TALBOT_NODES
     theta = (np.pi * np.arange(M, dtype=np.longdouble)) / M
     cot = np.zeros(M, dtype=np.longdouble)
     cot[1:] = 1.0 / np.tan(theta[1:])
@@ -153,14 +148,14 @@ def invert_laplace(fn, grid: GridSpec, nodes: int = 64) -> GridFunction:
     for lo in range(0, grid.n, _INVERT_BLOCK):
         t = times[lo : lo + _INVERT_BLOCK]
         p = np.multiply.outer(r / t, base).astype(np.clongdouble)
-        F = _eval_vector(fn, p).astype(np.clongdouble)
-
         gamma = np.empty_like(p)
         gamma[:, 0] = 0.5 * np.exp(p[:, 0] * t)
         gamma[:, 1:] = np.exp(p[:, 1:] * t[:, None]) * weights[None, :]
 
-        # non-finite transform values propagate to per-point NaN markers below
-        with np.errstate(invalid="ignore", over="ignore"):
+        # transform values that overflow, divide by zero or are otherwise not
+        # finite propagate to per-point NaN markers below
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            F = _eval_vector(fn, p).astype(np.clongdouble)
             block = (2.0 / (5.0 * t)) * np.sum(gamma * F, axis=1).real
         vals[lo : lo + _INVERT_BLOCK] = block
     finite = np.isfinite(vals)
@@ -184,7 +179,7 @@ class CMReport:
     max_order_checked: int
     worst_violation: float
     violation_points: tuple[tuple[float, int], ...]
-    tolerance: float = 1e-7
+    tolerance: float
 
     def to_json_dict(self) -> dict:
         return {
@@ -196,30 +191,22 @@ class CMReport:
         }
 
 
-def cm_check(fn, s_grid=CM_S_GRID, max_order: int = 6, tol: float = 1e-7,
-             noise_guard: float = 1e3) -> CMReport:
-    """Screen (-1)^n f^(n)(s) >= 0 for n = 0..max_order over an s grid.
+def cm_check(fn) -> CMReport:
+    """Screen (-1)^n f^(n)(s) >= 0 for n = 0..CM_MAX_ORDER over CM_S_GRID.
 
     Derivatives are approximated by central alternating differences with
     step max(1e-2*s, 1e-3).  An n-th difference carries rounding noise of
     order 2^n * eps * |f| before division by h^n, which at high order and
     small s dwarfs the true derivative; each comparison therefore subtracts
-    a noise allowance of ``noise_guard`` times that floor, so only
+    a noise allowance of ``CM_NOISE_GUARD`` times that floor, so only
     violations that exceed what roundoff can produce are reported.
-    Violations are normalized by |f(s)| + 1.
+    Violations are normalized by |f(s)| + 1 and fail above ``CM_TOL``.
 
     The order-n stencil visits s + (n/2 - j) h, j = 0..n, which is column
     max_order - n + 2j of the half-step lattice s + (max_order - k) h / 2,
     k = 0..2*max_order; ``fn`` is evaluated once on that lattice.
     """
-    if not 0 <= max_order <= 8:  # differences beyond order 8 are pure noise
-        raise InvalidArgumentError(f"max_order must lie in [0, 8], got {max_order}")
-    s_arr = np.asarray(s_grid, dtype=float)
-    if not (s_arr.size and np.all(s_arr > 0)):
-        raise InvalidArgumentError("s grid must be non-empty and strictly positive")
-    if np.any(np.diff(s_arr) < 0):
-        raise InvalidArgumentError("s grid must be ascending")
-
+    s_arr, max_order, tol = np.asarray(CM_S_GRID), CM_MAX_ORDER, CM_TOL
     h = np.maximum(1e-2 * s_arr, 1e-3)
     lattice = (max_order - np.arange(2 * max_order + 1)) / 2.0
     F = _eval_vector(fn, s_arr[:, None] + lattice[None, :] * h[:, None])
@@ -232,7 +219,7 @@ def cm_check(fn, s_grid=CM_S_GRID, max_order: int = 6, tol: float = 1e-7,
         coef = np.array([(-1.0) ** j * math.comb(n, j) for j in range(n + 1)])
         dn = F[:, cols] @ coef  # ~ f^(n)(s) h^n
         signed = ((-1.0) ** n) * dn / h**n
-        guard = noise_guard * (2.0**n) * _EPS * scale / h**n
+        guard = CM_NOISE_GUARD * (2.0**n) * _EPS * scale / h**n
         viol = (-signed - guard) / scale
         worst = max(worst, float(np.max(viol)))
         for idx in np.nonzero(viol > tol)[0]:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import (
+    MASS_TOLERANCE,
     GeometricCompound,
     SwitchingDistribution,
     geometric_base,
@@ -41,16 +42,20 @@ from .grid import (
     second_derivative,
 )
 
-DEFAULT_SERIES_TOL = 1e-6
-
 # Sign conditions (monotonicity, convexity, non-negativity) tolerate this
 # much numerical wobble; limit conditions (values at the ends) get a looser
-# default since they fight grid truncation, not roundoff.
+# bound since they fight grid truncation, not roundoff.
 SIGN_TOL = 1e-6
 LIMIT_TOL = 1e-3
 # Differentiability proxy: a jump between adjacent samples larger than this
 # is treated as a discontinuity.
 JUMP_TOL = 0.05
+# Relative gap between the slope and integral estimates of mu above which
+# divisor_from_covariance refuses.
+MU_MISMATCH_TOL = 1e-2
+# |E| at the grid end at or above this warns that the mean's tail estimate
+# may be biased.
+DECAY_THRESHOLD = 1e-4
 
 
 @dataclass(frozen=True)
@@ -111,27 +116,25 @@ def sign_condition(name, values, times, upper=True):
 # -- series ----------------------------------------------------------------
 
 
-def expected_value_series(dist: SwitchingDistribution, grid: GridSpec,
-                          tol: float = DEFAULT_SERIES_TOL) -> GridFunction:
+def expected_value_series(dist: SwitchingDistribution, grid: GridSpec) -> GridFunction:
     """E(t) = 1 + 2 sum_{k>=1} (-1)^k F^(k-fold)(t) on the grid.
 
     1 - E is the CDF of the 2-divisor, one :func:`geometric_map_grid` of the
     base law with q doubled (x + (x * f) = 2F, E = 1 - x, for a non-compound).
-    ``tol`` bounds its residual, in units of E; a larger one raises NumericError.
+    A residual above ``grid.RENEWAL_TOL``, in units of E, raises NumericError.
     """
     base, q = geometric_base(dist)
-    x = geometric_map_grid(tabulate_pdf(base, grid), 2.0 * q, tabulate_cdf(base, grid), tol)
+    x = geometric_map_grid(tabulate_pdf(base, grid), 2.0 * q, tabulate_cdf(base, grid))
     return x.with_values(1.0 - x.values)
 
 
-def expected_derivative_series(dist: SwitchingDistribution, grid: GridSpec,
-                               tol: float = DEFAULT_SERIES_TOL) -> GridFunction:
+def expected_derivative_series(dist: SwitchingDistribution, grid: GridSpec) -> GridFunction:
     """E'(t) = 2 sum_{k>=1} (-1)^k f^(k-fold)(t) on the grid.
 
-    -E' is the density of the 2-divisor (:func:`divisor_density`); ``tol`` bounds
-    its residual.  A singular density origin is extrapolated and flagged in ``notes``.
+    -E' is the density of the 2-divisor (:func:`divisor_density`).  A singular
+    density origin is extrapolated and flagged in ``notes``.
     """
-    x = divisor_density(dist, 2.0, grid, tol)
+    x = divisor_density(dist, 2.0, grid)
     return x.with_values(-x.values)
 
 
@@ -169,20 +172,20 @@ def covariance_delay_route(E: GridFunction, F: GridFunction, mu: float) -> GridF
     return E.with_values(1.0 - F_A.values - conv.values)
 
 
-def mean_from_expected(E: GridFunction, decay_threshold: float = 1e-4) -> float:
+def mean_from_expected(E: GridFunction) -> float:
     """Switching-time mean via mu = 2 * int_0^inf E(u) du.
 
     The grid integral is trapezoid; the tail past the grid end is estimated
     by fitting log|E| over the last decade of the grid (t in
     [t_end/10, t_end]) and integrating the fitted exponential.  A
     non-decaying fit is refused: the identity needs E to vanish at
-    infinity.
+    infinity.  |E| at the grid end of ``DECAY_THRESHOLD`` or more warns.
     """
     t = E.times()
     vals = E.values
-    if abs(vals[-1]) >= decay_threshold:
+    if abs(vals[-1]) >= DECAY_THRESHOLD:
         warnings.warn(
-            f"|E| at the grid end is {abs(vals[-1]):.2e} >= {decay_threshold:.0e}; "
+            f"|E| at the grid end is {abs(vals[-1]):.2e} >= {DECAY_THRESHOLD:.0e}; "
             "the mean estimate may be biased by the tail",
             stacklevel=2,
         )
@@ -204,9 +207,7 @@ def mean_from_expected(E: GridFunction, decay_threshold: float = 1e-4) -> float:
 # -- shape screens -----------------------------------------------------------
 
 
-def check_expected_shape(E: GridFunction, sign_tol: float = SIGN_TOL,
-                         limit_tol: float = LIMIT_TOL,
-                         jump_tol: float = JUMP_TOL) -> ShapeReport:
+def check_expected_shape(E: GridFunction) -> ShapeReport:
     """Screen E for: value 1 at the origin, decay to 0, differentiability
     (proxied by the absence of sample-to-sample jumps), and a non-positive
     derivative."""
@@ -222,16 +223,15 @@ def check_expected_shape(E: GridFunction, sign_tol: float = SIGN_TOL,
         sign_condition("nonincreasing", dE.values, t, upper=True),
     ]
     tols = {
-        "starts_at_one": limit_tol,
-        "decays_to_zero": limit_tol,
-        "differentiable": jump_tol,
-        "nonincreasing": sign_tol,
+        "starts_at_one": LIMIT_TOL,
+        "decays_to_zero": LIMIT_TOL,
+        "differentiable": JUMP_TOL,
+        "nonincreasing": SIGN_TOL,
     }
     return finish_report(conds, tols, (float(v[0]), float(v[-1])))
 
 
-def check_covariance_shape(C: GridFunction, sign_tol: float = SIGN_TOL,
-                           limit_tol: float = LIMIT_TOL) -> ShapeReport:
+def check_covariance_shape(C: GridFunction) -> ShapeReport:
     """Screen C for: non-negativity, non-positive slope, convexity, C(0)=1,
     and decay at the grid end.
 
@@ -251,11 +251,11 @@ def check_covariance_shape(C: GridFunction, sign_tol: float = SIGN_TOL,
         ("decays_to_zero", abs(float(v[-1])), float(t[-1])),
     ]
     tols = {
-        "nonnegative": sign_tol,
-        "nonincreasing": sign_tol,
-        "convex": sign_tol,
-        "starts_at_one": limit_tol,
-        "decays_to_zero": limit_tol,
+        "nonnegative": SIGN_TOL,
+        "nonincreasing": SIGN_TOL,
+        "convex": SIGN_TOL,
+        "starts_at_one": LIMIT_TOL,
+        "decays_to_zero": LIMIT_TOL,
     }
     return finish_report(conds, tols, (float(v[0]), float(v[-1])))
 
@@ -265,26 +265,31 @@ def check_covariance_shape(C: GridFunction, sign_tol: float = SIGN_TOL,
 
 def _renormalized_density(f: GridFunction, what: str) -> GridFunction:
     mass = integral(f)
-    if abs(mass - 1.0) > 1e-3:
+    if abs(mass - 1.0) > MASS_TOLERANCE:
         raise NumericError(
-            f"{what}: recovered density mass {mass:.6f} is off unit by more than 1e-3; "
-            "not renormalizing silently"
+            f"{what}: recovered density mass {mass:.6f} is off unit by more than "
+            f"{MASS_TOLERANCE}; not renormalizing silently"
         )
     vals = np.maximum(f.values, 0.0) / mass
     return f.with_values(vals)
 
 
-def divisor_from_expected(E: GridFunction, sign_tol: float = SIGN_TOL,
-                          limit_tol: float = LIMIT_TOL):
-    """(divisor CDF, divisor density) read off a monotone expected value:
-    CDF = 1 - E, density = -E'.
+def _require_origin(table: GridFunction, what: str) -> None:
+    if table.t0 != 0.0:
+        raise InvalidArgumentError(f"{what}: the table must start at t = 0, got t0 = {table.t0}")
+
+
+def divisor_from_expected(E: GridFunction):
+    """(divisor CDF, divisor density) read off a monotone expected value
+    tabulated from t = 0: CDF = 1 - E, density = -E'.
 
     Refuses when the shape screen fails, since the divisor representation
     only exists for non-negative decreasing E.  The density is renormalized
-    exactly when its mass is within 1e-3 of one; larger discrepancies are
-    errors.
+    exactly when its mass is within ``MASS_TOLERANCE`` of one; larger
+    discrepancies are errors.
     """
-    report = check_expected_shape(E, sign_tol=sign_tol, limit_tol=limit_tol)
+    _require_origin(E, "divisor_from_expected")
+    report = check_expected_shape(E)
     if not report.passed:
         raise ShapeCheckError(
             "expected value fails the monotone-shape screen; no 2-geometric divisor exists",
@@ -295,18 +300,17 @@ def divisor_from_expected(E: GridFunction, sign_tol: float = SIGN_TOL,
     return F_div, f_div
 
 
-def divisor_from_covariance(C: GridFunction, sign_tol: float = SIGN_TOL,
-                            limit_tol: float = LIMIT_TOL,
-                            mu_mismatch_tol: float = 1e-2):
-    """(mu, divisor CDF, divisor density) from a stationary covariance:
-    mu = -2/C'(0), CDF = 1 + (mu/2) C', density = (mu/2) C''.
+def divisor_from_covariance(C: GridFunction):
+    """(mu, divisor CDF, divisor density) from a stationary covariance
+    tabulated from t = 0: mu = -2/C'(0), CDF = 1 + (mu/2) C', density = (mu/2) C''.
 
     The slope at the origin pins mu because the divisor CDF must vanish
     there.  The estimate is cross-validated against the integral identity
     mu = 2 int E with E = -(mu/2) C'; a relative mismatch beyond
-    ``mu_mismatch_tol`` raises with both estimates attached.
+    ``MU_MISMATCH_TOL`` raises with both estimates attached.
     """
-    report = check_covariance_shape(C, sign_tol=sign_tol, limit_tol=limit_tol)
+    _require_origin(C, "divisor_from_covariance")
+    report = check_covariance_shape(C)
     if not report.passed:
         raise ShapeCheckError(
             "covariance fails the shape screen; divisor recovery refused",
@@ -322,11 +326,11 @@ def divisor_from_covariance(C: GridFunction, sign_tol: float = SIGN_TOL,
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         mu_integral = mean_from_expected(E)
-    if abs(mu_integral - mu) > mu_mismatch_tol * mu:
+    if abs(mu_integral - mu) > MU_MISMATCH_TOL * mu:
         raise NumericError(
             f"mean cross-validation failed: slope route {mu:.6g}, "
             f"integral route {mu_integral:.6g} (relative mismatch "
-            f"{abs(mu_integral - mu) / mu:.3e} > {mu_mismatch_tol:.0e})"
+            f"{abs(mu_integral - mu) / mu:.3e} > {MU_MISMATCH_TOL:.0e})"
         )
 
     # F(0) = 0 exactly: mu was built from the same stencil value of C'(0).

@@ -270,11 +270,36 @@ def test_malformed_input_row_exits_one(capsys, tmp_path, row):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_gd_check_cm_flags_reach_the_screen(capsys):
-    summary = run_json(capsys, ["gd-check", "--dist", "exp(rate=1)", "--r", "2",
-                                "--cm-max-order", "4", "--cm-tol", "1e-6"])
-    assert summary["cm_report"]["max_order_checked"] == 4
-    assert summary["cm_report"]["tolerance"] == 1e-6
+def test_gd_check_reports_the_tolerances_it_judged_with(capsys):
+    summary = run_json(capsys, ["gd-check", "--dist", "exp(rate=1)", "--r", "2"])
+    assert summary["cm_report"]["max_order_checked"] == 6
+    assert summary["cm_report"]["tolerance"] == 1e-7
+    assert summary["zero_tolerance"] == 1e-6
+
+
+@pytest.mark.parametrize("argv", [
+    ["expected-value", "--dist", "exp(rate=1)", "--tol", "1e-6"],
+    ["covariance", "--dist", "exp(rate=1)", "--tol", "1e-6"],
+    ["gd-check", "--dist", "exp(rate=1)", "--r", "2", "--cm-max-order", "4"],
+    ["gd-check", "--dist", "exp(rate=1)", "--r", "2", "--cm-tol", "1e-6"],
+], ids=["expected-value-tol", "covariance-tol", "cm-max-order", "cm-tol"])
+def test_removed_tolerance_flags_are_usage_errors(capsys, argv):
+    assert run(argv) == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["expected", "covariance"])
+def test_recover_refuses_a_table_off_the_origin(capsys, tmp_path, source):
+    # E(0) = 1 and mu = -2/C'(0) are statements about t = 0
+    src = tmp_path / "shifted.csv"
+    GridFunction(t0=0.5, h=1e-3, values=np.exp(-2 * np.arange(0.5, 20.5, 1e-3))).to_csv(src)
+    code = run(["recover", "--from", source, "--input", str(src),
+                "--out-prefix", str(tmp_path / "rec")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "t = 0" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("rec*"))
 
 
 def test_recover_expected_route_reports_the_given_mu(capsys, tmp_path):
@@ -287,14 +312,6 @@ def test_recover_expected_route_reports_the_given_mu(capsys, tmp_path):
     assert summary["mu"] == 1.0
     cdf = GridFunction.from_csv(tmp_path / "rec_divisor_cdf.csv")
     np.testing.assert_allclose(cdf.values, -np.expm1(-2 * t), atol=1e-12)
-
-
-def test_expected_value_tol_bounds_the_solve_residual(capsys, tmp_path):
-    argv = ["expected-value", "--dist", "gamma(shape=2,scale=2)", "--t-end", "5",
-            "--h", "0.01", "--out", str(tmp_path / "E.csv")]
-    run_json(capsys, argv + ["--tol", "1e-6"])
-    assert run(argv + ["--tol", "1e-300"]) == 2
-    assert "residual" in capsys.readouterr().err
 
 
 def test_estimate_workers_leave_the_bytes_unchanged(capsys, tmp_path):

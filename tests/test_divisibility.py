@@ -248,15 +248,22 @@ def _map_laws():
     }
 
 
+# The tabulated law's truncated transform overflows at the nodes with
+# Re(s) << 0, as invert_laplace expects; there both sides must agree on the
+# non-finite values, which the array comparisons treat as equal.
+_OVERFLOW_OK = dict(over="ignore", invalid="ignore")
+
+
 @pytest.mark.parametrize("name", list(_map_laws()))
 def test_divisor_and_reduction_equal_frozen_closures(name):
     psi = _map_laws()[name].laplace
     for s in (REAL_NODES, COMPLEX_NODES):
         for r, u in ((2.0, 1.5), (3.0, 3.0), (5.5, 1.01)):
             div = divisor_laplace(psi, r)
-            np.testing.assert_array_equal(div(s), transform_oracle.divisor(psi, r)(s))
-            np.testing.assert_array_equal(reduce_order(div, r, u)(s),
-                                          transform_oracle.reduced(div, r, u)(s))
+            with np.errstate(**_OVERFLOW_OK):
+                np.testing.assert_array_equal(div(s), transform_oracle.divisor(psi, r)(s))
+                np.testing.assert_array_equal(reduce_order(div, r, u)(s),
+                                              transform_oracle.reduced(div, r, u)(s))
 
 
 @pytest.mark.parametrize("name", list(_map_laws()))
@@ -264,8 +271,9 @@ def test_compound_transform_matches_frozen_closure(name):
     law = _map_laws()[name]
     for s in (REAL_NODES, COMPLEX_NODES):
         for r in (1.5, 2.0, 7.0):
-            got = make_geometric_compound(law, r=r).laplace(s)
-            want = transform_oracle.compound(law.laplace, r)(s)
+            with np.errstate(**_OVERFLOW_OK):
+                got = make_geometric_compound(law, r=r).laplace(s)
+                want = transform_oracle.compound(law.laplace, r)(s)
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
 

@@ -111,6 +111,8 @@ def test_pipeline_diffusion2d_end_to_end():
     result = iia_pipeline(diffusion2d_covariance(), GRID)
     assert result.screen.passed
     assert abs(result.mu - 2 * np.pi) / (2 * np.pi) < 1e-3
+    np.testing.assert_array_equal(result.clipped.values,
+                                  clip_covariance(diffusion2d_covariance(), GRID).values)
     t = GRID.times()
     assert np.max(np.abs(result.divisor_cdf.values - (1 - sech(t / 2)))) < 1e-4
     draws = result.compound.sample(make_rng(10), size=100_000)
@@ -121,7 +123,7 @@ def test_pipeline_diffusion2d_end_to_end():
 def test_pipeline_rejects_damped_cosine():
     result = iia_pipeline(damped_cosine_covariance(), GridSpec.from_t_end(10.0, 1e-3))
     assert not result.screen.passed
-    assert result.mu is None
+    assert result.mu is None and result.clipped is None
     assert result.compound is None
 
 
