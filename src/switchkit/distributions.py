@@ -12,7 +12,8 @@ Randomness contract: samplers draw from a caller-owned
 ``make_rng(seed, stream=(b,))`` derives the independent stream
 ``SeedSequence(seed, spawn_key=(b,))``: the Monte Carlo estimators take one
 per fixed-size block of paths, so worker threads consume disjoint streams in
-any order, and :func:`path_rng` gives single paths their own.
+any order, and ``make_rng(seed, stream=(i,))`` gives path i of a loop of
+single paths its own.
 """
 
 from __future__ import annotations
@@ -33,6 +34,11 @@ from .laplace import geometric_map
 # renormalized exactly.
 MASS_TOLERANCE = 1e-3
 
+# Kernel entries exp(-s t) that a tabulated law's transform builds per step:
+# 64 s-values at a time against the whole table up to 65 536 points, fewer
+# beyond, so a step holds two arrays of at most 32 MB (64 MB complex).
+_KERNEL_BLOCK = 1 << 22
+
 
 def make_rng(seed, stream: tuple[int, ...] = ()) -> np.random.Generator:
     """Generator over Philox seeded from an explicit seed.
@@ -48,15 +54,6 @@ def make_rng(seed, stream: tuple[int, ...] = ()) -> np.random.Generator:
     seq = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + tuple(stream),
                                  pool_size=seed.pool_size)
     return np.random.Generator(np.random.Philox(seq))
-
-
-def path_rng(seed: int, path_index: int) -> np.random.Generator:
-    """Independent stream for one path: SeedSequence(seed, spawn_key=(path_index,))."""
-    if isinstance(seed, np.random.Generator):
-        raise InvalidArgumentError(
-            "per-path streams derive from an integer seed, not a live Generator"
-        )
-    return make_rng(seed, stream=(path_index,))
 
 
 @dataclass(frozen=True)
@@ -213,8 +210,6 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
     inverts the CDF with linear interpolation; the size-biased sampler
     inverts the cumulative of t f(t)/mean the same way.
     """
-    if pdf.t0 != 0.0:
-        raise InvalidArgumentError("tabulated densities must start at t0=0")
     vals = np.array(pdf.values, dtype=float)
     if np.min(vals) < -1e-9:
         raise InvalidArgumentError(
@@ -230,10 +225,11 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
             f"tabulated density mass {mass:.6f} deviates from 1 by more than {MASS_TOLERANCE}"
         )
     vals = vals / mass
-    density = GridFunction(t0=0.0, h=pdf.h, values=vals, notes=pdf.notes)
+    density = GridFunction(h=pdf.h, values=vals, notes=pdf.notes)
     cdf_vals = cdf_from_density(density).values
     mean = float(np.dot(weights, t * vals))
     wv = weights * vals
+    rows = max(1, min(64, _KERNEL_BLOCK // len(t)))
 
     def pdf_fn(x):
         return np.interp(x, t, vals, left=0.0, right=0.0)
@@ -248,9 +244,9 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
         # block the outer product so contour-matrix inputs stay in memory
         flat = s_arr.ravel()
         out = np.empty(flat.shape, dtype=np.result_type(flat.dtype, float))
-        for lo in range(0, flat.size, 64):
-            blk = flat[lo : lo + 64]
-            out[lo : lo + 64] = np.exp(-np.multiply.outer(blk, t)) @ wv
+        for lo in range(0, flat.size, rows):
+            blk = flat[lo : lo + rows]
+            out[lo : lo + rows] = np.exp(-np.multiply.outer(blk, t)) @ wv
         return out.reshape(s_arr.shape)
 
     def sampler(rng, size=None):
@@ -356,7 +352,7 @@ def tabulate_pdf(dist: SwitchingDistribution, grid: GridSpec) -> GridFunction:
         notes = ("origin value set by one-sided extrapolation (singular density)",)
     if not np.isfinite(vals).all():
         raise InvalidArgumentError(f"{base.name}: density not finite on the grid interior")
-    f = GridFunction(t0=grid.t0, h=grid.h, values=vals, notes=notes)
+    f = GridFunction(h=grid.h, values=vals, notes=notes)
     return f if base is dist else geometric_map_grid(f, q)
 
 
@@ -366,7 +362,7 @@ def tabulate_cdf(dist: SwitchingDistribution, grid: GridSpec) -> GridFunction:
     base, q = geometric_base(dist)
     if base.cdf is None:
         raise InvalidArgumentError(f"{base.name}: no distribution function available")
-    F = GridFunction(t0=grid.t0, h=grid.h, values=np.asarray(base.cdf(grid.times()), dtype=float))
+    F = GridFunction(h=grid.h, values=np.asarray(base.cdf(grid.times()), dtype=float))
     if base is not dist:
         F = geometric_map_grid(tabulate_pdf(base, grid), q, F)
         F = F.with_values(np.minimum(F.values, 1.0))

@@ -15,10 +15,9 @@ whole series of convolution powers in one O(n log n) step.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import fft as sp_fft
@@ -37,53 +36,45 @@ RENEWAL_TOL = 1e-6
 
 @dataclass(frozen=True)
 class GridSpec:
-    """A uniform grid: n samples starting at t0 with step h."""
+    """A uniform grid: n samples t_i = i*h from the origin."""
 
     h: float
     n: int
-    t0: float = 0.0
 
     def __post_init__(self):
         if not (self.h > 0 and math.isfinite(self.h)):
             raise InvalidArgumentError(f"grid step must be positive and finite, got {self.h}")
         if self.n < 1:
             raise InvalidArgumentError(f"grid needs at least one sample, got n={self.n}")
-        if not math.isfinite(self.t0) or self.t0 < 0:
-            raise InvalidArgumentError(f"grid start must be finite and >= 0, got {self.t0}")
 
     @classmethod
-    def from_t_end(cls, t_end: float, h: float, t0: float = 0.0) -> "GridSpec":
-        if t_end <= t0:
-            raise InvalidArgumentError(f"t_end={t_end} must exceed t0={t0}")
-        n = int(round((t_end - t0) / h)) + 1
-        return cls(h=h, n=n, t0=t0)
+    def from_t_end(cls, t_end: float, h: float) -> "GridSpec":
+        for name, x in (("t_end", t_end), ("grid step", h)):
+            if not (x > 0 and math.isfinite(x)):
+                raise InvalidArgumentError(f"{name} must be positive and finite, got {x}")
+        return cls(h=h, n=int(round(t_end / h)) + 1)
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.h * np.arange(self.n)
+        return self.h * np.arange(self.n)
 
     @property
     def t_end(self) -> float:
-        return self.t0 + self.h * (self.n - 1)
+        return self.h * (self.n - 1)
 
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Real samples v[i] ~ g(t0 + i*h) on a uniform grid.
+    """Real samples v[i] ~ g(i*h) on a uniform grid from the origin.
 
     Invariants: h > 0, values non-empty and finite.  Two instances are
-    combinable only when t0, h and length all agree.  ``notes`` carries
+    combinable only when h and length agree.  ``notes`` carries
     non-numeric annotations (e.g. extrapolation warnings) and does not
     affect combinability or equality of the numeric payload.
     """
 
-    t0: float
     h: float
     values: np.ndarray
     notes: tuple[str, ...] = ()
-    # Inversion marks per-point failures with NaN instead of aborting; only
-    # invert_laplace sets this.  NaN-carrying functions are rejected by the
-    # grid algebra below.
-    nan_ok: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -91,11 +82,7 @@ class GridFunction:
             raise InvalidArgumentError("values must be a non-empty 1-d array")
         if not (self.h > 0 and math.isfinite(self.h)):
             raise InvalidArgumentError(f"grid step must be positive and finite, got {self.h}")
-        if not math.isfinite(self.t0):
-            raise InvalidArgumentError(f"t0 must be finite, got {self.t0}")
-        if np.isinf(vals).any():
-            raise InvalidArgumentError("values must not contain infinities")
-        if not self.nan_ok and np.isnan(vals).any():
+        if not np.isfinite(vals).all():
             raise InvalidArgumentError("values must be finite")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
@@ -105,17 +92,13 @@ class GridFunction:
 
     @property
     def t_end(self) -> float:
-        return self.t0 + self.h * (len(self.values) - 1)
+        return self.h * (len(self.values) - 1)
 
     def times(self) -> np.ndarray:
-        return self.t0 + self.h * np.arange(len(self.values))
+        return self.h * np.arange(len(self.values))
 
     def same_grid(self, other: "GridFunction") -> bool:
-        return (
-            self.t0 == other.t0
-            and self.h == other.h
-            and len(self.values) == len(other.values)
-        )
+        return self.h == other.h and len(self.values) == len(other.values)
 
     def interp(self, t) -> np.ndarray:
         """Linear interpolation at arbitrary times (constant beyond the ends)."""
@@ -123,7 +106,6 @@ class GridFunction:
 
     def with_values(self, values, notes: tuple[str, ...] | None = None) -> "GridFunction":
         return GridFunction(
-            t0=self.t0,
             h=self.h,
             values=np.asarray(values, dtype=float),
             notes=self.notes if notes is None else notes,
@@ -141,7 +123,7 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
-        """Read a ``t,value`` CSV (extra columns are ignored)."""
+        """Read a ``t,value`` CSV (extra columns are ignored) whose first t is 0."""
         with open(path, newline="") as fh:
             header = next(csv.reader([fh.readline()]), [])
             if len(header) < 2 or header[0] != "t" or header[1] != "value":
@@ -155,21 +137,13 @@ class GridFunction:
         t = data[:, 0]
         if len(t) < 2:
             raise InvalidArgumentError(f"{path}: need at least two samples")
+        if t[0] != 0.0:
+            raise InvalidArgumentError(f"{path}: the table must start at t = 0, got t = {t[0]}")
         steps = np.diff(t)
         h = float(steps[0])
         if not np.allclose(steps, h, rtol=1e-9, atol=1e-12):
             raise InvalidArgumentError(f"{path}: grid is not uniform; resampling is not performed")
-        return cls(t0=float(t[0]), h=h, values=data[:, 1])
-
-    def to_json_dict(self) -> dict:
-        return {"t0": self.t0, "h": self.h, "values": self.values.tolist()}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "GridFunction":
-        return cls(t0=float(obj["t0"]), h=float(obj["h"]), values=np.asarray(obj["values"], dtype=float))
+        return cls(h=h, values=data[:, 1])
 
 
 def _split(a):
@@ -324,11 +298,8 @@ def write_rows(fh, cols: np.ndarray, end: str = "\r\n") -> None:
 def _check_combinable(f: GridFunction, g: GridFunction, op: str) -> None:
     if not f.same_grid(g):
         raise InvalidArgumentError(
-            f"{op}: grid mismatch (t0 {f.t0} vs {g.t0}, h {f.h} vs {g.h}, "
-            f"n {len(f)} vs {len(g)})"
+            f"{op}: grid mismatch (h {f.h} vs {g.h}, n {len(f)} vs {len(g)})"
         )
-    if np.isnan(f.values).any() or np.isnan(g.values).any():
-        raise InvalidArgumentError(f"{op}: inputs carry NaN failure markers")
 
 
 def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -339,14 +310,12 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     past the largest evaluation time of interest.
     """
     _check_combinable(f, g, "convolve")
-    if f.t0 != 0.0:
-        raise InvalidArgumentError("convolve requires grids starting at t0=0")
     a, b = f.values, g.values
     full = _product(a, b, len(a))
     # full[k] = sum_i a[k-i] b[i]; trapezoid halves both endpoint products.
     out = f.h * (full - 0.5 * (a * b[0] + a[0] * b))
     out[0] = 0.0
-    return GridFunction(t0=f.t0, h=f.h, values=out, notes=f.notes + g.notes)
+    return GridFunction(h=f.h, values=out, notes=f.notes + g.notes)
 
 
 def _product(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
@@ -386,8 +355,6 @@ def solve_renewal(f: GridFunction, rhs: GridFunction, c: float) -> GridFunction:
     ``RENEWAL_TOL`` raises NumericError.
     """
     _check_combinable(f, rhs, "solve_renewal")
-    if f.t0 != 0.0:
-        raise InvalidArgumentError("solve_renewal requires grids starting at t0=0")
     n, h, fv = len(f), f.h, f.values
     w = h * fv
     w[0] *= 0.5
@@ -408,9 +375,7 @@ def solve_renewal(f: GridFunction, rhs: GridFunction, c: float) -> GridFunction:
 
 
 def cumulative_integral(g: GridFunction) -> GridFunction:
-    """Trapezoid antiderivative with value 0 at t0."""
-    if np.isnan(g.values).any():
-        raise InvalidArgumentError("cumulative_integral: input carries NaN failure markers")
+    """Trapezoid antiderivative with value 0 at the origin."""
     v = g.values
     out = np.concatenate([[0.0], np.cumsum(0.5 * g.h * (v[1:] + v[:-1]))])
     return g.with_values(out)
@@ -425,8 +390,6 @@ def derivative(g: GridFunction) -> GridFunction:
     """Central differences inside, one-sided second-order stencils at the ends."""
     if len(g) < 3:
         raise InvalidArgumentError(f"derivative needs at least 3 samples, got {len(g)}")
-    if np.isnan(g.values).any():
-        raise InvalidArgumentError("derivative: input carries NaN failure markers")
     v, h = g.values, g.h
     d = np.empty_like(v)
     d[1:-1] = (v[2:] - v[:-2]) / (2 * h)
@@ -439,8 +402,6 @@ def second_derivative(g: GridFunction) -> GridFunction:
     """Second differences inside, one-sided second-order stencils at the ends."""
     if len(g) < 4:
         raise InvalidArgumentError(f"second_derivative needs at least 4 samples, got {len(g)}")
-    if np.isnan(g.values).any():
-        raise InvalidArgumentError("second_derivative: input carries NaN failure markers")
     v, h = g.values, g.h
     d = np.empty_like(v)
     d[1:-1] = (v[2:] - 2 * v[1:-1] + v[:-2]) / (h * h)

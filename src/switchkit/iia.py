@@ -77,7 +77,7 @@ def clip_covariance(r: GaussianCovariance, grid: GridSpec) -> GridFunction:
             "not a correlation function"
         )
     clipped = (2.0 / math.pi) * np.arcsin(np.clip(vals, -1.0, 1.0))
-    return GridFunction(t0=grid.t0, h=grid.h, values=clipped)
+    return GridFunction(h=grid.h, values=clipped)
 
 
 def check_iia_conditions(r: GaussianCovariance, grid: GridSpec) -> ShapeReport:
@@ -95,13 +95,13 @@ def check_iia_conditions(r: GaussianCovariance, grid: GridSpec) -> ShapeReport:
         r1 = np.asarray(r.d1(t), dtype=float)
         r2 = np.asarray(r.d2(t), dtype=float)
     else:
-        rf = GridFunction(t0=grid.t0, h=grid.h, values=rv)
+        rf = GridFunction(h=grid.h, values=rv)
         r1 = derivative(rf).values
         r2 = second_derivative(rf).values
         notes.append("derivatives estimated by grid finite differences")
 
     one_minus_sq = 1.0 - rv * rv
-    excluded = (t < grid.t0 + EXCLUSION_STEPS * grid.h) | (one_minus_sq < DEGENERACY_FLOOR)
+    excluded = (t < EXCLUSION_STEPS * grid.h) | (one_minus_sq < DEGENERACY_FLOOR)
     if excluded.any():
         notes.append(
             f"curvature condition skipped at {int(excluded.sum())} points "

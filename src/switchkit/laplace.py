@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grid import GridFunction, GridSpec
 
 _EPS = float(np.finfo(float).eps)
 
@@ -39,9 +38,9 @@ CM_NOISE_GUARD = 1e3
 # Talbot contour nodes per inverted time point.
 TALBOT_NODES = 64
 
-# Grid times inverted per step of invert_laplace.  A step holds a few
-# (block x nodes) clongdouble arrays, 2 MB each at 64 nodes, where the whole
-# grid would need 41 MB each at n = 20 001 and 2 GB at n = 10^6.
+# Times inverted per step of invert_laplace.  A step holds a few
+# (block x nodes) clongdouble arrays, 2 MB each at 64 nodes, where all
+# times at once would need 41 MB each at 20 001 times and 2 GB at 10^6.
 _INVERT_BLOCK = 1024
 
 
@@ -119,21 +118,21 @@ def _eval_vector(fn, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def invert_laplace(fn, grid: GridSpec) -> GridFunction:
-    """Fixed-Talbot inversion of ``fn`` on a grid of positive times.
+def invert_laplace(fn, t) -> np.ndarray:
+    """Fixed-Talbot inversion of ``fn`` at the positive times ``t`` (1-d).
 
     Each time is handled independently with ``TALBOT_NODES`` contour points,
-    so the result is deterministic and trivially grid-point-parallel.  Times
+    so the result is deterministic and trivially parallel over times.  Times
     are taken ``_INVERT_BLOCK`` at a time, which bounds the working memory
-    whatever the grid length.  Points where the transform or the contour sum
-    is not finite are marked NaN (with a note) instead of aborting the whole
-    grid.
+    whatever their number.  The returned array holds NaN where the transform
+    or the contour sum is not finite instead of aborting the whole inversion.
 
     The caller asserts analyticity of ``fn`` to the right of the contour.
     """
-    if grid.t0 <= 0:
-        raise InvalidArgumentError("inversion grid must start at t0 > 0")
-    times = grid.times().astype(np.longdouble)
+    times = np.asarray(t, dtype=float)
+    if times.ndim != 1 or not times.size or not np.all((times > 0) & np.isfinite(times)):
+        raise InvalidArgumentError("inversion needs a non-empty 1-d array of positive finite times")
+    times = times.astype(np.longdouble)
     M = TALBOT_NODES
     theta = (np.pi * np.arange(M, dtype=np.longdouble)) / M
     cot = np.zeros(M, dtype=np.longdouble)
@@ -144,8 +143,8 @@ def invert_laplace(fn, grid: GridSpec) -> GridFunction:
     base = theta * (cot + 1j)
     base[0] = 1.0
     weights = 1.0 + 1j * theta[1:] * (1.0 + cot[1:] ** 2) - 1j * cot[1:]
-    vals = np.empty(grid.n)
-    for lo in range(0, grid.n, _INVERT_BLOCK):
+    vals = np.empty(len(times))
+    for lo in range(0, len(times), _INVERT_BLOCK):
         t = times[lo : lo + _INVERT_BLOCK]
         p = np.multiply.outer(r / t, base).astype(np.clongdouble)
         gamma = np.empty_like(p)
@@ -153,17 +152,12 @@ def invert_laplace(fn, grid: GridSpec) -> GridFunction:
         gamma[:, 1:] = np.exp(p[:, 1:] * t[:, None]) * weights[None, :]
 
         # transform values that overflow, divide by zero or are otherwise not
-        # finite propagate to per-point NaN markers below
+        # finite propagate to per-point NaN below
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             F = _eval_vector(fn, p).astype(np.clongdouble)
             block = (2.0 / (5.0 * t)) * np.sum(gamma * F, axis=1).real
         vals[lo : lo + _INVERT_BLOCK] = block
-    finite = np.isfinite(vals)
-    if finite.all():
-        return GridFunction(t0=grid.t0, h=grid.h, values=vals)
-    vals = np.where(finite, vals, np.nan)
-    note = f"inversion failed at {int((~finite).sum())} of {grid.n} grid points (NaN markers)"
-    return GridFunction(t0=grid.t0, h=grid.h, values=vals, notes=(note,), nan_ok=True)
+    return np.where(np.isfinite(vals), vals, np.nan)
 
 
 @dataclass(frozen=True)

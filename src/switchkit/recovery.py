@@ -189,7 +189,7 @@ def mean_from_expected(E: GridFunction) -> float:
             "the mean estimate may be biased by the tail",
             stacklevel=2,
         )
-    window = t >= max(E.t0, E.t_end / 10.0)
+    window = t >= E.t_end / 10.0
     tw, vw = t[window], np.abs(vals[window])
     keep = vw > 1e-300
     if keep.sum() < 3:
@@ -274,11 +274,6 @@ def _renormalized_density(f: GridFunction, what: str) -> GridFunction:
     return f.with_values(vals)
 
 
-def _require_origin(table: GridFunction, what: str) -> None:
-    if table.t0 != 0.0:
-        raise InvalidArgumentError(f"{what}: the table must start at t = 0, got t0 = {table.t0}")
-
-
 def divisor_from_expected(E: GridFunction):
     """(divisor CDF, divisor density) read off a monotone expected value
     tabulated from t = 0: CDF = 1 - E, density = -E'.
@@ -288,7 +283,6 @@ def divisor_from_expected(E: GridFunction):
     exactly when its mass is within ``MASS_TOLERANCE`` of one; larger
     discrepancies are errors.
     """
-    _require_origin(E, "divisor_from_expected")
     report = check_expected_shape(E)
     if not report.passed:
         raise ShapeCheckError(
@@ -309,7 +303,6 @@ def divisor_from_covariance(C: GridFunction):
     mu = 2 int E with E = -(mu/2) C'; a relative mismatch beyond
     ``MU_MISMATCH_TOL`` raises with both estimates attached.
     """
-    _require_origin(C, "divisor_from_covariance")
     report = check_covariance_shape(C)
     if not report.passed:
         raise ShapeCheckError(

@@ -112,8 +112,8 @@ def _draw_epochs(dist: SwitchingDistribution, horizon: float, rng) -> np.ndarray
 
 def simulate_switch(dist: SwitchingDistribution, horizon: float, seed) -> SwitchTrajectory:
     """One switch-process path on [0, horizon], starting at +1."""
-    if not horizon > 0:
-        raise InvalidArgumentError(f"horizon must be positive, got {horizon}")
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise InvalidArgumentError(f"horizon must be positive and finite, got {horizon}")
     rng = make_rng(seed)
     return SwitchTrajectory(epochs=_draw_epochs(dist, horizon, rng),
                             initial_sign=1, horizon=horizon)
@@ -142,8 +142,8 @@ def simulate_stationary(dist: SwitchingDistribution, horizon: float, seed):
     :func:`evaluate_stationary`; on (-b, a) it sits at -delta, at a it hands
     over to the forward path, at -b to the (time-reversed) backward path.
     """
-    if not horizon > 0:
-        raise InvalidArgumentError(f"horizon must be positive, got {horizon}")
+    if not (horizon > 0 and math.isfinite(horizon)):
+        raise InvalidArgumentError(f"horizon must be positive and finite, got {horizon}")
     if not math.isfinite(dist.mean):
         raise InvalidArgumentError("stationary construction needs a finite mean")
     rng = make_rng(seed)
@@ -233,8 +233,7 @@ def _estimate(dist: SwitchingDistribution, grid: GridSpec, n_paths: int, seed,
             parts = list(pool.map(block, blocks))
     mean = 1.0 - 2.0 * np.sum(parts, axis=0) / n_paths
     stderr = np.sqrt(np.maximum(1.0 - mean * mean, 0.0) / (n_paths - 1))
-    return (GridFunction(t0=grid.t0, h=grid.h, values=mean),
-            GridFunction(t0=grid.t0, h=grid.h, values=stderr))
+    return GridFunction(h=grid.h, values=mean), GridFunction(h=grid.h, values=stderr)
 
 
 def estimate_expected_value(dist: SwitchingDistribution, grid: GridSpec,
@@ -258,7 +257,5 @@ def estimate_covariance(dist: SwitchingDistribution, grid: GridSpec,
     length-biased straddling interval (drawn in that order), and flips at
     every switch after it; the symmetric sign cancels and is not drawn.
     """
-    if grid.t0 != 0.0:
-        raise InvalidArgumentError("covariance estimation needs a grid starting at 0")
     return _estimate(dist, grid, n_paths, seed, workers,
                      lambda rng, m: dist.sample_size_biased(rng, m) * rng.random(m))

@@ -26,10 +26,10 @@ def compound2():
     return make_geometric_compound(make_exponential(2.0), r=2.0)
 
 
-def grid_fn(fn, t_end, h, t0=0.0):
-    spec = GridSpec.from_t_end(t_end, h, t0=t0)
+def grid_fn(fn, t_end, h):
+    spec = GridSpec.from_t_end(t_end, h)
     t = spec.times()
-    return GridFunction(t0=t0, h=h, values=np.asarray(fn(t), dtype=float))
+    return GridFunction(h=h, values=np.asarray(fn(t), dtype=float))
 
 
 def gamma22_expected(t):

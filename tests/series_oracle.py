@@ -55,7 +55,7 @@ def compound_pdf(dist: GeometricCompound, grid: GridSpec,
         if k == n_terms or weight / p * float(term.values.max()) <= weight_tol:
             break
         term = convolve(term, base)
-    return GridFunction(t0=0.0, h=grid.h, values=acc, notes=base.notes)
+    return GridFunction(h=grid.h, values=acc, notes=base.notes)
 
 
 def pdf(dist, grid: GridSpec) -> GridFunction:
@@ -68,7 +68,7 @@ def cdf(dist, grid: GridSpec) -> GridFunction:
     if isinstance(dist, GeometricCompound):
         F = cumulative_integral(compound_pdf(dist, grid))
         return F.with_values(np.minimum(F.values, 1.0))
-    return GridFunction(t0=0.0, h=grid.h, values=np.asarray(dist.cdf(grid.times()), dtype=float))
+    return GridFunction(h=grid.h, values=np.asarray(dist.cdf(grid.times()), dtype=float))
 
 
 def expected_value(dist, grid: GridSpec, tol: float) -> GridFunction:
@@ -97,7 +97,7 @@ def expected_value(dist, grid: GridSpec, tol: float) -> GridFunction:
         sign = -sign
     if not certified:
         raise ResourceLimitError("oracle series tail not certified")
-    return GridFunction(t0=0.0, h=grid.h, values=1.0 + 2.0 * acc, notes=f.notes)
+    return GridFunction(h=grid.h, values=1.0 + 2.0 * acc, notes=f.notes)
 
 
 def expected_derivative(dist, grid: GridSpec, tol: float) -> GridFunction:
@@ -126,7 +126,7 @@ def expected_derivative(dist, grid: GridSpec, tol: float) -> GridFunction:
         sign = -sign
     if not certified:
         raise ResourceLimitError("oracle density series tail not certified")
-    return GridFunction(t0=0.0, h=grid.h, values=2.0 * acc, notes=f.notes)
+    return GridFunction(h=grid.h, values=2.0 * acc, notes=f.notes)
 
 
 def geometric_series(f: GridFunction, g: GridFunction, q: float, tol: float) -> GridFunction:

@@ -10,6 +10,7 @@ import pytest
 import switchkit
 from switchkit import GridFunction, make_gamma, simulate_switch
 from switchkit.cli import run
+from switchkit.grid import write_rows
 
 
 @pytest.fixture(autouse=True)
@@ -43,7 +44,7 @@ def test_validation_failure_exits_one(capsys, tmp_path):
 def test_numeric_failure_exits_two(capsys, tmp_path):
     # oscillating E fails the monotone-shape screen inside recovery
     t = np.arange(0, 8, 1e-3)
-    E = GridFunction(t0=0.0, h=1e-3,
+    E = GridFunction(h=1e-3,
                      values=np.sqrt(2) * np.sin((2 * t + np.pi) / 4) * np.exp(-t / 2))
     src = tmp_path / "E.csv"
     E.to_csv(src)
@@ -134,7 +135,7 @@ def test_estimate_plot(capsys, tmp_path):
 
 def test_recover_verb_covariance_route(capsys, tmp_path):
     t = np.arange(0, 40 + 5e-4, 1e-3)
-    C = GridFunction(t0=0.0, h=1e-3, values=(2 / np.pi) * np.arcsin(1 / np.cosh(t / 2)))
+    C = GridFunction(h=1e-3, values=(2 / np.pi) * np.arcsin(1 / np.cosh(t / 2)))
     src = tmp_path / "C.csv"
     C.to_csv(src)
     summary = run_json(capsys, [
@@ -169,7 +170,7 @@ def test_iia_verb_rejection(capsys, tmp_path):
 
 def test_iia_verb_tabulated_correlation(capsys, tmp_path):
     t = np.arange(0, 40 + 1e-3, 2e-3)
-    table = GridFunction(t0=0.0, h=2e-3, values=1 / np.cosh(t / 2))
+    table = GridFunction(h=2e-3, values=1 / np.cosh(t / 2))
     src = tmp_path / "r.csv"
     table.to_csv(src)
     summary = run_json(capsys, [
@@ -213,7 +214,7 @@ def test_env_seed_overrides_flag(capsys, tmp_path, monkeypatch):
 
 def _arcsine_table(tmp_path):
     t = np.arange(0, 40 + 5e-4, 1e-3)
-    C = GridFunction(t0=0.0, h=1e-3, values=(2 / np.pi) * np.arcsin(1 / np.cosh(t / 2)))
+    C = GridFunction(h=1e-3, values=(2 / np.pi) * np.arcsin(1 / np.cosh(t / 2)))
     src = tmp_path / "C.csv"
     C.to_csv(src)
     return src
@@ -243,7 +244,7 @@ def test_recover_compound_pdf_out(capsys, tmp_path):
     assert str(out) in summary["outputs"]
     got = GridFunction.from_csv(out)
     table = GridFunction.from_csv(src)
-    assert got.same_grid(table) and got.t0 == 0.0
+    assert got.same_grid(table)
     h_ref, ref = _compound_reference()
     stride = int(round(h_ref / got.h))
     sampled = got.values[::stride]
@@ -288,13 +289,21 @@ def test_removed_tolerance_flags_are_usage_errors(capsys, argv):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("source", ["expected", "covariance"])
+@pytest.mark.parametrize("source", ["expected", "covariance", "table", "iia"])
 def test_recover_refuses_a_table_off_the_origin(capsys, tmp_path, source):
-    # E(0) = 1 and mu = -2/C'(0) are statements about t = 0
+    # E(0) = 1, mu = -2/C'(0), a density's support and r(0) = 1 are all
+    # statements about t = 0, so every table input is read from there
     src = tmp_path / "shifted.csv"
-    GridFunction(t0=0.5, h=1e-3, values=np.exp(-2 * np.arange(0.5, 20.5, 1e-3))).to_csv(src)
-    code = run(["recover", "--from", source, "--input", str(src),
-                "--out-prefix", str(tmp_path / "rec")])
+    t = 0.5 + 1e-3 * np.arange(20_000)
+    with open(src, "w", newline="") as fh:
+        fh.write("t,value\r\n")
+        write_rows(fh, np.column_stack([t, np.exp(-2 * t)]))
+    prefix = str(tmp_path / "rec")
+    argv = {
+        "table": ["expected-value", "--dist", f"table({src})", "--out", prefix + ".csv"],
+        "iia": ["iia", "--r", str(src), "--out-prefix", prefix],
+    }.get(source, ["recover", "--from", source, "--input", str(src), "--out-prefix", prefix])
+    code = run(argv)
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith("error: ") and "t = 0" in err
@@ -306,7 +315,7 @@ def test_recover_expected_route_reports_the_given_mu(capsys, tmp_path):
     # unit-rate exponential switching has E = exp(-2t) and divisor exp(rate=2)
     t = np.arange(0, 20 + 5e-4, 1e-3)
     src = tmp_path / "E.csv"
-    GridFunction(t0=0.0, h=1e-3, values=np.exp(-2 * t)).to_csv(src)
+    GridFunction(h=1e-3, values=np.exp(-2 * t)).to_csv(src)
     summary = run_json(capsys, ["recover", "--from", "expected", "--input", str(src),
                                 "--mu", "1.0", "--out-prefix", str(tmp_path / "rec")])
     assert summary["mu"] == 1.0
@@ -339,3 +348,23 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
     assert done.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("argv", [
+    ["expected-value", "--dist", "exp(rate=1)", "--h", "0"],
+    ["estimate", "--dist", "exp(rate=1)", "--h", "0"],
+    ["iia", "--r", "exp", "--h", "nan"],
+    ["expected-value", "--dist", "exp(rate=1)", "--t-end", "nan"],
+    ["expected-value", "--dist", "exp(rate=1)", "--t-end", "inf"],
+    ["expected-value", "--dist", "exp(rate=1)", "--t-end", "-1"],
+    ["simulate", "--dist", "exp(rate=1)", "--horizon", "inf"],
+], ids=["h-zero", "estimate-h-zero", "h-nan", "t-end-nan", "t-end-inf", "t-end-negative",
+        "horizon-inf"])
+def test_bad_grid_arguments_exit_one_with_one_error_line(capsys, tmp_path, argv):
+    out = ["--out-prefix" if argv[0] == "iia" else "--out", str(tmp_path / "x.csv")]
+    code = run(argv + out)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())

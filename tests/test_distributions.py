@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,6 +103,22 @@ def test_tabulated_sampler_matches_cdf(tab_exp1):
     assert np.max(np.abs(emp - tab_exp1.cdf(xs))) < 0.01
 
 
+def test_tabulated_laplace_memory_is_bounded_on_long_tables():
+    # 200 001 points: 64 s-values at a time would hold 102 MB per kernel
+    # array; the transform takes as many rows as fit in _KERNEL_BLOCK entries
+    tab = make_tabulated(grid_fn(lambda t: np.exp(-t), 20.0, 1e-4))
+    s = np.linspace(0.1, 10.0, 128)
+    one_64_row_block = 64 * 200_001 * 8
+    tracemalloc.start()
+    try:
+        got = tab.laplace(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < one_64_row_block
+    np.testing.assert_allclose(got, [tab.laplace(x) for x in s], rtol=1e-14)
+
+
 def test_tabulated_mass_deficit_rejected():
     g = grid_fn(lambda t: np.exp(-t) * 0.9, 40.0, 1e-3)
     with pytest.raises(InvalidArgumentError):
@@ -193,19 +210,15 @@ def test_sampling_is_seed_deterministic(exp1):
 
 
 def test_streams_are_independent_of_order():
-    from switchkit import path_rng
-
     d = make_exponential(1.0)
-    first = [d.sample(path_rng(9, i)) for i in (0, 1, 2)]
-    second = [d.sample(path_rng(9, i)) for i in (2, 0, 1)]
+    first = [d.sample(make_rng(9, stream=(i,))) for i in (0, 1, 2)]
+    second = [d.sample(make_rng(9, stream=(i,))) for i in (2, 0, 1)]
     assert first[0] == second[1] and first[2] == second[0]
 
 
 def test_seed_sequence_streams_match_integer_seed_streams():
-    from switchkit import path_rng
-
-    draws = [path_rng(np.random.SeedSequence(5), i).random() for i in (0, 1)]
-    assert draws == [path_rng(5, i).random() for i in (0, 1)]
+    draws = [make_rng(np.random.SeedSequence(5), stream=(i,)).random() for i in (0, 1)]
+    assert draws == [make_rng(5, stream=(i,)).random() for i in (0, 1)]
     assert draws[0] != draws[1]
 
 

@@ -1,6 +1,5 @@
 import csv
 import io
-import json
 import math
 from fractions import Fraction
 
@@ -29,20 +28,20 @@ from conftest import grid_fn
 
 def test_rejects_bad_step():
     with pytest.raises(InvalidArgumentError):
-        GridFunction(t0=0.0, h=0.0, values=np.ones(3))
+        GridFunction(h=0.0, values=np.ones(3))
 
 
 def test_rejects_empty_and_nonfinite():
     with pytest.raises(InvalidArgumentError):
-        GridFunction(t0=0.0, h=0.1, values=np.array([]))
+        GridFunction(h=0.1, values=np.array([]))
     with pytest.raises(InvalidArgumentError):
-        GridFunction(t0=0.0, h=0.1, values=np.array([1.0, np.nan]))
+        GridFunction(h=0.1, values=np.array([1.0, np.nan]))
     with pytest.raises(InvalidArgumentError):
-        GridFunction(t0=0.0, h=0.1, values=np.array([1.0, np.inf]))
+        GridFunction(h=0.1, values=np.array([1.0, np.inf]))
 
 
 def test_values_are_immutable():
-    g = GridFunction(t0=0.0, h=0.1, values=np.ones(4))
+    g = GridFunction(h=0.1, values=np.ones(4))
     with pytest.raises(ValueError):
         g.values[0] = 2.0
 
@@ -92,8 +91,8 @@ def test_convolve_fft_matches_direct_sum():
     for n in (57, 313):
         a = rng.random(n)
         b = rng.random(n)
-        f = GridFunction(t0=0.0, h=h, values=a)
-        g = GridFunction(t0=0.0, h=h, values=b)
+        f = GridFunction(h=h, values=a)
+        g = GridFunction(h=h, values=b)
         got = convolve(f, g).values
         full = np.convolve(a, b)[:n]
         want = h * (full - 0.5 * (a * b[0] + a[0] * b))
@@ -115,8 +114,8 @@ def test_convolve_fft_matches_direct_sum():
 def test_convolve_symmetric(data):
     a = np.array([p[0] for p in data])
     b = np.array([p[1] for p in data])
-    f = GridFunction(t0=0.0, h=0.05, values=a)
-    g = GridFunction(t0=0.0, h=0.05, values=b)
+    f = GridFunction(h=0.05, values=a)
+    g = GridFunction(h=0.05, values=b)
     np.testing.assert_allclose(convolve(f, g).values, convolve(g, f).values, atol=1e-12)
 
 
@@ -144,7 +143,7 @@ def test_cumint_exponential():
 
 
 def test_cumint_zeros():
-    g = GridFunction(t0=0.0, h=0.1, values=np.zeros(8))
+    g = GridFunction(h=0.1, values=np.zeros(8))
     np.testing.assert_array_equal(cumulative_integral(g).values, 0.0)
 
 
@@ -160,13 +159,13 @@ def test_derivative_exponential():
 
 
 def test_derivative_constant_zero():
-    g = GridFunction(t0=0.0, h=0.1, values=np.full(9, 3.3))
+    g = GridFunction(h=0.1, values=np.full(9, 3.3))
     np.testing.assert_allclose(derivative(g).values, 0.0, atol=1e-13)
 
 
 def test_derivative_needs_three_points():
     with pytest.raises(InvalidArgumentError):
-        derivative(GridFunction(t0=0.0, h=0.1, values=np.ones(2)))
+        derivative(GridFunction(h=0.1, values=np.ones(2)))
 
 
 def test_derivative_of_cumint_is_identity():
@@ -188,12 +187,12 @@ def test_csv_round_trip(tmp_path):
     path = tmp_path / "g.csv"
     g.to_csv(path)
     back = GridFunction.from_csv(path)
-    assert back.t0 == g.t0 and back.h == g.h
+    assert back.h == g.h
     np.testing.assert_array_equal(back.values, g.values)
 
 
 # Output of the earlier writer (one csv.writer row per sample) on the table
-# below, frozen byte for byte: -0.0 keeps its sign, NaN marks a failed point.
+# below, frozen byte for byte: -0.0 keeps its sign and NaN prints as `nan`.
 FROZEN_CSV = (
     b"t,value,stderr\r\n"
     b"0.00000000000000000e+00,1.00000000000000000e+00,1.00000000000000006e-01\r\n"
@@ -204,18 +203,22 @@ FROZEN_CSV = (
 
 
 def test_csv_writer_bytes_are_frozen(tmp_path):
-    g = GridFunction(t0=0.0, h=0.5, values=np.array([1.0, -0.0, np.nan, 2.5e-300]),
-                     nan_ok=True)
+    g = GridFunction(h=0.5, values=np.array([1.0, -0.0, 0.0, 2.5e-300]))
+    cols = np.column_stack([g.times(), [1.0, -0.0, np.nan, 2.5e-300], [0.1, 0.0, 1e300, -3.0]])
     path = tmp_path / "g.csv"
-    g.to_csv(path, extra_columns={"stderr": np.array([0.1, 0.0, 1e300, -3.0])})
+    with open(path, "w", newline="") as fh:
+        fh.write("t,value,stderr\r\n")
+        write_rows(fh, cols)
     assert path.read_bytes() == FROZEN_CSV
+    g.to_csv(path, extra_columns={"stderr": cols[:, 2]})
+    assert path.read_bytes() == FROZEN_CSV.replace(b"nan", b"0.00000000000000000e+00")
 
 
 def test_csv_writer_matches_row_writer_across_blocks(tmp_path):
     # longer than one formatting block, compared with a per-row csv.writer
     rng = np.random.default_rng(5)
     values = rng.normal(size=20_000) * 10.0 ** rng.integers(-300, 300, 20_000)
-    g = GridFunction(t0=0.0, h=1e-3, values=values)
+    g = GridFunction(h=1e-3, values=values)
     path = tmp_path / "g.csv"
     g.to_csv(path)
     buf = io.StringIO(newline="")
@@ -358,10 +361,3 @@ def test_csv_nonuniform_rejected(tmp_path):
     path.write_text("t,value\n0.0,1.0\n0.1,1.0\n0.3,1.0\n")
     with pytest.raises(InvalidArgumentError):
         GridFunction.from_csv(path)
-
-
-def test_json_round_trip():
-    g = grid_fn(lambda t: t**2, 1.0, 0.25)
-    back = GridFunction.from_json_dict(json.loads(g.to_json()))
-    assert back.same_grid(g)
-    np.testing.assert_array_equal(back.values, g.values)

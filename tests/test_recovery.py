@@ -134,7 +134,7 @@ def test_covariance_from_expected_exponential():
 
 
 def test_covariance_from_zero_expected_is_one():
-    E = GridFunction(t0=0.0, h=0.1, values=np.zeros(50))
+    E = GridFunction(h=0.1, values=np.zeros(50))
     np.testing.assert_array_equal(covariance_from_expected(E, mu=2.0).values, 1.0)
 
 
@@ -218,7 +218,7 @@ def test_expected_shape_rejects_oscillation():
 
 
 def test_expected_shape_rejects_constant_one():
-    E = GridFunction(t0=0.0, h=0.01, values=np.ones(500))
+    E = GridFunction(h=0.01, values=np.ones(500))
     report = check_expected_shape(E)
     assert not report.passed
     assert report.violation("decays_to_zero") > 1e-3
@@ -239,7 +239,7 @@ def test_covariance_shape_rejects_damped_cosine():
 
 
 def test_covariance_shape_constant_one_fails_only_decay():
-    C = GridFunction(t0=0.0, h=0.01, values=np.ones(500))
+    C = GridFunction(h=0.01, values=np.ones(500))
     report = check_covariance_shape(C)
     assert not report.passed
     failing = {n for n, v, _ in report.checked_conditions if v > report.tolerances[n]}

@@ -14,7 +14,6 @@ from switchkit import (
     evaluate_stationary,
     make_rng,
     make_tabulated,
-    path_rng,
     simulate_stationary,
     simulate_switch,
 )
@@ -43,7 +42,7 @@ def test_epoch_count_matches_poisson_rate(exp1):
     # unit-rate renewals on [0, 5]: the count is Poisson(5)
     n = 10_000
     counts = np.array(
-        [simulate_switch(exp1, 5.0, seed=path_rng(11, i)).count(5.0) for i in range(n)]
+        [simulate_switch(exp1, 5.0, seed=make_rng(11, stream=(i,))).count(5.0) for i in range(n)]
     )
     se = math.sqrt(5.0 / n)
     assert abs(counts.mean() - 5.0) < 4 * se
@@ -56,15 +55,18 @@ def test_bitwise_determinism(exp1):
 
 
 def test_horizon_validation(exp1):
-    with pytest.raises(InvalidArgumentError):
-        simulate_switch(exp1, 0.0, seed=1)
+    for horizon in (0.0, np.inf, np.nan):
+        with pytest.raises(InvalidArgumentError):
+            simulate_switch(exp1, horizon, seed=1)
+        with pytest.raises(InvalidArgumentError):
+            simulate_stationary(exp1, horizon, seed=1)
 
 
 def test_inter_epoch_gaps_follow_switching_law(exp1):
     # two-sample KS between simulated gaps and direct draws
     gaps = []
     for i in range(40):
-        ep = simulate_switch(exp1, 300.0, seed=path_rng(5, i)).epochs
+        ep = simulate_switch(exp1, 300.0, seed=make_rng(5, stream=(i,))).epochs
         gaps.append(np.diff(ep))
     gaps = np.concatenate(gaps)[:10_000]
     direct = exp1.sample(make_rng(6), size=10_000)
@@ -76,7 +78,7 @@ def test_inter_epoch_gaps_follow_switching_law(exp1):
 
 def test_stationary_value_at_origin_is_minus_delta(exp1):
     for i in range(25):
-        init, fwd, bwd = simulate_stationary(exp1, 5.0, seed=path_rng(2, i))
+        init, fwd, bwd = simulate_stationary(exp1, 5.0, seed=make_rng(2, stream=(i,)))
         assert evaluate_stationary(init, fwd, bwd, 0.0) == -init.delta
 
 
@@ -85,7 +87,7 @@ def test_stationary_mean_is_zero(exp1):
     tgrid = np.array([0.0, 1.0, 2.0])
     acc = np.zeros(3)
     for i in range(n):
-        init, fwd, bwd = simulate_stationary(exp1, 2.5, seed=path_rng(3, i))
+        init, fwd, bwd = simulate_stationary(exp1, 2.5, seed=make_rng(3, stream=(i,)))
         acc += evaluate_stationary(init, fwd, bwd, tgrid)
     mean = acc / n
     # each Y(t) is +/-1, so the standard error is at most 1/sqrt(n)
@@ -98,7 +100,7 @@ def test_forward_delay_density(exp1):
     n = 30_000
     draws = np.empty(n)
     for i in range(n):
-        init, _, _ = simulate_stationary(exp1, 1.0, seed=path_rng(8, i))
+        init, _, _ = simulate_stationary(exp1, 1.0, seed=make_rng(8, stream=(i,)))
         draws[i] = init.a
     xs = np.linspace(0.0, 3.0, 200)
     emp = np.searchsorted(np.sort(draws), xs, side="right") / n
@@ -204,7 +206,7 @@ def test_estimated_variance_is_flat_in_time(exp1):
     acc2 = np.zeros(grid.n)
     t = grid.times()
     for i in range(n):
-        init, fwd, bwd = simulate_stationary(exp1, 3.5, seed=path_rng(31, i))
+        init, fwd, bwd = simulate_stationary(exp1, 3.5, seed=make_rng(31, stream=(i,)))
         y = evaluate_stationary(init, fwd, bwd, t)
         acc += y
         acc2 += y * y

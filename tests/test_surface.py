@@ -1,14 +1,16 @@
-"""Frozen public surface: the defaulted parameters of every public function
-and the option strings of every CLI verb.
+"""Frozen public surface: the defaulted parameters of every public function,
+the fields of every public dataclass and the option strings of every CLI
+verb.
 
 Tolerances, s grids and node counts are constants of the module that judges
-with them, not parameters, so a knob can only come back through a visible
-edit of these tables.  Every CLI option must also run at least once in
+with them, not parameters, and every grid starts at t = 0, so a knob or a
+grid origin can only come back through a visible edit of these tables.  Every CLI option must also run at least once in
 test_cli.py.
 """
 
 import argparse
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -29,6 +31,25 @@ DEFAULTED = {
     "recovery.sign_condition": ("upper",),
     "simulation.estimate_covariance": ("workers",),
     "simulation.estimate_expected_value": ("workers",),
+}
+
+# public dataclass -> its field names, in order
+FIELDS = {
+    "CMReport": ("passed", "max_order_checked", "worst_violation", "violation_points",
+                 "tolerance"),
+    "DivisibilityReport": ("r", "passed", "cm_report", "laplace_at_zero", "zero_tolerance",
+                           "time_domain"),
+    "GaussianCovariance": ("fn", "d1", "d2", "name"),
+    "GeometricCompound": ("name", "mean", "laplace", "pdf", "cdf", "sampler",
+                          "size_biased_sampler", "divisor", "r"),
+    "GridFunction": ("h", "values", "notes"),
+    "GridSpec": ("h", "n"),
+    "IIAResult": ("screen", "mu", "clipped", "divisor_cdf", "divisor_pdf", "compound"),
+    "ShapeReport": ("passed", "checked_conditions", "limits", "tolerances", "notes"),
+    "StationaryInitial": ("a", "b", "delta"),
+    "SwitchTrajectory": ("epochs", "initial_sign", "horizon"),
+    "SwitchingDistribution": ("name", "mean", "laplace", "pdf", "cdf", "sampler",
+                              "size_biased_sampler"),
 }
 
 OPTIONS = {
@@ -76,6 +97,12 @@ def test_defaulted_parameters_are_frozen():
 def test_package_api_has_seven_defaulted_parameters():
     fns = [getattr(switchkit, n) for n in switchkit.__all__]
     assert sum(len(_defaulted(f)) for f in fns if inspect.isfunction(f)) == 7
+
+
+def test_dataclass_fields_are_frozen():
+    got = {name: tuple(f.name for f in dataclasses.fields(obj))
+           for name in switchkit.__all__ if dataclasses.is_dataclass(obj := getattr(switchkit, name))}
+    assert got == FIELDS
 
 
 def test_cli_options_are_frozen():
