@@ -72,12 +72,9 @@ from .recovery import (
     switching_law_from_divisor,
 )
 from .simulation import (
-    StationaryInitial,
     SwitchTrajectory,
     estimate_covariance,
     estimate_expected_value,
-    evaluate_stationary,
-    simulate_stationary,
     simulate_switch,
 )
 
@@ -96,7 +93,6 @@ __all__ = [
     "ResourceLimitError",
     "ShapeCheckError",
     "ShapeReport",
-    "StationaryInitial",
     "SwitchKitError",
     "SwitchTrajectory",
     "SwitchingDistribution",
@@ -118,7 +114,6 @@ __all__ = [
     "divisor_laplace",
     "estimate_covariance",
     "estimate_expected_value",
-    "evaluate_stationary",
     "expected_derivative_series",
     "expected_from_covariance",
     "expected_laplace_from_psi",
@@ -140,7 +135,6 @@ __all__ = [
     "psi_from_expected_laplace",
     "reduce_order",
     "second_derivative",
-    "simulate_stationary",
     "simulate_switch",
     "solve_renewal",
     "switching_law_from_divisor",

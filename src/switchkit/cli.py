@@ -3,15 +3,14 @@
 Verbs: simulate, estimate, expected-value, covariance, gd-check, recover,
 iia, figure1.  Every verb writes its declared CSV/SVG outputs and prints a
 JSON summary to stdout.  Exit codes: 0 success, 1 validation failure,
-2 numeric failure, 64 usage error.  The environment variable SWITCHKIT_SEED,
-when set, overrides --seed.
+2 numeric failure, 64 usage error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 
 from . import iia as iia_mod
@@ -46,8 +45,7 @@ def _add_grid_args(p, t_end_default=5.0, h_default=1e-3):
 
 
 def _add_seed_arg(p):
-    p.add_argument("--seed", type=int, default=0,
-                   help="64-bit seed (SWITCHKIT_SEED overrides)")
+    p.add_argument("--seed", type=int, default=0, help="non-negative 64-bit seed")
 
 
 def build_parser() -> _Parser:
@@ -59,7 +57,6 @@ def build_parser() -> _Parser:
     p.add_argument("--horizon", type=float, default=10.0)
     _add_seed_arg(p)
     p.add_argument("--out", default="epochs.csv")
-    p.add_argument("--plot", default=None, help="optional SVG of the sample path")
 
     p = sub.add_parser("estimate", help="Monte Carlo estimate of E(t) or C(t)")
     p.add_argument("--dist", required=True)
@@ -107,60 +104,31 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _resolve_seed(args) -> int:
-    env = os.environ.get("SWITCHKIT_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InvalidArgumentError(f"SWITCHKIT_SEED must be an integer, got {env!r}") from exc
-    return getattr(args, "seed", 0)
-
-
 def _emit(summary: dict) -> None:
     print(json.dumps(summary, sort_keys=True))
 
 
-def _figure_panels(dist, traj, grid: GridSpec) -> list:
-    """Sample path to its horizon, then E(t) and C(t) on the grid."""
-    E = expected_value_series(dist, grid)
-    C = covariance_from_expected(E, dist.mean)
-    xs, ys = traj.step_points()
-    t = grid.times()
-    return [
-        Panel(title="sample path").add(xs, ys, "X(t)"),
-        Panel(title="expected value").add(t, E.values, "E(t)"),
-        Panel(title="stationary covariance").add(t, C.values, "C(t)"),
-    ]
-
-
 def _cmd_simulate(args) -> dict:
     dist = parse_distribution(args.dist)
-    traj = simulate_switch(dist, args.horizon, _resolve_seed(args))
+    traj = simulate_switch(dist, args.horizon, args.seed)
     with open(args.out, "w") as fh:
         fh.write("epoch\n")
         write_rows(fh, traj.epochs[:, None], end="\n")
-    outputs = [args.out]
-    if args.plot:
-        grid = GridSpec.from_t_end(args.horizon, max(args.horizon / 2000.0, 1e-4))
-        render_panels(_figure_panels(dist, traj, grid), args.plot)
-        outputs.append(args.plot)
     return {
         "verb": "simulate",
         "dist": dist.name,
         "n_epochs": int(len(traj.epochs)),
         "horizon": args.horizon,
-        "initial_sign": traj.initial_sign,
-        "outputs": outputs,
+        "initial_sign": 1,
+        "outputs": [args.out],
     }
 
 
 def _cmd_estimate(args) -> dict:
     dist = parse_distribution(args.dist)
     grid = GridSpec.from_t_end(args.t_end, args.h)
-    seed = _resolve_seed(args)
     estimate = estimate_expected_value if args.target == "expected" else estimate_covariance
-    mean, stderr = estimate(dist, grid, args.n_paths, seed, workers=args.workers)
+    mean, stderr = estimate(dist, grid, args.n_paths, args.seed, workers=args.workers)
     mean.to_csv(args.out, extra_columns={"stderr": stderr.values})
     outputs = [args.out]
     if args.plot:
@@ -171,7 +139,7 @@ def _cmd_estimate(args) -> dict:
         "target": args.target,
         "dist": dist.name,
         "n_paths": args.n_paths,
-        "seed": seed,
+        "seed": args.seed,
         "outputs": outputs,
     }
 
@@ -202,6 +170,12 @@ def _write_divisor(prefix: str, cdf: GridFunction, pdf: GridFunction) -> list[st
 
 
 def _cmd_recover(args) -> dict:
+    if args.mu is not None:
+        if args.source == "covariance":
+            raise InvalidArgumentError("--mu is for --from expected; the covariance route "
+                                       "derives mu = -2/C'(0)")
+        if not (args.mu > 0 and math.isfinite(args.mu)):
+            raise InvalidArgumentError(f"--mu must be positive and finite, got {args.mu}")
     table = GridFunction.from_csv(args.input)
     if args.source == "expected":
         divisor_cdf, divisor_pdf = divisor_from_expected(table)
@@ -259,10 +233,16 @@ def _cmd_iia(args) -> dict:
 def _cmd_figure1(args) -> dict:
     dist = parse_distribution(args.dist)
     grid = GridSpec.from_t_end(args.t_end, args.h)
-    seed = _resolve_seed(args)
-    traj = simulate_switch(dist, args.t_end, seed)
-    render_panels(_figure_panels(dist, traj, grid), args.out)
-    return {"verb": "figure1", "dist": dist.name, "seed": seed, "outputs": [args.out]}
+    xs, ys = simulate_switch(dist, args.t_end, args.seed).step_points()
+    E = expected_value_series(dist, grid)
+    C = covariance_from_expected(E, dist.mean)
+    t = grid.times()
+    render_panels([
+        Panel(title="sample path").add(xs, ys, "X(t)"),
+        Panel(title="expected value").add(t, E.values, "E(t)"),
+        Panel(title="stationary covariance").add(t, C.values, "C(t)"),
+    ], args.out)
+    return {"verb": "figure1", "dist": dist.name, "seed": args.seed, "outputs": [args.out]}
 
 
 def _cmd_estimate_plot(mean, stderr, target: str, path) -> None:

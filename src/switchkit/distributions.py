@@ -49,10 +49,13 @@ def make_rng(seed, stream: tuple[int, ...] = ()) -> np.random.Generator:
     """
     if isinstance(seed, np.random.Generator):
         return seed
-    if not isinstance(seed, np.random.SeedSequence):
-        seed = np.random.SeedSequence(seed)
-    seq = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + tuple(stream),
-                                 pool_size=seed.pool_size)
+    try:
+        if not isinstance(seed, np.random.SeedSequence):
+            seed = np.random.SeedSequence(seed)
+        seq = np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key + tuple(stream),
+                                     pool_size=seed.pool_size)
+    except (TypeError, ValueError) as exc:
+        raise InvalidArgumentError(f"bad seed {seed!r}: {exc}") from exc
     return np.random.Generator(np.random.Philox(seq))
 
 
@@ -63,8 +66,8 @@ class SwitchingDistribution:
     ``pdf``/``cdf`` may be None when no pointwise form exists (geometric
     compounds); grid tabulations are then obtained via :func:`tabulate_pdf`.
     ``sampler(rng, size)`` returns positive draws; ``size_biased_sampler``
-    draws from the length-biased law t*f(t)/mean and is required by the
-    stationary-process simulator.
+    draws from the length-biased law t*f(t)/mean and is required by
+    :func:`~switchkit.simulation.estimate_covariance`.
     """
 
     name: str
@@ -88,7 +91,7 @@ class SwitchingDistribution:
     def sample_size_biased(self, seed_or_rng, size: int | None = None):
         if self.size_biased_sampler is None:
             raise InvalidArgumentError(
-                f"{self.name}: no size-biased sampler; stationary simulation "
+                f"{self.name}: no size-biased sampler; the stationary start "
                 "needs a density (analytic or tabulated)"
             )
         rng = make_rng(seed_or_rng)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import fft as sp_fft
 
-from .errors import InvalidArgumentError, NumericError
+from .errors import InvalidArgumentError, NumericError, ResourceLimitError
 
 # Rows formatted per step of write_rows.  A step holds a few float64 arrays
 # and a byte matrix of this many rows, so the writer's working memory stays
@@ -32,6 +32,10 @@ _CSV_BLOCK = 8192
 # Bound on the a-posteriori residual max|x + c convolve(x, f) - rhs| of
 # solve_renewal, in units of rhs; a larger residual is a numeric failure.
 RENEWAL_TOL = 1e-6
+
+# Largest grid, and largest number of switches simulate_switch expects to
+# draw.  The E solve peaks near 105 bytes per point, about 1.8 GB at the cap.
+MAX_POINTS = 2**24
 
 
 @dataclass(frozen=True)
@@ -46,12 +50,17 @@ class GridSpec:
             raise InvalidArgumentError(f"grid step must be positive and finite, got {self.h}")
         if self.n < 1:
             raise InvalidArgumentError(f"grid needs at least one sample, got n={self.n}")
+        if self.n > MAX_POINTS:
+            raise ResourceLimitError(f"grid of {self.n} points exceeds MAX_POINTS = {MAX_POINTS}")
 
     @classmethod
     def from_t_end(cls, t_end: float, h: float) -> "GridSpec":
         for name, x in (("t_end", t_end), ("grid step", h)):
             if not (x > 0 and math.isfinite(x)):
                 raise InvalidArgumentError(f"{name} must be positive and finite, got {x}")
+        if t_end / h > MAX_POINTS:  # before int(), which overflows on inf
+            raise ResourceLimitError(f"grid of t_end / h = {t_end / h:.3g} steps exceeds "
+                                     f"MAX_POINTS = {MAX_POINTS}")
         return cls(h=h, n=int(round(t_end / h)) + 1)
 
     def times(self) -> np.ndarray:

@@ -1,5 +1,6 @@
-"""Trajectory-level Monte Carlo for the switch process and its stationary
-counterpart.
+"""Monte Carlo for the switch process and its stationary counterpart: one
+path of the switch process from the origin, and pointwise estimates of E(t)
+and of the stationary covariance C(t).
 
 These simulators are the brute-force oracle for every analytic result in the
 package.  Determinism contract: a path is a pure function of its seed, and
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import SwitchingDistribution, make_rng
-from .errors import InvalidArgumentError
-from .grid import GridFunction, GridSpec
+from .errors import InvalidArgumentError, ResourceLimitError
+from .grid import MAX_POINTS, GridFunction, GridSpec
 
 # Paths per random stream: a constant, so an estimate does not depend on the
 # number of worker threads.
@@ -31,7 +32,7 @@ _ROUND_DRAWS = 1 << 17
 
 @dataclass(frozen=True)
 class SwitchTrajectory:
-    """Switch epochs of one realization plus the starting sign.
+    """Switch epochs of one realization, which starts at +1.
 
     The last epoch may exceed the horizon (the draw that crossed it is
     kept); evaluation clips at the horizon implicitly since callers only ask
@@ -39,7 +40,6 @@ class SwitchTrajectory:
     """
 
     epochs: np.ndarray
-    initial_sign: int = 1
     horizon: float = math.inf
 
     def __post_init__(self):
@@ -52,47 +52,21 @@ class SwitchTrajectory:
             raise InvalidArgumentError("epochs must be positive")
         ep.setflags(write=False)
         object.__setattr__(self, "epochs", ep)
-        if self.initial_sign not in (-1, 1):
-            raise InvalidArgumentError("initial_sign must be +1 or -1")
 
     def count(self, t) -> np.ndarray:
         """Number of switches up to and including time t."""
         return np.searchsorted(self.epochs, t, side="right")
 
     def value(self, t) -> np.ndarray:
-        """Process value: initial_sign * (-1)^count(t)."""
-        return self.initial_sign * (1 - 2 * (self.count(t) & 1))
+        """Process value: (-1)^count(t)."""
+        return 1 - 2 * (self.count(t) & 1)
 
-    def step_points(self, t_end: float | None = None):
-        """(x, y) polyline of the piecewise-constant path, for plotting."""
-        end = self.horizon if t_end is None else t_end
-        ep = self.epochs[self.epochs <= end]
-        xs = [0.0]
-        ys = [float(self.initial_sign)]
-        sign = self.initial_sign
-        for e in ep:
-            xs.extend([e, e])
-            ys.append(float(sign))
-            sign = -sign
-            ys.append(float(sign))
-        xs.append(float(end))
-        ys.append(float(sign))
-        return np.asarray(xs), np.asarray(ys)
-
-
-@dataclass(frozen=True)
-class StationaryInitial:
-    """Straddling-interval split (forward delay a, backward delay b) and sign."""
-
-    a: float
-    b: float
-    delta: int
-
-    def __post_init__(self):
-        if self.a < 0 or self.b < 0:
-            raise InvalidArgumentError("delays must be non-negative")
-        if self.delta not in (-1, 1):
-            raise InvalidArgumentError("delta must be +1 or -1")
+    def step_points(self):
+        """(x, y) polyline of the piecewise-constant path to the horizon, for
+        plotting."""
+        ep = self.epochs[self.epochs <= self.horizon]
+        xs = np.concatenate([[0.0], np.repeat(ep, 2), [self.horizon]])
+        return xs, np.repeat(1.0 - 2.0 * (np.arange(len(ep) + 1) & 1), 2)
 
 
 def _draw_epochs(dist: SwitchingDistribution, horizon: float, rng) -> np.ndarray:
@@ -114,62 +88,9 @@ def simulate_switch(dist: SwitchingDistribution, horizon: float, seed) -> Switch
     """One switch-process path on [0, horizon], starting at +1."""
     if not (horizon > 0 and math.isfinite(horizon)):
         raise InvalidArgumentError(f"horizon must be positive and finite, got {horizon}")
-    rng = make_rng(seed)
-    return SwitchTrajectory(epochs=_draw_epochs(dist, horizon, rng),
-                            initial_sign=1, horizon=horizon)
-
-
-def _draw_stationary_start(dist: SwitchingDistribution, rng):
-    """(length-biased interval, forward delay a, backward delay b, delta).
-
-    The straddling interval has the length-biased density t f(t)/mean and is
-    split uniformly, which realizes the joint delay density f(a+b)/mean.
-    Draw order is fixed: interval, split, sign.
-    """
-    length = float(dist.sample_size_biased(rng))
-    u = float(rng.random())
-    a = u * length
-    b = length - a
-    delta = 1 if rng.random() < 0.5 else -1
-    return length, a, b, delta
-
-
-def simulate_stationary(dist: SwitchingDistribution, horizon: float, seed):
-    """One stationary-switch realization on [-horizon, horizon].
-
-    Returns (initial, forward, backward): the delay/sign draw plus two
-    independent switch paths.  Evaluate the process with
-    :func:`evaluate_stationary`; on (-b, a) it sits at -delta, at a it hands
-    over to the forward path, at -b to the (time-reversed) backward path.
-    """
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise InvalidArgumentError(f"horizon must be positive and finite, got {horizon}")
-    if not math.isfinite(dist.mean):
-        raise InvalidArgumentError("stationary construction needs a finite mean")
-    rng = make_rng(seed)
-    _, a, b, delta = _draw_stationary_start(dist, rng)
-    forward = SwitchTrajectory(
-        epochs=_draw_epochs(dist, max(horizon - a, dist.mean), rng),
-        initial_sign=1, horizon=max(horizon - a, dist.mean),
-    )
-    backward = SwitchTrajectory(
-        epochs=_draw_epochs(dist, max(horizon - b, dist.mean), rng),
-        initial_sign=1, horizon=max(horizon - b, dist.mean),
-    )
-    return StationaryInitial(a=a, b=b, delta=delta), forward, backward
-
-
-def evaluate_stationary(initial: StationaryInitial, forward: SwitchTrajectory,
-                        backward: SwitchTrajectory, t) -> np.ndarray:
-    """Value of the stationary switch process at times t (scalar or array)."""
-    t = np.asarray(t, dtype=float)
-    d = initial.delta
-    out = np.full(t.shape, -d, dtype=np.int64)
-    fwd = t >= initial.a
-    out[fwd] = d * forward.value(t[fwd] - initial.a)
-    bwd = t <= -initial.b
-    out[bwd] = -d * backward.value(-(t[bwd] + initial.b))
-    return out
+    if horizon / dist.mean > MAX_POINTS:
+        raise ResourceLimitError(f"horizon / mean exceeds MAX_POINTS = {MAX_POINTS}")
+    return SwitchTrajectory(epochs=_draw_epochs(dist, horizon, make_rng(seed)), horizon=horizon)
 
 
 def _odd_counts(dist: SwitchingDistribution, t: np.ndarray, start: np.ndarray,
@@ -209,8 +130,9 @@ def _estimate(dist: SwitchingDistribution, grid: GridSpec, n_paths: int, seed,
               workers: int, draw_start):
     """(mean, stderr) of the sign (-1)^(switches in (0, t]) over n_paths paths.
 
-    Paths come in blocks of ``_BLOCK``; block b draws ``draw_start(rng, m)``
-    and then its inter-arrivals from ``make_rng(seed, stream=(b,))``.  The
+    Paths come in blocks of ``_BLOCK``; block b draws
+    ``draw_start(dist, rng, m)`` and then its inter-arrivals from
+    ``make_rng(seed, stream=(b,))``.  The
     counts are integers, so the sum over blocks does not depend on how
     ``workers`` threads schedule them.
     """
@@ -223,7 +145,7 @@ def _estimate(dist: SwitchingDistribution, grid: GridSpec, n_paths: int, seed,
     def block(b: int) -> np.ndarray:
         m = min(_BLOCK, n_paths - b * _BLOCK)
         rng = make_rng(seed, stream=(b,))
-        return _odd_counts(dist, t, draw_start(rng, m), rng)
+        return _odd_counts(dist, t, draw_start(dist, rng, m), rng)
 
     blocks = range(-(-n_paths // _BLOCK))
     if workers <= 1:
@@ -245,7 +167,13 @@ def estimate_expected_value(dist: SwitchingDistribution, grid: GridSpec,
     ``make_rng(seed, stream=(b,))``, so ``seed`` must be an integer and the
     result does not depend on ``workers``.
     """
-    return _estimate(dist, grid, n_paths, seed, workers, lambda rng, m: np.zeros(m))
+    return _estimate(dist, grid, n_paths, seed, workers, lambda dist, rng, m: np.zeros(m))
+
+
+def _forward_delays(dist: SwitchingDistribution, rng, m: int) -> np.ndarray:
+    """m forward delays of the stationary process: uniform splits of
+    length-biased straddling intervals, drawn in that order."""
+    return dist.sample_size_biased(rng, m) * rng.random(m)
 
 
 def estimate_covariance(dist: SwitchingDistribution, grid: GridSpec,
@@ -253,9 +181,8 @@ def estimate_covariance(dist: SwitchingDistribution, grid: GridSpec,
     """Monte Carlo mean of Y(t) Y(0) over stationary paths, with stderr.
 
     Only the forward construction matters for t >= 0: Y(t) Y(0) is +1 until
-    the first switch at the forward delay a, a uniform split of the
-    length-biased straddling interval (drawn in that order), and flips at
-    every switch after it; the symmetric sign cancels and is not drawn.
+    the first switch at the forward delay (:func:`_forward_delays`) and
+    flips at every switch after it; the symmetric sign cancels and is not
+    drawn.
     """
-    return _estimate(dist, grid, n_paths, seed, workers,
-                     lambda rng, m: dist.sample_size_biased(rng, m) * rng.random(m))
+    return _estimate(dist, grid, n_paths, seed, workers, _forward_delays)

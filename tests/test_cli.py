@@ -13,11 +13,6 @@ from switchkit.cli import run
 from switchkit.grid import write_rows
 
 
-@pytest.fixture(autouse=True)
-def _no_env_seed(monkeypatch):
-    monkeypatch.delenv("SWITCHKIT_SEED", raising=False)
-
-
 def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
@@ -94,17 +89,24 @@ def test_gd_check_verb_reports_the_time_domain_refutation(capsys):
 
 def test_simulate_verb(capsys, tmp_path):
     out = tmp_path / "epochs.csv"
-    svg = tmp_path / "path.svg"
     summary = run_json(capsys, [
         "simulate", "--dist", "exp(rate=1)", "--horizon", "10",
-        "--seed", "3", "--out", str(out), "--plot", str(svg),
+        "--seed", "3", "--out", str(out),
     ])
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "epoch"
     assert len(lines) - 1 == summary["n_epochs"]
+    assert summary["initial_sign"] == 1 and summary["outputs"] == [str(out)]
     epochs = np.array([float(x) for x in lines[1:]])
     assert np.all(np.diff(epochs) > 0)
-    assert svg.read_text().startswith("<svg")
+
+
+def test_simulate_plot_flag_is_gone(capsys, tmp_path):
+    # figure1 --t-end H draws the same path and plots it with E and C
+    code = run(["simulate", "--dist", "exp(rate=1)", "--out", str(tmp_path / "e.csv"),
+                "--plot", str(tmp_path / "p.svg")])
+    assert code == 64
+    assert not list(tmp_path.iterdir())
 
 
 def test_estimate_verb_round_trips(capsys, tmp_path):
@@ -203,13 +205,19 @@ def test_identical_invocations_are_byte_identical(capsys, tmp_path):
     assert out_a.replace("a.csv", "") == out_b.replace("b.csv", "")
 
 
-def test_env_seed_overrides_flag(capsys, tmp_path, monkeypatch):
-    a = tmp_path / "a.csv"
-    b = tmp_path / "b.csv"
-    run_json(capsys, ["simulate", "--dist", "exp(rate=1)", "--seed", "1", "--out", str(a)])
-    monkeypatch.setenv("SWITCHKIT_SEED", "1")
-    run_json(capsys, ["simulate", "--dist", "exp(rate=1)", "--seed", "999", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
+def test_env_seed_is_ignored(capsys, tmp_path, monkeypatch):
+    # --seed is the only seed: the same argv writes the same bytes
+    outs = {}
+    for name, env in (("plain", None), ("env", "1")):
+        if env is not None:
+            monkeypatch.setenv("SWITCHKIT_SEED", env)
+        outs[name] = tmp_path / f"{name}.csv"
+        run_json(capsys, ["simulate", "--dist", "exp(rate=1)", "--seed", "999",
+                          "--out", str(outs[name])])
+    run_json(capsys, ["simulate", "--dist", "exp(rate=1)", "--seed", "1",
+                      "--out", str(tmp_path / "one.csv")])
+    assert outs["plain"].read_bytes() == outs["env"].read_bytes()
+    assert outs["env"].read_bytes() != (tmp_path / "one.csv").read_bytes()
 
 
 def _arcsine_table(tmp_path):
@@ -367,4 +375,45 @@ def test_bad_grid_arguments_exit_one_with_one_error_line(capsys, tmp_path, argv)
     assert code == 1
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def _one_line_failure(capsys, argv, code, prefix):
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix) and len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("source,mu", [
+    ("expected", "nan"), ("expected", "inf"), ("expected", "-3"), ("expected", "0"),
+    ("covariance", "7"),
+])
+def test_recover_refuses_a_bad_or_unused_mu(capsys, tmp_path, source, mu):
+    argv = ["recover", "--from", source, "--input", str(_arcsine_table(tmp_path)),
+            "--mu", mu, "--out-prefix", str(tmp_path / "rec")]
+    _one_line_failure(capsys, argv, 1, "error: ")
+    assert not list(tmp_path.glob("rec*"))
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--dist", "exp(rate=1)"],
+    ["estimate", "--dist", "exp(rate=1)", "--n-paths", "200"],
+    ["figure1", "--dist", "exp(rate=1)", "--t-end", "2", "--h", "0.1"],
+], ids=["simulate", "estimate", "figure1"])
+def test_negative_seed_exits_one_with_one_error_line(capsys, tmp_path, argv):
+    _one_line_failure(capsys, argv + ["--seed", "-1", "--out", str(tmp_path / "x")], 1,
+                      "error: ")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [
+    ["expected-value", "--dist", "exp(rate=1)", "--t-end", "1e300", "--h", "1e-300"],
+    ["covariance", "--dist", "exp(rate=1)", "--t-end", "1e9", "--h", "1e-9"],
+    ["estimate", "--dist", "exp(rate=1)", "--t-end", "1e8", "--h", "1e-1"],
+    ["simulate", "--dist", "exp(rate=1)", "--horizon", "1e12"],
+], ids=["overflow", "huge-grid", "estimate-grid", "simulate-horizon"])
+def test_oversized_runs_exit_two_before_allocating(capsys, tmp_path, argv):
+    _one_line_failure(capsys, argv + ["--out", str(tmp_path / "x")], 2,
+                      "numeric failure: ")
     assert not list(tmp_path.iterdir())

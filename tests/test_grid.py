@@ -12,13 +12,14 @@ from switchkit import (
     GridFunction,
     GridSpec,
     InvalidArgumentError,
+    ResourceLimitError,
     convolve,
     cumulative_integral,
     derivative,
     expected_value_series,
     second_derivative,
 )
-from switchkit.grid import _ROUND_ERR, _decimal, _scale, write_rows
+from switchkit.grid import MAX_POINTS, _ROUND_ERR, _decimal, _scale, write_rows
 
 from conftest import grid_fn
 
@@ -50,6 +51,16 @@ def test_grid_spec_times():
     spec = GridSpec.from_t_end(1.0, 0.25)
     np.testing.assert_allclose(spec.times(), [0, 0.25, 0.5, 0.75, 1.0])
     assert spec.t_end == 1.0
+
+
+def test_grid_size_is_capped_before_allocating():
+    # neither call allocates: the cap is checked on n and on t_end / h first
+    with pytest.raises(ResourceLimitError, match="MAX_POINTS"):
+        GridSpec(h=1.0, n=MAX_POINTS + 2)
+    with pytest.raises(ResourceLimitError, match="MAX_POINTS"):
+        GridSpec.from_t_end(1e300, 1e-300)  # t_end / h overflows to inf
+    assert MAX_POINTS == 2**24
+    assert GridSpec.from_t_end(float(MAX_POINTS - 1), 1.0).n == MAX_POINTS
 
 
 # -- convolve -----------------------------------------------------------------

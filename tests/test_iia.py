@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from switchkit import (
     GridSpec,
@@ -161,6 +162,18 @@ def test_pipeline_smooth_admissible_covariance():
 def test_pipeline_output_is_divisible_at_two():
     result = iia_pipeline(diffusion2d_covariance(), GRID)
     assert gd_check(result.compound, 2.0).passed
+
+
+@pytest.mark.parametrize("t_end", [40.0, 80.0])
+def test_pipeline_gives_the_diffusion_persistence_exponent(t_end):
+    # The compound transform psi/(2 - psi) of the IIA law has its pole where
+    # psi(-theta) = 2, so P(no sign change up to t) ~ exp(-theta t).  The IIA
+    # value for planar diffusion is theta = 0.1862 (Majumdar, Sire, Bray and
+    # Cornell, PRL 77, 2867, 1996).
+    result = iia_pipeline(diffusion2d_covariance(), GridSpec.from_t_end(t_end, 1e-3))
+    psi = result.compound.divisor.laplace
+    theta = brentq(lambda th: psi(-th) - 2.0, 0.05, 0.3, xtol=1e-12)
+    assert abs(theta - 0.1862) < 1e-4
 
 
 # -- diffusion fixture -----------------------------------------------------------

@@ -8,16 +8,15 @@ from scipy.stats import ks_2samp, kstest
 from switchkit import (
     GridSpec,
     InvalidArgumentError,
+    ResourceLimitError,
     SwitchingDistribution,
     estimate_covariance,
     estimate_expected_value,
-    evaluate_stationary,
     make_rng,
     make_tabulated,
-    simulate_stationary,
     simulate_switch,
 )
-from switchkit.simulation import _BLOCK, _odd_counts
+from switchkit.simulation import _BLOCK, _forward_delays, _odd_counts
 
 from conftest import grid_fn
 from mc_oracle import covariance_plus_counts, expected_plus_counts
@@ -29,7 +28,8 @@ from mc_oracle import covariance_plus_counts, expected_plus_counts
 def test_starts_at_plus_one(exp1):
     traj = simulate_switch(exp1, 5.0, seed=1)
     assert traj.value(1e-12) == 1
-    assert traj.initial_sign == 1
+    xs, ys = traj.step_points()
+    assert xs[0] == 0.0 and ys[0] == 1.0 and xs[-1] == 5.0
 
 
 def test_sign_flips_between_first_epochs(exp1):
@@ -58,8 +58,18 @@ def test_horizon_validation(exp1):
     for horizon in (0.0, np.inf, np.nan):
         with pytest.raises(InvalidArgumentError):
             simulate_switch(exp1, horizon, seed=1)
-        with pytest.raises(InvalidArgumentError):
-            simulate_stationary(exp1, horizon, seed=1)
+
+
+def test_horizon_is_capped_before_drawing(exp1):
+    # 1e12 unit-mean switches would be one 12 TB draw
+    with pytest.raises(ResourceLimitError, match="MAX_POINTS"):
+        simulate_switch(exp1, 1e12, 0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_bad_seed_is_an_invalid_argument(exp1, seed):
+    with pytest.raises(InvalidArgumentError, match="seed"):
+        simulate_switch(exp1, 5.0, seed)
 
 
 def test_inter_epoch_gaps_follow_switching_law(exp1):
@@ -73,52 +83,23 @@ def test_inter_epoch_gaps_follow_switching_law(exp1):
     assert ks_2samp(gaps, direct).pvalue > 1e-3
 
 
-# -- stationary construction --------------------------------------------------------
-
-
-def test_stationary_value_at_origin_is_minus_delta(exp1):
-    for i in range(25):
-        init, fwd, bwd = simulate_stationary(exp1, 5.0, seed=make_rng(2, stream=(i,)))
-        assert evaluate_stationary(init, fwd, bwd, 0.0) == -init.delta
-
-
-def test_stationary_mean_is_zero(exp1):
-    n = 20_000
-    tgrid = np.array([0.0, 1.0, 2.0])
-    acc = np.zeros(3)
-    for i in range(n):
-        init, fwd, bwd = simulate_stationary(exp1, 2.5, seed=make_rng(3, stream=(i,)))
-        acc += evaluate_stationary(init, fwd, bwd, tgrid)
-    mean = acc / n
-    # each Y(t) is +/-1, so the standard error is at most 1/sqrt(n)
-    assert np.all(np.abs(mean) < 4 / math.sqrt(n))
+# -- stationary start --------------------------------------------------------------
 
 
 def test_forward_delay_density(exp1):
     # the forward delay of a unit-rate stationary process has density
     # (1 - F(t))/mu = e^{-t}
     n = 30_000
-    draws = np.empty(n)
-    for i in range(n):
-        init, _, _ = simulate_stationary(exp1, 1.0, seed=make_rng(8, stream=(i,)))
-        draws[i] = init.a
+    draws = _forward_delays(exp1, make_rng(8), n)
     xs = np.linspace(0.0, 3.0, 200)
     emp = np.searchsorted(np.sort(draws), xs, side="right") / n
     want = 1.0 - np.exp(-xs)
     assert np.max(np.abs(emp - want)) < 0.02
 
 
-def test_stationary_negative_time_branch(exp1):
-    init, fwd, bwd = simulate_stationary(exp1, 5.0, seed=17)
-    t = -init.b - 1e-9
-    assert evaluate_stationary(init, fwd, bwd, t) in (-1, 1)
-    inside = evaluate_stationary(init, fwd, bwd, -init.b / 2 if init.b > 0 else 0.0)
-    assert inside == -init.delta
-
-
 def test_stationary_size_biased_requires_density(compound2):
-    with pytest.raises(InvalidArgumentError):
-        simulate_stationary(compound2, 5.0, seed=1)
+    with pytest.raises(InvalidArgumentError, match="size-biased"):
+        estimate_covariance(compound2, GridSpec.from_t_end(1.0, 0.5), 200, seed=1)
 
 
 def test_tabulated_size_biased_sampler_mean():
@@ -196,22 +177,6 @@ def test_estimators_need_an_integer_seed(exp1, seed):
     # a SeedSequence or live Generator would give every block the same stream
     with pytest.raises(InvalidArgumentError):
         estimate_covariance(exp1, GridSpec.from_t_end(1.0, 0.5), 200, seed=seed)
-
-
-def test_estimated_variance_is_flat_in_time(exp1):
-    # stationarity witness: Var Y(t) = 1 - C-ish mean^2 stays near 1
-    grid = GridSpec.from_t_end(3.0, 1.0)
-    n = 20_000
-    acc = np.zeros(grid.n)
-    acc2 = np.zeros(grid.n)
-    t = grid.times()
-    for i in range(n):
-        init, fwd, bwd = simulate_stationary(exp1, 3.5, seed=make_rng(31, stream=(i,)))
-        y = evaluate_stationary(init, fwd, bwd, t)
-        acc += y
-        acc2 += y * y
-    var = acc2 / n - (acc / n) ** 2
-    assert np.all(np.abs(var - 1.0) < 0.02)
 
 
 def test_estimates_are_worker_independent_over_blocks(exp1):

@@ -16,6 +16,8 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+
 import switchkit
 from switchkit.cli import build_parser
 
@@ -46,14 +48,13 @@ FIELDS = {
     "GridSpec": ("h", "n"),
     "IIAResult": ("screen", "mu", "clipped", "divisor_cdf", "divisor_pdf", "compound"),
     "ShapeReport": ("passed", "checked_conditions", "limits", "tolerances", "notes"),
-    "StationaryInitial": ("a", "b", "delta"),
-    "SwitchTrajectory": ("epochs", "initial_sign", "horizon"),
+    "SwitchTrajectory": ("epochs", "horizon"),
     "SwitchingDistribution": ("name", "mean", "laplace", "pdf", "cdf", "sampler",
                               "size_biased_sampler"),
 }
 
 OPTIONS = {
-    "simulate": {"--dist", "--horizon", "--seed", "--out", "--plot"},
+    "simulate": {"--dist", "--horizon", "--seed", "--out"},
     "estimate": {"--dist", "--target", "--t-end", "--h", "--n-paths", "--workers", "--seed",
                  "--out", "--plot"},
     "expected-value": {"--dist", "--t-end", "--h", "--out"},
@@ -115,3 +116,30 @@ def test_every_cli_option_runs_in_the_cli_tests():
                if isinstance(node, ast.Constant) and isinstance(node.value, str)}
     missing = {opt for opts in _verb_options().values() for opt in opts} - strings
     assert not missing
+
+
+def _tolerance_rows() -> list[tuple[str, str, str]]:
+    """(constant, value, module) of each row of README's Tolerances table."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = [[c.strip().strip("`") for c in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    return [(name, value, module) for name, value, module, *_ in rows]
+
+
+def test_readme_tolerance_table_matches_the_constants():
+    rows = _tolerance_rows()
+    assert len(rows) >= 15
+    unparsed = {}
+    for name, value, module in rows:
+        got = getattr(importlib.import_module(f"switchkit.{module}"), name)
+        try:
+            want = float(value)
+        except ValueError:
+            unparsed[name] = (value, got)
+            continue
+        assert got == want, (name, got, value)
+    assert unparsed.keys() == {"CM_S_GRID"}
+    value, grid = unparsed["CM_S_GRID"]
+    assert value == "40 points, 1e-2 to 1e2"
+    np.testing.assert_array_equal(grid, np.logspace(-2, 2, 40))
