@@ -9,6 +9,7 @@ JSON summary to stdout.  Exit codes: 0 success, 1 validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -48,6 +49,7 @@ def _add_seed_arg(p):
     p.add_argument("--seed", type=int, default=0, help="non-negative 64-bit seed")
 
 
+@functools.cache  # parse_args leaves the parser unchanged; building it costs ~2 ms
 def build_parser() -> _Parser:
     parser = _Parser(prog="switchkit", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)

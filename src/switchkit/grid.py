@@ -34,7 +34,7 @@ _CSV_BLOCK = 8192
 RENEWAL_TOL = 1e-6
 
 # Largest grid, and largest number of switches simulate_switch expects to
-# draw.  The E solve peaks near 105 bytes per point, about 1.8 GB at the cap.
+# draw.  The E solve peaks near 97 bytes per point, about 1.6 GB at the cap.
 MAX_POINTS = 2**24
 
 
@@ -61,6 +61,8 @@ class GridSpec:
         if t_end / h > MAX_POINTS:  # before int(), which overflows on inf
             raise ResourceLimitError(f"grid of t_end / h = {t_end / h:.3g} steps exceeds "
                                      f"MAX_POINTS = {MAX_POINTS}")
+        if round(t_end / h) < 1:
+            raise InvalidArgumentError(f"t_end = {t_end} rounds to zero steps of h = {h}")
         return cls(h=h, n=int(round(t_end / h)) + 1)
 
     def times(self) -> np.ndarray:
@@ -334,19 +336,33 @@ def _product(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     return sp_fft.irfft(sp_fft.rfft(u, size) * sp_fft.rfft(v, size), size)[:n]
 
 
-def _series_inverse(a: np.ndarray) -> np.ndarray:
-    """First len(a) coefficients of 1/a(z), by Newton iteration b <- b(2 - ab).
+def _series_inverse(a: np.ndarray, n: int) -> np.ndarray:
+    """First n coefficients of 1/a(z), by Newton iteration on halved lengths:
+    with b = 1/a to order m = ceil(n/2), a*b = 1 + z^m e (mod z^n) and
+    b - z^m (b*e) is 1/a to order n.  The middle product e = (a*b)[m:n] is
+    cyclic of length L >= n, whose wrap-around lands only in [0, m)."""
+    if n == 1:
+        return np.array([1.0 / a[0]])
+    m = (n + 1) // 2
+    b = _series_inverse(a, m)
+    L = sp_fft.next_fast_len(n, real=True)
+    fb = sp_fft.rfft(b, L)
+    e = sp_fft.irfft(sp_fft.rfft(a[:n], L) * fb, L)[m:n]
+    return np.concatenate([b, -sp_fft.irfft(fb * sp_fft.rfft(e, L), L)[: n - m]])
 
-    If a*b = 1 + z^m e (mod z^2m), then b - z^m (b*e) is the inverse to
-    order 2m, so each step doubles the number of correct coefficients.
-    """
-    b = np.array([1.0 / a[0]])
-    while len(b) < len(a):
-        m = len(b)
-        m2 = min(2 * m, len(a))
-        e = _product(a, b, m2)[m:]
-        b = np.concatenate([b, -_product(b, e, m2 - m)])
-    return b
+
+def _series_divide(r: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """First n = len(r) coefficients of r(z)/a(z), by Karp and Markstein's
+    last step (ACM TOMS 23, 1997): with b = 1/a to order m = ceil(n/2),
+    x0 = b*r mod z^m and x1 = b*(r - a*x0)[m:n] mod z^(n-m)."""
+    n = len(r)
+    m = (n + 1) // 2
+    b = _series_inverse(a, m)
+    L = sp_fft.next_fast_len(n, real=True)
+    fb = sp_fft.rfft(b, L)
+    x0 = sp_fft.irfft(fb * sp_fft.rfft(r[:m], L), L)[:m]
+    d = r[m:n] - sp_fft.irfft(sp_fft.rfft(a[:n], L) * sp_fft.rfft(x0, L), L)[m:n]
+    return np.concatenate([x0, sp_fft.irfft(fb * sp_fft.rfft(d, L), L)[: n - m]])
 
 
 def solve_renewal(f: GridFunction, rhs: GridFunction, c: float) -> GridFunction:
@@ -355,13 +371,15 @@ def solve_renewal(f: GridFunction, rhs: GridFunction, c: float) -> GridFunction:
     The trapezoid operator is lower-triangular Toeplitz:
     convolve(a, f) = w (*) a - (h/2) a[0] f, with w = h f and w[0] halved.
     So the system is (delta + c w) (*) x = rhs + (c h/2) x[0] f, where
-    x[0] = rhs[0] exactly.  The power series delta + c w is inverted by Newton
-    iteration on FFT products (Brent & Kung, J. ACM 25, 1978), which costs
-    O(n log n) whatever the grid length.  Truncated alternating (c = 1) or
-    geometric (c < 0) series of convolution powers of f converge to this x.
+    x[0] = rhs[0] exactly.  The division inverts delta + c w to order n/2
+    by Newton iteration on halved lengths with middle products (Hanrot,
+    Quercia and Zimmermann, AAECC 14, 2004), then takes Karp and
+    Markstein's last step: about 19 n of FFT length, O(n log n) whatever
+    the grid length.  Truncated alternating (c = 1) or geometric (c < 0)
+    series of convolution powers of f converge to this x.
 
-    An a-posteriori residual max|x + c convolve(x, f) - rhs| above
-    ``RENEWAL_TOL`` raises NumericError.
+    An a-posteriori residual max|x + c convolve(x, f) - rhs|, an independent
+    full product of length 2n, above ``RENEWAL_TOL`` raises NumericError.
     """
     _check_combinable(f, rhs, "solve_renewal")
     n, h, fv = len(f), f.h, f.values
@@ -372,7 +390,7 @@ def solve_renewal(f: GridFunction, rhs: GridFunction, c: float) -> GridFunction:
     if a[0] == 0.0:
         raise NumericError("solve_renewal: singular system (1 + c h f(0)/2 = 0)")
     x0 = float(rhs.values[0])
-    x = _product(_series_inverse(a), rhs.values + (0.5 * c * h * x0) * fv, n)
+    x = _series_divide(rhs.values + (0.5 * c * h * x0) * fv, a)
     x[0] = x0
     residual = float(np.max(np.abs(x + c * (_product(w, x, n) - (0.5 * h * x0) * fv)
                                    - rhs.values)))

@@ -2,7 +2,9 @@
 renewal solver replaced.
 
 These loops are kept verbatim in test code so the solver can be checked
-against the algorithm it replaces.  :func:`geometric_series` is the
+against the algorithm it replaces.  :func:`newton_solve` is the renewal
+solve's earlier division, Newton doubling from length 1 and a full product
+with the right-hand side.  :func:`geometric_series` is the
 q-weighted series that the time-domain geometric map sums; the alternating
 loops are its q = 2 case.  They are slow (one grid convolution per
 series term) and capped at ``MAX_CONVOLUTIONS`` terms; run them at a tight
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from switchkit import GeometricCompound, GridFunction, GridSpec, ResourceLimitError
 from switchkit import tabulate_pdf as _tabulate_pdf
@@ -145,3 +148,39 @@ def geometric_series(f: GridFunction, g: GridFunction, q: float, tol: float) -> 
             return g.with_values(acc)
         term = convolve(term, f)
     raise ResourceLimitError("oracle geometric series tail not certified")
+
+
+def _product(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
+    """First n coefficients of the power-series product u*v, by real FFT."""
+    u, v = u[:n], v[:n]
+    size = sp_fft.next_fast_len(len(u) + len(v) - 1, real=True)
+    return sp_fft.irfft(sp_fft.rfft(u, size) * sp_fft.rfft(v, size), size)[:n]
+
+
+def _series_inverse(a: np.ndarray) -> np.ndarray:
+    """First len(a) coefficients of 1/a(z), by Newton iteration b <- b(2 - ab).
+
+    If a*b = 1 + z^m e (mod z^2m), then b - z^m (b*e) is the inverse to
+    order 2m, so each step doubles the number of correct coefficients.
+    """
+    b = np.array([1.0 / a[0]])
+    while len(b) < len(a):
+        m = len(b)
+        m2 = min(2 * m, len(a))
+        e = _product(a, b, m2)[m:]
+        b = np.concatenate([b, -_product(b, e, m2 - m)])
+    return b
+
+
+def newton_solve(f: GridFunction, rhs: GridFunction, c: float) -> np.ndarray:
+    """x with x + c convolve(x, f) = rhs, by the full series inverse of
+    delta + c w times the right-hand side (no residual check)."""
+    n, h, fv = len(f), f.h, f.values
+    w = h * fv
+    w[0] *= 0.5
+    a = c * w
+    a[0] += 1.0
+    x0 = float(rhs.values[0])
+    x = _product(_series_inverse(a), rhs.values + (0.5 * c * h * x0) * fv, n)
+    x[0] = x0
+    return x

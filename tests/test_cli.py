@@ -9,7 +9,7 @@ import pytest
 
 import switchkit
 from switchkit import GridFunction, make_gamma, simulate_switch
-from switchkit.cli import run
+from switchkit.cli import build_parser, run
 from switchkit.grid import write_rows
 
 
@@ -366,8 +366,10 @@ def test_cli_import_leaves_scipy_signal_unloaded():
     ["expected-value", "--dist", "exp(rate=1)", "--t-end", "inf"],
     ["expected-value", "--dist", "exp(rate=1)", "--t-end", "-1"],
     ["simulate", "--dist", "exp(rate=1)", "--horizon", "inf"],
+    ["expected-value", "--dist", "exp(rate=1)", "--t-end", "4", "--h", "10"],
+    ["estimate", "--dist", "exp(rate=1)", "--t-end", "4", "--h", "10"],
 ], ids=["h-zero", "estimate-h-zero", "h-nan", "t-end-nan", "t-end-inf", "t-end-negative",
-        "horizon-inf"])
+        "horizon-inf", "t-end-under-half-step", "estimate-t-end-under-half-step"])
 def test_bad_grid_arguments_exit_one_with_one_error_line(capsys, tmp_path, argv):
     out = ["--out-prefix" if argv[0] == "iia" else "--out", str(tmp_path / "x.csv")]
     code = run(argv + out)
@@ -417,3 +419,24 @@ def test_oversized_runs_exit_two_before_allocating(capsys, tmp_path, argv):
     _one_line_failure(capsys, argv + ["--out", str(tmp_path / "x")], 2,
                       "numeric failure: ")
     assert not list(tmp_path.iterdir())
+
+
+def test_one_parser_serves_every_run(capsys, tmp_path, monkeypatch):
+    # two verbs back to back in one process give the bytes of two processes
+    assert build_parser() is build_parser()
+    argvs = [["expected-value", "--dist", "gamma(shape=2,scale=2)", "--t-end", "3",
+              "--h", "0.01", "--out", "ev.csv"],
+             ["estimate", "--dist", "exp(rate=1)", "--t-end", "2", "--h", "0.5",
+              "--n-paths", "500", "--seed", "9", "--out", "est.csv"]]
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(switchkit.__file__))}
+    apart, together = tmp_path / "apart", tmp_path / "together"
+    apart.mkdir()
+    together.mkdir()
+    monkeypatch.chdir(together)
+    for argv in argvs:
+        want = subprocess.run([sys.executable, "-m", "switchkit.cli", *argv], cwd=apart,
+                              env=env, capture_output=True, text=True, check=True).stdout
+        assert run(argv) == 0
+        assert capsys.readouterr().out == want
+    for name in ("ev.csv", "est.csv"):
+        assert (together / name).read_bytes() == (apart / name).read_bytes()

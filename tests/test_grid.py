@@ -53,6 +53,13 @@ def test_grid_spec_times():
     assert spec.t_end == 1.0
 
 
+def test_grid_under_half_a_step_is_refused():
+    # round(0.4) steps would be a one-point grid at t = 0 alone
+    with pytest.raises(InvalidArgumentError, match="zero steps"):
+        GridSpec.from_t_end(4.0, 10.0)
+    assert GridSpec.from_t_end(6.0, 10.0).n == 2
+
+
 def test_grid_size_is_capped_before_allocating():
     # neither call allocates: the cap is checked on n and on t_end / h first
     with pytest.raises(ResourceLimitError, match="MAX_POINTS"):
