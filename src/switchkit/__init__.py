@@ -40,7 +40,6 @@ from .grid import (
 from .iia import (
     GaussianCovariance,
     IIAResult,
-    check_iia_conditions,
     clip_covariance,
     damped_cosine_covariance,
     diffusion2d_covariance,
@@ -98,7 +97,6 @@ __all__ = [
     "SwitchingDistribution",
     "check_covariance_shape",
     "check_expected_shape",
-    "check_iia_conditions",
     "clip_covariance",
     "cm_check",
     "convolve",

@@ -207,29 +207,20 @@ def _cmd_iia(args) -> dict:
         r = iia_mod.tabulated_covariance(GridFunction.from_csv(args.r))
     grid = GridSpec.from_t_end(args.t_end, args.h)
     result = iia_mod.iia_pipeline(r, grid)
-    summary = {
-        "verb": "iia",
-        "r": r.name or args.r,
-        "screen": result.screen.to_json_dict(),
-        "admissible": result.screen.passed,
-        "outputs": [],
-    }
-    if result.screen.passed:
-        clip_path = f"{args.out_prefix}_clipped_covariance.csv"
-        summary["outputs"] = _write_divisor(args.out_prefix, result.divisor_cdf,
-                                            result.divisor_pdf) + [clip_path]
-        result.clipped.to_csv(clip_path)
-        summary["mu"] = result.mu
-        if args.plot:
-            t = grid.times()
-            panels = [
-                Panel(title="clipped covariance").add(t, result.clipped.values, "C"),
-                Panel(title="divisor CDF").add(t, result.divisor_cdf.values, "CDF"),
-                Panel(title="divisor density").add(t, result.divisor_pdf.values, "pdf"),
-            ]
-            render_panels(panels, args.plot)
-            summary["outputs"].append(args.plot)
-    return summary
+    clip_path = f"{args.out_prefix}_clipped_covariance.csv"
+    outputs = _write_divisor(args.out_prefix, result.divisor_cdf, result.divisor_pdf)
+    result.clipped.to_csv(clip_path)
+    outputs.append(clip_path)
+    if args.plot:
+        t = grid.times()
+        render_panels([
+            Panel(title="clipped covariance").add(t, result.clipped.values, "C"),
+            Panel(title="divisor CDF").add(t, result.divisor_cdf.values, "CDF"),
+            Panel(title="divisor density").add(t, result.divisor_pdf.values, "pdf"),
+        ], args.plot)
+        outputs.append(args.plot)
+    return {"verb": "iia", "r": r.name or args.r, "screen": result.screen.to_json_dict(),
+            "mu": result.mu, "outputs": outputs}
 
 
 def _cmd_figure1(args) -> dict:

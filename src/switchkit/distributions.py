@@ -33,6 +33,9 @@ from .laplace import geometric_map
 # Mass discrepancy above this is an error; below it the density is
 # renormalized exactly.
 MASS_TOLERANCE = 1e-3
+# A tabulated density below minus this is refused; values above it are
+# clipped to zero.
+NEGATIVE_DENSITY_TOL = 1e-9
 
 # Kernel entries exp(-s t) that a tabulated law's transform builds per step:
 # 64 s-values at a time against the whole table up to 65 536 points, fewer
@@ -214,9 +217,10 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
     inverts the cumulative of t f(t)/mean the same way.
     """
     vals = np.array(pdf.values, dtype=float)
-    if np.min(vals) < -1e-9:
+    if np.min(vals) < -NEGATIVE_DENSITY_TOL:
         raise InvalidArgumentError(
-            f"density has negative mass points (min {np.min(vals):.3e})"
+            f"density has negative mass points (min {np.min(vals):.3e} < "
+            f"-{NEGATIVE_DENSITY_TOL:g})"
         )
     vals = np.maximum(vals, 0.0)
     t = pdf.times()

@@ -22,6 +22,8 @@ from .errors import InvalidArgumentError, NumericError
 from .grid import GridFunction, GridSpec
 from .laplace import CMReport, cm_check, geometric_map
 
+# The time-domain divisor density is solved on [0, TIME_SPAN_MEANS * mean]
+# at TIME_POINTS points, steps h and h/2.
 TIME_SPAN_MEANS = 40.0
 TIME_POINTS = (4001, 8001)
 # The divisor transform must equal one at s = 0 to within this; a grid
@@ -67,6 +69,8 @@ def divisor_density(dist: SwitchingDistribution, r: float, grid: GridSpec) -> Gr
 def _time_domain(dist: SwitchingDistribution, r: float) -> dict:
     """Minima m_h, m_h/2 of the divisor density on [0, TIME_SPAN_MEANS * mean]
     at TIME_POINTS points (steps h, h/2); refuted if m_h/2 + |m_h - m_h/2| < -ZERO_TOL.
+    ``t_min`` locates m_h/2 only when it is below -ZERO_TOL: a minimum nearer
+    zero is roundoff, and its location would move with any roundoff change.
     ``min`` is None and nothing is refuted for a law without a grid density,
     a solve over its residual bound (a divisor growing exponentially), or a
     divisor above 2/h: its decay outruns the step, so the values oscillate."""
@@ -83,7 +87,7 @@ def _time_domain(dist: SwitchingDistribution, r: float) -> dict:
         if h * np.max(np.abs(x)) / 2 > 1:
             return out
         mins.append(float(np.min(x)))
-    out.update(min=mins, t_min=int(np.argmin(x)) * h,
+    out.update(min=mins, t_min=int(np.argmin(x)) * h if mins[1] < -ZERO_TOL else None,
                refuted=mins[1] + abs(mins[0] - mins[1]) < -ZERO_TOL)
     return out
 

@@ -37,6 +37,11 @@ RENEWAL_TOL = 1e-6
 # draw.  The E solve peaks near 97 bytes per point, about 1.6 GB at the cap.
 MAX_POINTS = 2**24
 
+# A table read by GridFunction.from_csv is uniform when every step matches
+# the first to this relative and absolute tolerance (np.allclose).
+UNIFORM_STEP_RTOL = 1e-9
+UNIFORM_STEP_ATOL = 1e-12
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -152,8 +157,10 @@ class GridFunction:
             raise InvalidArgumentError(f"{path}: the table must start at t = 0, got t = {t[0]}")
         steps = np.diff(t)
         h = float(steps[0])
-        if not np.allclose(steps, h, rtol=1e-9, atol=1e-12):
-            raise InvalidArgumentError(f"{path}: grid is not uniform; resampling is not performed")
+        if not np.allclose(steps, h, rtol=UNIFORM_STEP_RTOL, atol=UNIFORM_STEP_ATOL):
+            raise InvalidArgumentError(
+                f"{path}: grid is not uniform to rtol {UNIFORM_STEP_RTOL:g}, atol "
+                f"{UNIFORM_STEP_ATOL:g}; resampling is not performed")
         return cls(h=h, values=data[:, 1])
 
 

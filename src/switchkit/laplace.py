@@ -37,6 +37,9 @@ CM_TOL = 1e-7
 CM_NOISE_GUARD = 1e3
 # Talbot contour nodes per inverted time point.
 TALBOT_NODES = 64
+# |s L(E)(s)| may exceed one by this much (roundoff) before
+# psi_from_expected_laplace marks the point NaN.
+PRODUCT_RANGE_TOL = 1e-12
 
 # Times inverted per step of invert_laplace.  A step holds a few
 # (block x nodes) clongdouble arrays, 2 MB each at 64 nodes, where all
@@ -87,7 +90,7 @@ def psi_from_expected_laplace(le):
         prod = s_arr * le(s)
         out = (1.0 - prod) / (1.0 + prod)
         if not np.iscomplexobj(prod):
-            bad = np.abs(prod) > 1.0 + 1e-12
+            bad = np.abs(prod) > 1.0 + PRODUCT_RANGE_TOL
             if np.any(bad):
                 out = np.where(bad, np.nan, out)
         return out if np.asarray(s).ndim else out[()]

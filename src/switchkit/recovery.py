@@ -72,7 +72,6 @@ class ShapeReport:
     checked_conditions: tuple[tuple[str, float, float], ...]
     limits: tuple[float, float]
     tolerances: dict = field(default_factory=dict)
-    notes: tuple[str, ...] = ()
 
     def violation(self, name: str) -> float:
         for cond, worst, _ in self.checked_conditions:
@@ -89,24 +88,30 @@ class ShapeReport:
             ],
             "limits": list(self.limits),
             "tolerances": dict(self.tolerances),
-            "notes": list(self.notes),
         }
 
 
-def finish_report(conds, tols, limits, notes=()) -> ShapeReport:
+def _finish_report(conds, tols, limits) -> ShapeReport:
     """Report that passes when each condition's worst violation is within
     its tolerance."""
     passed = all(worst <= tols[name] for name, worst, _ in conds)
-    return ShapeReport(
-        passed=passed,
-        checked_conditions=tuple(conds),
-        limits=limits,
-        tolerances=tols,
-        notes=tuple(notes),
+    return ShapeReport(passed=passed, checked_conditions=tuple(conds), limits=limits,
+                       tolerances=tols)
+
+
+def _require(report: ShapeReport, what: str, refusal: str) -> ShapeReport:
+    """``report`` if it passed; otherwise a ShapeCheckError naming each failed
+    condition with its worst violation, location and tolerance."""
+    if report.passed:
+        return report
+    failed = "; ".join(
+        f"{name} violated by {worst:.3e} at t = {loc:.6g} (tolerance {report.tolerances[name]:g})"
+        for name, worst, loc in report.checked_conditions if worst > report.tolerances[name]
     )
+    raise ShapeCheckError(f"{what} fails the shape screen; {refusal}: {failed}", report=report)
 
 
-def sign_condition(name, values, times, upper=True):
+def _sign_condition(name, values, times, upper=True):
     """Worst violation of values <= 0 (upper) or values >= 0 (lower)."""
     excess = values if upper else -values
     idx = int(np.argmax(excess))
@@ -220,7 +225,7 @@ def check_expected_shape(E: GridFunction) -> ShapeReport:
         ("starts_at_one", abs(float(v[0]) - 1.0), float(t[0])),
         ("decays_to_zero", abs(float(v[-1])), float(t[-1])),
         ("differentiable", float(jumps[j_idx]) if len(jumps) else 0.0, float(t[j_idx])),
-        sign_condition("nonincreasing", dE.values, t, upper=True),
+        _sign_condition("nonincreasing", dE.values, t, upper=True),
     ]
     tols = {
         "starts_at_one": LIMIT_TOL,
@@ -228,7 +233,7 @@ def check_expected_shape(E: GridFunction) -> ShapeReport:
         "differentiable": JUMP_TOL,
         "nonincreasing": SIGN_TOL,
     }
-    return finish_report(conds, tols, (float(v[0]), float(v[-1])))
+    return _finish_report(conds, tols, (float(v[0]), float(v[-1])))
 
 
 def check_covariance_shape(C: GridFunction) -> ShapeReport:
@@ -244,9 +249,9 @@ def check_covariance_shape(C: GridFunction) -> ShapeReport:
     dC = derivative(C)
     d2C = second_derivative(C)
     conds = [
-        sign_condition("nonnegative", v, t, upper=False),
-        sign_condition("nonincreasing", dC.values, t, upper=True),
-        sign_condition("convex", d2C.values, t, upper=False),
+        _sign_condition("nonnegative", v, t, upper=False),
+        _sign_condition("nonincreasing", dC.values, t, upper=True),
+        _sign_condition("convex", d2C.values, t, upper=False),
         ("starts_at_one", abs(float(v[0]) - 1.0), float(t[0])),
         ("decays_to_zero", abs(float(v[-1])), float(t[-1])),
     ]
@@ -257,7 +262,7 @@ def check_covariance_shape(C: GridFunction) -> ShapeReport:
         "starts_at_one": LIMIT_TOL,
         "decays_to_zero": LIMIT_TOL,
     }
-    return finish_report(conds, tols, (float(v[0]), float(v[-1])))
+    return _finish_report(conds, tols, (float(v[0]), float(v[-1])))
 
 
 # -- divisor recovery --------------------------------------------------------
@@ -283,12 +288,7 @@ def divisor_from_expected(E: GridFunction):
     exactly when its mass is within ``MASS_TOLERANCE`` of one; larger
     discrepancies are errors.
     """
-    report = check_expected_shape(E)
-    if not report.passed:
-        raise ShapeCheckError(
-            "expected value fails the monotone-shape screen; no 2-geometric divisor exists",
-            report=report,
-        )
+    _require(check_expected_shape(E), "expected value", "no 2-geometric divisor exists")
     F_div = E.with_values(np.clip(1.0 - E.values, 0.0, None))
     f_div = _renormalized_density(E.with_values(-derivative(E).values), "divisor_from_expected")
     return F_div, f_div
@@ -303,12 +303,13 @@ def divisor_from_covariance(C: GridFunction):
     mu = 2 int E with E = -(mu/2) C'; a relative mismatch beyond
     ``MU_MISMATCH_TOL`` raises with both estimates attached.
     """
-    report = check_covariance_shape(C)
-    if not report.passed:
-        raise ShapeCheckError(
-            "covariance fails the shape screen; divisor recovery refused",
-            report=report,
-        )
+    return _covariance_route(C)[1:]
+
+
+def _covariance_route(C: GridFunction):
+    """(report, mu, divisor CDF, divisor density): :func:`divisor_from_covariance`
+    together with the passing report of its one shape screen."""
+    report = _require(check_covariance_shape(C), "covariance", "divisor recovery refused")
     dC = derivative(C)
     slope0 = float(dC.values[0])
     if not slope0 < 0:
@@ -331,7 +332,7 @@ def divisor_from_covariance(C: GridFunction):
     f_div = _renormalized_density(
         C.with_values((mu / 2.0) * second_derivative(C).values), "divisor_from_covariance"
     )
-    return mu, F_div, f_div
+    return report, mu, F_div, f_div
 
 
 def switching_law_from_divisor(divisor: SwitchingDistribution) -> GeometricCompound:

@@ -69,28 +69,37 @@ class SwitchTrajectory:
         return xs, np.repeat(1.0 - 2.0 * (np.arange(len(ep) + 1) & 1), 2)
 
 
-def _draw_epochs(dist: SwitchingDistribution, horizon: float, rng) -> np.ndarray:
-    """Inter-arrival sums until the partial sum first exceeds the horizon."""
-    block = max(8, int(horizon / dist.mean * 1.5) + 1)
-    total = 0.0
-    chunks = []
-    while total <= horizon:
-        draws = np.atleast_1d(dist.sample(rng, block))
-        cum = total + np.cumsum(draws)
-        chunks.append(cum)
-        total = float(cum[-1])
-    epochs = np.concatenate(chunks)
-    keep = int(np.searchsorted(epochs, horizon, side="right"))
-    return epochs[: keep + 1]  # keep the first epoch past the horizon
-
-
 def simulate_switch(dist: SwitchingDistribution, horizon: float, seed) -> SwitchTrajectory:
     """One switch-process path on [0, horizon], starting at +1."""
     if not (horizon > 0 and math.isfinite(horizon)):
         raise InvalidArgumentError(f"horizon must be positive and finite, got {horizon}")
     if horizon / dist.mean > MAX_POINTS:
         raise ResourceLimitError(f"horizon / mean exceeds MAX_POINTS = {MAX_POINTS}")
-    return SwitchTrajectory(epochs=_draw_epochs(dist, horizon, make_rng(seed)), horizon=horizon)
+    rounds = _rounds(dist, np.zeros(1), horizon, make_rng(seed))
+    epochs = np.concatenate([epochs[0] for _, epochs in rounds])
+    keep = int(np.searchsorted(epochs, horizon, side="right"))
+    return SwitchTrajectory(epochs=epochs[: keep + 1], horizon=horizon)  # and the first past it
+
+
+def _rounds(dist: SwitchingDistribution, start: np.ndarray, t_end: float, rng):
+    """Rounds (rows, epochs) of epochs after ``start``, drawn until every
+    row's last epoch has passed t_end.
+
+    Row i's epochs are start[i] plus the partial sums of i.i.d. draws from
+    ``dist``.  Each round tops up, in row order, the rows whose last epoch
+    has not passed t_end, with at most ``_ROUND_DRAWS`` draws;
+    ``epochs[j]`` continues row ``rows[j]``.
+    """
+    last = np.array(start, dtype=float)
+    rows = np.flatnonzero(last <= t_end)
+    while rows.size:
+        want = 1.5 * (t_end - last[rows].min()) / dist.mean
+        k = int(min(max(want, 8.0), max(_ROUND_DRAWS // rows.size, 1)))
+        gaps = np.reshape(dist.sample(rng, rows.size * k), (rows.size, k))
+        epochs = last[rows, None] + np.cumsum(gaps, axis=1)
+        yield rows, epochs
+        last[rows] = epochs[:, -1]
+        rows = rows[epochs[:, -1] <= t_end]
 
 
 def _odd_counts(dist: SwitchingDistribution, t: np.ndarray, start: np.ndarray,
@@ -101,28 +110,18 @@ def _odd_counts(dist: SwitchingDistribution, t: np.ndarray, start: np.ndarray,
     each partial sum of i.i.d. draws from ``dist``.  The number of odd paths
     at t_j is the number of odd-numbered switches up to t_j minus the number
     of even-numbered ones: two integer histograms over the grid, never a
-    matrix of paths by grid times.  Each round tops up, in row order, the rows whose
-    last epoch has not passed t[-1], with at most ``_ROUND_DRAWS`` draws.
+    matrix of paths by grid times.  The draws come in :func:`_rounds` up to t[-1].
     """
     n = len(t)
-    t_end = t[-1]
     # bin 2j + 1 (2j) counts the odd- (even-) numbered switches in
     # (t[j-1], t[j]]; bins 2n and 2n + 1 those past the grid
     hist = np.bincount(2 * np.searchsorted(t, start[start > 0]) + 1, minlength=2 * n + 2)
     numbered = (start > 0).astype(np.int64)
-    last = np.array(start, dtype=float)
-    rows = np.flatnonzero(last <= t_end)
-    while rows.size:
-        want = 1.5 * (t_end - last[rows].min()) / dist.mean
-        k = int(min(max(want, 8.0), max(_ROUND_DRAWS // rows.size, 1)))
-        gaps = np.reshape(dist.sample(rng, rows.size * k), (rows.size, k))
-        epochs = last[rows, None] + np.cumsum(gaps, axis=1)
-        is_odd = (numbered[rows, None] + np.arange(1, k + 1)) & 1
+    for rows, epochs in _rounds(dist, start, t[-1], rng):
+        is_odd = (numbered[rows, None] + np.arange(1, epochs.shape[1] + 1)) & 1
         hist += np.bincount((2 * np.searchsorted(t, epochs) + is_odd).ravel(),
                             minlength=2 * n + 2)
-        numbered[rows] += k
-        last[rows] = epochs[:, -1]
-        rows = rows[epochs[:, -1] <= t_end]
+        numbered[rows] += epochs.shape[1]
     return np.cumsum(hist[1:2 * n:2] - hist[0:2 * n:2])
 
 

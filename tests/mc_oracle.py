@@ -1,5 +1,6 @@
 """Frozen reference: the per-path parity and covariance-product logic that
-the block kernel in :mod:`switchkit.simulation` replaced.
+the block kernel in :mod:`switchkit.simulation` replaced, and the one-path
+epoch draw that its rounds replaced in ``simulate_switch``.
 
 The loop bodies are the old estimator workers' with the per-path stream and
 epoch draw taken out: each function takes its paths' epoch rows instead, so
@@ -43,3 +44,18 @@ def covariance_plus_counts(delays, epoch_rows, t: np.ndarray) -> np.ndarray:
             prod[after] = 1 - 2 * parity
         counts += prod == 1
     return counts
+
+
+def draw_epochs(dist, horizon: float, rng) -> np.ndarray:
+    """Inter-arrival sums until the partial sum first exceeds the horizon."""
+    block = max(8, int(horizon / dist.mean * 1.5) + 1)
+    total = 0.0
+    chunks = []
+    while total <= horizon:
+        draws = np.atleast_1d(dist.sample(rng, block))
+        cum = total + np.cumsum(draws)
+        chunks.append(cum)
+        total = float(cum[-1])
+    epochs = np.concatenate(chunks)
+    keep = int(np.searchsorted(epochs, horizon, side="right"))
+    return epochs[: keep + 1]  # keep the first epoch past the horizon

@@ -37,7 +37,8 @@ def test_validation_failure_exits_one(capsys, tmp_path):
 
 
 def test_numeric_failure_exits_two(capsys, tmp_path):
-    # oscillating E fails the monotone-shape screen inside recovery
+    # oscillating E fails the shape screen inside recovery, which names the
+    # failed condition
     t = np.arange(0, 8, 1e-3)
     E = GridFunction(h=1e-3,
                      values=np.sqrt(2) * np.sin((2 * t + np.pi) / 4) * np.exp(-t / 2))
@@ -46,7 +47,9 @@ def test_numeric_failure_exits_two(capsys, tmp_path):
     code = run(["recover", "--from", "expected", "--input", str(src),
                 "--out-prefix", str(tmp_path / "rec")])
     assert code == 2
-    assert "numeric failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("numeric failure: expected value fails the shape screen")
+    assert "nonincreasing violated by" in err and "(tolerance 1e-06)" in err
 
 
 def test_expected_value_verb(capsys, tmp_path):
@@ -155,19 +158,21 @@ def test_iia_verb_builtin(capsys, tmp_path):
         "--out-prefix", str(tmp_path / "iia"),
         "--plot", str(tmp_path / "iia.svg"),
     ])
-    assert summary["admissible"] is True
+    assert summary["screen"]["passed"] is True and "admissible" not in summary
     assert math.isclose(summary["mu"], 2 * np.pi, rel_tol=1e-3)
     svg = (tmp_path / "iia.svg").read_text()
     assert svg.startswith("<svg")
 
 
 def test_iia_verb_rejection(capsys, tmp_path):
-    summary = run_json(capsys, [
-        "iia", "--r", "damped-cosine", "--t-end", "10", "--h", "0.001",
-        "--out-prefix", str(tmp_path / "iia"),
-    ])
-    assert summary["admissible"] is False
-    assert summary["outputs"] == []
+    # refused like recover: exit 2, one line naming the failed condition
+    code = run(["iia", "--r", "damped-cosine", "--t-end", "10", "--h", "0.001",
+                "--out-prefix", str(tmp_path / "iia")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("numeric failure: covariance fails the shape screen")
+    assert "nonnegative violated by" in err and len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.iterdir())
 
 
 def test_iia_verb_tabulated_correlation(capsys, tmp_path):
@@ -179,9 +184,8 @@ def test_iia_verb_tabulated_correlation(capsys, tmp_path):
         "iia", "--r", str(src), "--t-end", "40", "--h", "0.002",
         "--out-prefix", str(tmp_path / "tab"),
     ])
-    assert summary["admissible"] is True
+    assert summary["screen"]["passed"] is True
     assert math.isclose(summary["mu"], 2 * np.pi, rel_tol=1e-3)
-    assert any("finite differences" in n for n in summary["screen"]["notes"])
 
 
 def test_figure1_verb(capsys, tmp_path):

@@ -21,7 +21,7 @@ from switchkit import (
     reduce_order,
     tabulate_pdf,
 )
-from switchkit.divisibility import divisor_density
+from switchkit.divisibility import TIME_POINTS, ZERO_TOL, divisor_density
 
 S_PROBES = (0.1, 1.0, 10.0)
 REAL_NODES = np.logspace(-3, 3, 25)
@@ -144,6 +144,17 @@ def test_refuted_divisor_matches_closed_form():
     want = 1.5 * math.sqrt(2.0) * math.exp(-t) * math.sin(t / math.sqrt(2.0))
     assert abs(td["t_min"] - t) <= td["h"][0]
     assert abs(td["min"][1] - want) <= 1e-6
+
+
+def test_a_roundoff_minimum_is_not_located():
+    # exp(rate=0.722751) is 1.65965-divisible; its divisor density's minimum
+    # is roundoff (~ -1.4e-16), whose location moves with any roundoff change
+    dist, r = make_exponential(0.722751), 1.65965
+    td = gd_check(dist, r).time_domain
+    assert td["t_min"] is None and not td["refuted"]
+    grids = [GridSpec(h=h, n=n) for h, n in zip(td["h"], TIME_POINTS)]
+    assert td["min"] == [float(np.min(divisor_density(dist, r, g).values)) for g in grids]
+    assert -ZERO_TOL < td["min"][1] < 0
 
 
 @pytest.mark.parametrize("name", ["exp1", "gamma2,2", "gamma0.5", "compound2_exp2",

@@ -8,8 +8,8 @@ from switchkit import (
     GridSpec,
     InvalidArgumentError,
     GaussianCovariance,
+    ShapeCheckError,
     check_covariance_shape,
-    check_iia_conditions,
     clip_covariance,
     damped_cosine_covariance,
     diffusion2d_covariance,
@@ -19,8 +19,10 @@ from switchkit import (
     make_rng,
     tabulated_covariance,
 )
+from switchkit import recovery
 
 from conftest import grid_fn
+from iia_reference import iia_conditions
 
 
 def sech(t):
@@ -70,39 +72,75 @@ def test_clip_preserves_sign():
 
 
 # -- admissibility screen ---------------------------------------------------------
+# The IIA is admissible when the clipped covariance passes the shape screen.
 
 
 def test_screen_accepts_diffusion2d():
-    assert check_iia_conditions(diffusion2d_covariance(), GRID).passed
+    assert check_covariance_shape(clip_covariance(diffusion2d_covariance(), GRID)).passed
 
 
 def test_screen_accepts_exponential():
-    assert check_iia_conditions(exponential_covariance(), GRID).passed
+    assert check_covariance_shape(clip_covariance(exponential_covariance(), GRID)).passed
 
 
 def test_screen_rejects_damped_cosine():
-    report = check_iia_conditions(damped_cosine_covariance(), GridSpec.from_t_end(10.0, 1e-3))
+    grid = GridSpec.from_t_end(10.0, 1e-3)
+    report = check_covariance_shape(clip_covariance(damped_cosine_covariance(), grid))
     assert not report.passed
     assert report.violation("nonnegative") > 1e-6
 
 
-def test_screen_flags_finite_difference_fallback():
+def test_tabulated_correlation_screens_like_its_closed_form():
     table = grid_fn(lambda t: sech(t / 2), 40.0, 1e-3)
-    r = tabulated_covariance(table)
-    report = check_iia_conditions(r, GRID)
-    assert report.passed
-    assert any("finite differences" in n for n in report.notes)
+    tabulated = check_covariance_shape(clip_covariance(tabulated_covariance(table), GRID))
+    builtin = check_covariance_shape(clip_covariance(diffusion2d_covariance(), GRID))
+    assert tabulated.passed and tabulated == builtin
 
 
-def test_screen_reports_exclusion_window():
-    report = check_iia_conditions(diffusion2d_covariance(), GRID)
-    assert any("skipped" in n for n in report.notes)
+_S3, _S5 = math.sqrt(3.0), math.sqrt(5.0)
+FAMILIES = {
+    "sech(t/2)": lambda t: sech(t / 2),
+    "sech(2t)": lambda t: sech(2 * t),
+    "exp": lambda t: np.exp(-t),
+    "matern3/2": lambda t: (1 + _S3 * t) * np.exp(-_S3 * t),
+    "matern5/2": lambda t: (1 + _S5 * t + 5 * t * t / 3) * np.exp(-_S5 * t),
+    "gauss": lambda t: np.exp(-t * t),
+    "cauchy": lambda t: 1 / (1 + t * t),
+    "cos(0.1t)exp": lambda t: np.cos(0.1 * t) * np.exp(-t),
+    "cos(0.3t)exp": lambda t: np.cos(0.3 * t) * np.exp(-t),
+    "cos(t)exp": lambda t: np.cos(t) * np.exp(-t),
+    "triangle": lambda t: np.maximum(1 - t / 3, 0.0),
+    "triangle^2": lambda t: np.maximum(1 - t / 3, 0.0) ** 2,
+}
 
 
-def test_screen_pass_implies_covariance_shape_pass():
-    for r in (diffusion2d_covariance(), exponential_covariance(scale=0.5)):
-        assert check_iia_conditions(r, GRID).passed
-        assert check_covariance_shape(clip_covariance(r, GRID)).passed
+@pytest.mark.parametrize("h", [1e-2, 1e-3])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_clipped_screen_matches_the_reference_verdict(family, h):
+    # C >= 0, C' <= 0, C'' >= 0 for C = (2/pi) arcsin r are, by the chain
+    # rule, the reference screen's r >= 0, r' <= 0, r'' >= -r r'^2 / (1 - r^2)
+    fn = FAMILIES[family]
+    grid = GridSpec.from_t_end(60.0, h)
+    report = check_covariance_shape(clip_covariance(GaussianCovariance(fn=fn), grid))
+    reference = iia_conditions(fn(grid.times()), h)
+    pairs = {"nonnegative": "nonnegative", "nonincreasing": "nonincreasing",
+             "convex": "curvature_bound"}
+    got = {c: report.violation(c) <= recovery.SIGN_TOL for c in pairs}
+    want = {c: reference[r] <= recovery.SIGN_TOL for c, r in pairs.items()}
+    assert got == want
+
+
+def test_pipeline_screens_the_clipped_covariance_once(monkeypatch):
+    screen, reports = recovery.check_covariance_shape, []
+
+    def counted(C):
+        reports.append(screen(C))
+        return reports[-1]
+
+    monkeypatch.setattr(recovery, "check_covariance_shape", counted)
+    result = iia_pipeline(diffusion2d_covariance(), GRID)
+    assert len(reports) == 1
+    assert result.screen is reports[0] and result.screen.passed
 
 
 # -- pipeline ---------------------------------------------------------------------
@@ -122,10 +160,10 @@ def test_pipeline_diffusion2d_end_to_end():
 
 
 def test_pipeline_rejects_damped_cosine():
-    result = iia_pipeline(damped_cosine_covariance(), GridSpec.from_t_end(10.0, 1e-3))
-    assert not result.screen.passed
-    assert result.mu is None and result.clipped is None
-    assert result.compound is None
+    with pytest.raises(ShapeCheckError, match="fails the shape screen") as refused:
+        iia_pipeline(damped_cosine_covariance(), GridSpec.from_t_end(10.0, 1e-3))
+    assert refused.value.report.violation("nonnegative") > 1e-6
+    assert "nonnegative violated by" in str(refused.value)
 
 
 def test_pipeline_exponential_covariance_degenerates():
@@ -137,7 +175,7 @@ def test_pipeline_exponential_covariance_degenerates():
 
     r = exponential_covariance()
     grid = GridSpec.from_t_end(60.0, 2e-3)
-    assert check_iia_conditions(r, grid).passed
+    assert check_covariance_shape(clip_covariance(r, grid)).passed
     with pytest.raises(NumericError, match="mass"):
         iia_pipeline(r, grid)
 
@@ -145,13 +183,7 @@ def test_pipeline_exponential_covariance_degenerates():
 def test_pipeline_smooth_admissible_covariance():
     # a smooth admissible correlation (flat at the origin) recovers a
     # genuine divisor: CDF starts at 0, density mass is one
-    r = GaussianCovariance(
-        fn=lambda t: 1.0 / np.cosh(np.asarray(t)),
-        d1=lambda t: -np.tanh(np.asarray(t)) / np.cosh(np.asarray(t)),
-        d2=lambda t: (np.tanh(np.asarray(t)) ** 2 - 1.0 / np.cosh(np.asarray(t)) ** 2)
-        / np.cosh(np.asarray(t)),
-        name="sech",
-    )
+    r = GaussianCovariance(fn=lambda t: 1.0 / np.cosh(np.asarray(t)), name="sech")
     result = iia_pipeline(r, GridSpec.from_t_end(30.0, 1e-3))
     assert result.screen.passed
     assert result.divisor_cdf.values[0] == 0.0
@@ -182,14 +214,4 @@ def test_pipeline_gives_the_diffusion_persistence_exponent(t_end):
 def test_diffusion2d_normalization():
     r = diffusion2d_covariance()
     assert r(0.0) == 1.0
-    assert r.d1(0.0) == 0.0
-
-
-def test_diffusion2d_derivatives_match_finite_differences():
-    r = diffusion2d_covariance()
-    t = np.linspace(0.5, 10.0, 40)
-    h = 1e-5
-    fd1 = (r(t + h) - r(t - h)) / (2 * h)
-    fd2 = (r(t + h) - 2 * r(t) + r(t - h)) / (h * h)
-    np.testing.assert_allclose(r.d1(t), fd1, atol=1e-9)
-    np.testing.assert_allclose(r.d2(t), fd2, atol=1e-5)
+    assert r.name == "diffusion2d"

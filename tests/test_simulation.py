@@ -14,12 +14,13 @@ from switchkit import (
     estimate_expected_value,
     make_rng,
     make_tabulated,
+    parse_distribution,
     simulate_switch,
 )
 from switchkit.simulation import _BLOCK, _forward_delays, _odd_counts
 
 from conftest import grid_fn
-from mc_oracle import covariance_plus_counts, expected_plus_counts
+from mc_oracle import covariance_plus_counts, draw_epochs, expected_plus_counts
 
 
 # -- simulate_switch -------------------------------------------------------------
@@ -70,6 +71,20 @@ def test_horizon_is_capped_before_drawing(exp1):
 def test_bad_seed_is_an_invalid_argument(exp1, seed):
     with pytest.raises(InvalidArgumentError, match="seed"):
         simulate_switch(exp1, 5.0, seed)
+
+
+@pytest.mark.parametrize("spec", ["exp(rate=1)", "gamma(shape=2,scale=2)"])
+@pytest.mark.parametrize("means", [10.0, 2e5])
+def test_path_matches_the_frozen_epoch_draw(spec, means):
+    # simulate_switch draws in the estimators' bounded rounds; for a sampler
+    # that spends one variate per gap the gaps are the replaced loop's, and
+    # only the grouping of the partial sums differs, which moves a sum of n
+    # positive terms by at most (n - 1) eps relative to each side
+    dist = parse_distribution(spec)
+    got = simulate_switch(dist, means * dist.mean, 3).epochs
+    want = draw_epochs(dist, means * dist.mean, make_rng(3))
+    assert len(got) == len(want)
+    np.testing.assert_allclose(got, want, rtol=2 * len(want) * np.finfo(float).eps, atol=0)
 
 
 def test_inter_epoch_gaps_follow_switching_law(exp1):

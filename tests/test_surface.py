@@ -29,8 +29,6 @@ DEFAULTED = {
     "grid.write_rows": ("end",),
     "iia.damped_cosine_covariance": ("rate", "freq"),
     "iia.exponential_covariance": ("scale",),
-    "recovery.finish_report": ("notes",),
-    "recovery.sign_condition": ("upper",),
     "simulation.estimate_covariance": ("workers",),
     "simulation.estimate_expected_value": ("workers",),
 }
@@ -41,13 +39,13 @@ FIELDS = {
                  "tolerance"),
     "DivisibilityReport": ("r", "passed", "cm_report", "laplace_at_zero", "zero_tolerance",
                            "time_domain"),
-    "GaussianCovariance": ("fn", "d1", "d2", "name"),
+    "GaussianCovariance": ("fn", "name"),
     "GeometricCompound": ("name", "mean", "laplace", "pdf", "cdf", "sampler",
                           "size_biased_sampler", "divisor", "r"),
     "GridFunction": ("h", "values", "notes"),
     "GridSpec": ("h", "n"),
     "IIAResult": ("screen", "mu", "clipped", "divisor_cdf", "divisor_pdf", "compound"),
-    "ShapeReport": ("passed", "checked_conditions", "limits", "tolerances", "notes"),
+    "ShapeReport": ("passed", "checked_conditions", "limits", "tolerances"),
     "SwitchTrajectory": ("epochs", "horizon"),
     "SwitchingDistribution": ("name", "mean", "laplace", "pdf", "cdf", "sampler",
                               "size_biased_sampler"),
@@ -139,7 +137,33 @@ def test_readme_tolerance_table_matches_the_constants():
             unparsed[name] = (value, got)
             continue
         assert got == want, (name, got, value)
-    assert unparsed.keys() == {"CM_S_GRID"}
+    assert unparsed.keys() == {"CM_S_GRID", "TIME_POINTS"}
     value, grid = unparsed["CM_S_GRID"]
     assert value == "40 points, 1e-2 to 1e2"
     np.testing.assert_array_equal(grid, np.logspace(-2, 2, 40))
+    value, points = unparsed["TIME_POINTS"]
+    assert tuple(int(p) for p in value.split(",")) == points
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _numeric_constants(module: str) -> set[str]:
+    """Public upper-case names a module assigns a number, or a tuple of
+    numbers, at its top level (imported names excluded)."""
+    mod = importlib.import_module(f"switchkit.{module}")
+    names = {target.id for node in ast.parse(inspect.getsource(mod)).body
+             if isinstance(node, ast.Assign) for target in node.targets
+             if isinstance(target, ast.Name)}
+    return {name for name in names
+            if name.isupper() and not name.startswith("_")
+            and (_is_number(v := getattr(mod, name))
+                 or (isinstance(v, tuple) and v and all(map(_is_number, v))))}
+
+
+def test_every_numeric_constant_has_a_tolerance_row():
+    modules = ("grid", "distributions", "laplace", "recovery", "divisibility", "iia",
+               "simulation")
+    constants = {(name, module) for module in modules for name in _numeric_constants(module)}
+    assert constants == {(name, module) for name, _, module in _tolerance_rows()}
