@@ -53,7 +53,6 @@ from .laplace import (
     covariance_laplace,
     expected_laplace_from_psi,
     geometric_map,
-    invert_laplace,
     psi_from_expected_laplace,
 )
 from .recovery import (
@@ -122,7 +121,6 @@ __all__ = [
     "geometric_map_grid",
     "iia_pipeline",
     "integral",
-    "invert_laplace",
     "make_exponential",
     "make_gamma",
     "make_geometric_compound",

@@ -2,9 +2,7 @@
 geometric compounds.
 
 Every distribution bundles a density, a CDF, a Laplace transform, a mean and
-a sampler.  Laplace evaluators accept real or complex arguments (complex
-support is what lets the contour inversion in :mod:`switchkit.laplace` work
-on them).
+a sampler.  Laplace evaluators accept real or complex arguments.
 
 Randomness contract: samplers draw from a caller-owned
 ``numpy.random.Generator``.  :func:`make_rng` builds one from an explicit
@@ -212,9 +210,9 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
     renormalized exactly.  The CDF is the trapezoid antiderivative, the
     transform is trapezoid quadrature of e^{-s t} f(t) on the stored grid
     (truncation beyond the grid is bounded by exp(-s * t_end); for Re(s) << 0
-    the truncated sum overflows, which contour inversion marks NaN), and sampling
-    inverts the CDF with linear interpolation; the size-biased sampler
-    inverts the cumulative of t f(t)/mean the same way.
+    the truncated sum overflows), and sampling inverts the CDF with linear
+    interpolation; the size-biased sampler inverts the cumulative of
+    t f(t)/mean the same way.
     """
     vals = np.array(pdf.values, dtype=float)
     if np.min(vals) < -NEGATIVE_DENSITY_TOL:
@@ -248,7 +246,7 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
         s_arr = np.asarray(s)
         if s_arr.ndim == 0:
             return np.dot(np.exp(-s_arr * t), wv)
-        # block the outer product so contour-matrix inputs stay in memory
+        # block the outer product so large s arrays stay in memory
         flat = s_arr.ravel()
         out = np.empty(flat.shape, dtype=np.result_type(flat.dtype, float))
         for lo in range(0, flat.size, rows):

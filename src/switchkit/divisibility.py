@@ -13,7 +13,7 @@ density refutes it.  Non-integer r is permitted throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -42,14 +42,7 @@ class DivisibilityReport:
     time_domain: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "r": self.r,
-            "passed": self.passed,
-            "laplace_at_zero": self.laplace_at_zero,
-            "zero_tolerance": self.zero_tolerance,
-            "cm_report": self.cm_report.to_json_dict(),
-            "time_domain": dict(self.time_domain),
-        }
+        return asdict(self)
 
 
 def divisor_laplace(psi, r: float):

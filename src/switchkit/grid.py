@@ -120,12 +120,8 @@ class GridFunction:
         """Linear interpolation at arbitrary times (constant beyond the ends)."""
         return np.interp(t, self.times(), self.values)
 
-    def with_values(self, values, notes: tuple[str, ...] | None = None) -> "GridFunction":
-        return GridFunction(
-            h=self.h,
-            values=np.asarray(values, dtype=float),
-            notes=self.notes if notes is None else notes,
-        )
+    def with_values(self, values) -> "GridFunction":
+        return GridFunction(h=self.h, values=np.asarray(values, dtype=float), notes=self.notes)
 
     # -- serialization ----------------------------------------------------
 

@@ -1,22 +1,16 @@
-"""Laplace-domain relations, numerical inversion and the complete
-monotonicity screen.
+"""Laplace-domain relations and the complete monotonicity screen.
 
 The relations connect three transforms: psi(s) of the switching-time law,
 L(E)(s) of the switch-process expected value, and L(C)(s) of the stationary
 covariance.  Every function here takes a transform as any vectorized
-callable s -> value and returns one.  Evaluators must be pure and vectorized
-and should accept complex input with positive real part (required for
-contour inversion).
-
-Inversion uses the fixed Talbot contour.  The contour weights grow like
-exp(2M/5), so the sum is accumulated in extended precision (clongdouble);
-plain double precision would lose ~5 digits to cancellation at M=64.
+callable s -> value and returns one.  Evaluators must be pure and vectorized;
+the maps accept real or complex s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -35,16 +29,9 @@ CM_TOL = 1e-7
 # Multiple of the rounding-noise floor of an n-th difference that the CM
 # screen forgives (see cm_check).
 CM_NOISE_GUARD = 1e3
-# Talbot contour nodes per inverted time point.
-TALBOT_NODES = 64
 # |s L(E)(s)| may exceed one by this much (roundoff) before
 # psi_from_expected_laplace marks the point NaN.
 PRODUCT_RANGE_TOL = 1e-12
-
-# Times inverted per step of invert_laplace.  A step holds a few
-# (block x nodes) clongdouble arrays, 2 MB each at 64 nodes, where all
-# times at once would need 41 MB each at 20 001 times and 2 GB at 10^6.
-_INVERT_BLOCK = 1024
 
 
 def geometric_map(psi, q: float):
@@ -121,48 +108,6 @@ def _eval_vector(fn, arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def invert_laplace(fn, t) -> np.ndarray:
-    """Fixed-Talbot inversion of ``fn`` at the positive times ``t`` (1-d).
-
-    Each time is handled independently with ``TALBOT_NODES`` contour points,
-    so the result is deterministic and trivially parallel over times.  Times
-    are taken ``_INVERT_BLOCK`` at a time, which bounds the working memory
-    whatever their number.  The returned array holds NaN where the transform
-    or the contour sum is not finite instead of aborting the whole inversion.
-
-    The caller asserts analyticity of ``fn`` to the right of the contour.
-    """
-    times = np.asarray(t, dtype=float)
-    if times.ndim != 1 or not times.size or not np.all((times > 0) & np.isfinite(times)):
-        raise InvalidArgumentError("inversion needs a non-empty 1-d array of positive finite times")
-    times = times.astype(np.longdouble)
-    M = TALBOT_NODES
-    theta = (np.pi * np.arange(M, dtype=np.longdouble)) / M
-    cot = np.zeros(M, dtype=np.longdouble)
-    cot[1:] = 1.0 / np.tan(theta[1:])
-    r = np.longdouble(2 * M) / np.longdouble(5)
-
-    # contour points: p[k] = (r/t) theta_k (cot theta_k + i), p[0] = r/t
-    base = theta * (cot + 1j)
-    base[0] = 1.0
-    weights = 1.0 + 1j * theta[1:] * (1.0 + cot[1:] ** 2) - 1j * cot[1:]
-    vals = np.empty(len(times))
-    for lo in range(0, len(times), _INVERT_BLOCK):
-        t = times[lo : lo + _INVERT_BLOCK]
-        p = np.multiply.outer(r / t, base).astype(np.clongdouble)
-        gamma = np.empty_like(p)
-        gamma[:, 0] = 0.5 * np.exp(p[:, 0] * t)
-        gamma[:, 1:] = np.exp(p[:, 1:] * t[:, None]) * weights[None, :]
-
-        # transform values that overflow, divide by zero or are otherwise not
-        # finite propagate to per-point NaN below
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            F = _eval_vector(fn, p).astype(np.clongdouble)
-            block = (2.0 / (5.0 * t)) * np.sum(gamma * F, axis=1).real
-        vals[lo : lo + _INVERT_BLOCK] = block
-    return np.where(np.isfinite(vals), vals, np.nan)
-
-
 @dataclass(frozen=True)
 class CMReport:
     """Outcome of the alternating-sign derivative screen.
@@ -179,13 +124,7 @@ class CMReport:
     tolerance: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_order_checked": self.max_order_checked,
-            "worst_violation": self.worst_violation,
-            "violation_points": [list(p) for p in self.violation_points],
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
 
 def cm_check(fn) -> CMReport:

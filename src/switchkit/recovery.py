@@ -115,7 +115,7 @@ def _sign_condition(name, values, times, upper=True):
     """Worst violation of values <= 0 (upper) or values >= 0 (lower)."""
     excess = values if upper else -values
     idx = int(np.argmax(excess))
-    return (name, float(max(excess[idx], 0.0)), float(times[idx]))
+    return (name, float(max(0.0, excess[idx])), float(times[idx]))
 
 
 # -- series ----------------------------------------------------------------

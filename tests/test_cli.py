@@ -164,6 +164,13 @@ def test_iia_verb_builtin(capsys, tmp_path):
     assert svg.startswith("<svg")
 
 
+def test_iia_verb_long_grid_prints_nothing_on_stderr(capsys, tmp_path):
+    # cosh(t/2) overflows past t ~ 1420; sech is 0 there, with no warning
+    code = run(["iia", "--r", "diffusion2d", "--t-end", "1500", "--h", "0.05",
+                "--out-prefix", str(tmp_path / "iia")])
+    assert code == 0 and capsys.readouterr().err == ""
+
+
 def test_iia_verb_rejection(capsys, tmp_path):
     # refused like recover: exit 2, one line naming the failed condition
     code = run(["iia", "--r", "damped-cosine", "--t-end", "10", "--h", "0.001",

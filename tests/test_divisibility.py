@@ -27,7 +27,7 @@ S_PROBES = (0.1, 1.0, 10.0)
 REAL_NODES = np.logspace(-3, 3, 25)
 # fixed-Talbot contour points (25.6/t) theta (cot theta + i) for t = 0.1, 1
 # and 10: complex nodes on both sides of the imaginary axis, as
-# invert_laplace visits them
+# transform_oracle.talbot visits them
 _THETA = np.linspace(0.05, 3.1, 40)
 COMPLEX_NODES = np.multiply.outer(25.6 / np.array([0.1, 1.0, 10.0]),
                                   _THETA * (1.0 / np.tan(_THETA) + 1j))
@@ -260,8 +260,8 @@ def _map_laws():
 
 
 # The tabulated law's truncated transform overflows at the nodes with
-# Re(s) << 0, as invert_laplace expects; there both sides must agree on the
-# non-finite values, which the array comparisons treat as equal.
+# Re(s) << 0, which transform_oracle.talbot marks NaN; there both sides must
+# agree on the non-finite values, which the array comparisons treat as equal.
 _OVERFLOW_OK = dict(over="ignore", invalid="ignore")
 
 

@@ -17,10 +17,12 @@ from switchkit import (
     gd_check,
     iia_pipeline,
     make_rng,
+    tabulate_cdf,
     tabulated_covariance,
 )
 from switchkit import recovery
 
+import gp_oracle
 from conftest import grid_fn
 from iia_reference import iia_conditions
 
@@ -206,6 +208,54 @@ def test_pipeline_gives_the_diffusion_persistence_exponent(t_end):
     psi = result.compound.divisor.laplace
     theta = brentq(lambda th: psi(-th) - 2.0, 0.05, 0.3, xtol=1e-12)
     assert abs(theta - 0.1862) < 1e-4
+
+
+# -- the Monte Carlo oracle ---------------------------------------------------------
+
+# 16 independent paths of 2^17 points at dt = 0.05, about 1 000 intervals
+# each; standard errors are from the spread over paths.
+MC_DT, MC_POINTS, MC_PATHS = 0.05, 2**17, 16
+# bound on |IIA - MC| survival at T = 2, 5, 10 and 20 for the diffusion
+# fixture, measured against 128 paths of 2^20 points (README, Numerical notes)
+IIA_SURVIVAL_ERR = 3e-3
+
+
+@pytest.fixture(scope="module")
+def gp_paths():
+    return gp_oracle.paths(diffusion2d_covariance(), MC_DT, MC_POINTS, MC_PATHS, make_rng(7))
+
+
+@pytest.fixture(scope="module")
+def diffusion_iia():
+    return iia_pipeline(diffusion2d_covariance(), GRID)
+
+
+def _mean_and_se(per_path):
+    per_path = np.asarray(per_path)
+    return per_path.mean(axis=0), per_path.std(axis=0, ddof=1) / math.sqrt(len(per_path))
+
+
+def test_oracle_sign_covariance_is_the_arcsine_law(gp_paths):
+    lags = np.array([0.5, 1.0, 2.0, 4.0])
+    signs = np.sign(gp_paths)
+    got, se = _mean_and_se([[np.mean(x[:-k] * x[k:]) for k in np.round(lags / MC_DT).astype(int)]
+                            for x in signs])
+    want = (2 / np.pi) * np.arcsin(sech(lags / 2))
+    assert np.all(np.abs(got - want) < 4 * se), (got, want, se)
+
+
+def test_oracle_mean_interval_is_the_iia_mean(gp_paths, diffusion_iia):
+    got, se = _mean_and_se([gp_oracle.intervals(x, MC_DT).mean() for x in gp_paths])
+    assert abs(got - diffusion_iia.mu) < 4 * se, (got, diffusion_iia.mu, se)
+
+
+def test_iia_survival_matches_the_oracle(gp_paths, diffusion_iia):
+    T = np.array([2.0, 5.0, 10.0, 20.0])
+    got, se = _mean_and_se([(gp_oracle.intervals(x, MC_DT)[:, None] > T).mean(axis=0)
+                            for x in gp_paths])
+    F = tabulate_cdf(diffusion_iia.compound, GRID)
+    iia = 1.0 - F.values[np.round(T / GRID.h).astype(int)]
+    assert np.all(np.abs(iia - got) < IIA_SURVIVAL_ERR + 4 * se), (iia, got, se)
 
 
 # -- diffusion fixture -----------------------------------------------------------

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,14 +11,15 @@ from switchkit import (
     cm_check,
     covariance_laplace,
     expected_laplace_from_psi,
-    invert_laplace,
     make_gamma,
     make_geometric_compound,
     make_tabulated,
     psi_from_expected_laplace,
     tabulate_pdf,
 )
-from switchkit.laplace import _INVERT_BLOCK, CM_MAX_ORDER, CM_S_GRID, TALBOT_NODES, _eval_vector
+from switchkit.laplace import CM_MAX_ORDER, CM_S_GRID
+
+from transform_oracle import talbot
 
 S_PROBES = (0.1, 1.0, 10.0)
 
@@ -111,7 +111,9 @@ def test_covariance_laplace_needs_positive_mu(exp1):
         covariance_laplace(le, mu=0.0)
 
 
-# -- invert_laplace -----------------------------------------------------------------
+# -- the Talbot oracle ------------------------------------------------------------
+# transform_oracle.talbot is how the tests read a transform in the time
+# domain; these pin its accuracy and its NaN marking.
 
 
 def _times(t_first, t_last, h):
@@ -121,37 +123,28 @@ def _times(t_first, t_last, h):
 
 def test_invert_simple_pole():
     t = _times(0.1, 5.0, 0.01)
-    got = invert_laplace(lambda s: 1.0 / (2.0 + s), t)
+    got = talbot(lambda s: 1.0 / (2.0 + s), t)
     assert isinstance(got, np.ndarray) and got.shape == t.shape
     assert np.max(np.abs(got - np.exp(-2.0 * t))) < 1e-6
 
 
 def test_invert_heaviside():
-    got = invert_laplace(lambda s: 1.0 / s, _times(0.05, 5.0, 0.05))
+    got = talbot(lambda s: 1.0 / s, _times(0.05, 5.0, 0.05))
     assert np.max(np.abs(got - 1.0)) < 1e-8
 
 
 def test_invert_oscillating_transform(gamma22):
     le = expected_laplace_from_psi(gamma22.laplace)
     t = _times(0.1, 5.0, 0.01)
-    got = invert_laplace(le, t)
+    got = talbot(le, t)
     want = np.sqrt(2) * np.sin((2 * t + np.pi) / 4) * np.exp(-t / 2)
     assert np.max(np.abs(got - want)) < 1e-5
-
-
-def test_invert_requires_positive_times():
-    # a grid's times start at 0; negative, non-finite, empty or 2-d times
-    # are refused too
-    for t in (GridSpec.from_t_end(1.0, 0.1).times(), [0.5, -1.0], [0.5, np.inf], [0.5, np.nan],
-              [], [[0.5, 1.0]]):
-        with pytest.raises(InvalidArgumentError):
-            invert_laplace(lambda s: 1.0 / s, t)
 
 
 def test_invert_node_count_is_deterministic():
     t = _times(0.1, 2.0, 0.1)
     fn = lambda s: 1.0 / (1.0 + s) ** 2
-    np.testing.assert_array_equal(invert_laplace(fn, t), invert_laplace(fn, t))
+    np.testing.assert_array_equal(talbot(fn, t), talbot(fn, t))
 
 
 def test_invert_marks_pointwise_failures():
@@ -162,7 +155,7 @@ def test_invert_marks_pointwise_failures():
         out = 1.0 / (2.0 + s)
         return np.where(np.abs(s) > 2e3, np.inf, out)
 
-    got = invert_laplace(fn, _times(0.002, 1.0, 0.002))
+    got = talbot(fn, _times(0.002, 1.0, 0.002))
     assert np.isnan(got[0]) and np.isfinite(got[-1])
 
 
@@ -172,66 +165,19 @@ def test_overflowing_tabulated_transform_inverts_to_nan_markers():
     # raises no floating-point warning
     tab = make_tabulated(tabulate_pdf(make_gamma(2.0, 1.0), GridSpec.from_t_end(40.0, 0.1)))
     le = expected_laplace_from_psi(make_geometric_compound(tab, 2.0).laplace)
-    assert np.isnan(invert_laplace(le, 0.5 * np.arange(1, 21))).all()
+    assert np.isnan(talbot(le, 0.5 * np.arange(1, 21))).all()
 
 
 def test_invert_then_retransform_round_trip():
     # quadrature re-transform of the inverted samples reproduces the
     # transform on a moderate s band
     times = _times(0.005, 40.0, 0.005)
-    inv = invert_laplace(lambda s: 1.0 / (2.0 + s), times)
+    inv = talbot(lambda s: 1.0 / (2.0 + s), times)
     t = np.concatenate([[0.0], times])
     vals = np.concatenate([[2 * inv[0] - inv[1]], inv])
     for s in (0.5, 1.0, 2.0, 5.0):
         got = np.trapezoid(np.exp(-s * t) * vals, t)
         assert math.isclose(got, 1.0 / (2.0 + s), abs_tol=1e-4)
-
-
-def _invert_unblocked(fn, times):
-    """invert_laplace as it was before it was blocked over times."""
-    t = np.asarray(times).astype(np.longdouble)
-    M = TALBOT_NODES
-    theta = (np.pi * np.arange(M, dtype=np.longdouble)) / M
-    cot = np.zeros(M, dtype=np.longdouble)
-    cot[1:] = 1.0 / np.tan(theta[1:])
-    r = np.longdouble(2 * M) / np.longdouble(5)
-    base = theta * (cot + 1j)
-    base[0] = 1.0
-    p = np.multiply.outer(r / t, base).astype(np.clongdouble)
-    F = _eval_vector(fn, p).astype(np.clongdouble)
-    gamma = np.empty_like(p)
-    gamma[:, 0] = 0.5 * np.exp(p[:, 0] * t)
-    weights = 1.0 + 1j * theta[1:] * (1.0 + cot[1:] ** 2) - 1j * cot[1:]
-    gamma[:, 1:] = np.exp(p[:, 1:] * t[:, None]) * weights[None, :]
-    with np.errstate(invalid="ignore", over="ignore"):
-        vals = (2.0 / (5.0 * t)) * np.sum(gamma * F, axis=1).real
-    vals = vals.astype(float)
-    return np.where(np.isfinite(vals), vals, np.nan)
-
-
-def test_blocked_inversion_matches_unblocked_reference(gamma22):
-    # two whole blocks and a partial one; the second transform leaves the
-    # smallest times NaN
-    def overflowing(s):
-        return np.where(np.abs(s) > 2e3, np.inf, 1.0 / (2.0 + s))
-
-    t = 0.002 * np.arange(1, 2 * _INVERT_BLOCK + 78)
-    for fn in (expected_laplace_from_psi(gamma22.laplace), overflowing):
-        got = invert_laplace(fn, t)
-        np.testing.assert_array_equal(got, _invert_unblocked(fn, t))
-    assert np.isnan(got).any()
-
-
-def test_inversion_memory_stays_below_one_unblocked_array():
-    t = 1e-3 * np.arange(1, 20_002)
-    unblocked = len(t) * 64 * np.dtype(np.clongdouble).itemsize  # 41 MB
-    tracemalloc.start()
-    try:
-        invert_laplace(lambda s: 1.0 / (2.0 + s), t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < unblocked
 
 
 # -- cm_check --------------------------------------------------------------------
@@ -275,8 +221,6 @@ def test_cm_check_evaluates_one_shared_stencil():
 @pytest.mark.parametrize("fn", [lambda s: 1.0 / (1.0 + complex(s)), lambda s: 0.5])
 def test_scalar_only_evaluator_is_refused(fn):
     # evaluators must be vectorized; there is no elementwise fallback
-    with pytest.raises(InvalidArgumentError, match="vectorized"):
-        invert_laplace(fn, _times(0.1, 1.0, 0.1))
     with pytest.raises(InvalidArgumentError, match="vectorized"):
         cm_check(fn)
 

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -20,6 +21,7 @@ from switchkit import (
     estimate_covariance,
     expected_derivative_series,
     expected_from_covariance,
+    expected_laplace_from_psi,
     expected_value_series,
     gd_check,
     make_exponential,
@@ -35,6 +37,7 @@ from switchkit import (
 from switchkit import distributions
 
 from conftest import gamma22_expected, gamma22_expected_deriv, grid_fn
+from transform_oracle import talbot
 
 S_PROBES = (0.1, 1.0, 10.0)
 
@@ -94,6 +97,26 @@ def test_nested_compound_is_the_compound_of_the_product_order():
     for fn in (expected_value_series, tabulate_pdf, tabulate_cdf):
         np.testing.assert_allclose(fn(nested, grid).values, fn(flat, grid).values,
                                    rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("dist, floor", [
+    (make_exponential(1.0), 1.9),
+    (make_gamma(2.0, 2.0), 1.9),
+    # a density infinite at the origin costs order: E converges like h^shape
+    (make_gamma(0.5, 1.0), 0.45),
+    (make_gamma(0.8, 1.0), 0.75),
+], ids=["exp1", "gamma22", "gamma05", "gamma08"])
+def test_series_observed_order(dist, floor):
+    # the worst error at t = 0.5, 1, 2, 4 against the inverted transform,
+    # each time h is halved
+    t = np.array([0.5, 1.0, 2.0, 4.0])
+    want = talbot(expected_laplace_from_psi(dist.laplace), t)
+    errs = []
+    for h in (4e-3, 2e-3, 1e-3):
+        E = expected_value_series(dist, GridSpec.from_t_end(4.0, h))
+        errs.append(np.max(np.abs(E.values[np.round(t / h).astype(int)] - want)))
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all(orders >= floor), orders
 
 
 # -- expected_derivative_series -----------------------------------------------------
@@ -223,6 +246,16 @@ def test_expected_shape_rejects_constant_one():
     assert not report.passed
     assert report.violation("decays_to_zero") > 1e-3
     assert report.violation("starts_at_one") == 0.0
+
+
+def test_clean_sign_condition_reports_positive_zero():
+    # the largest excess of a clean condition can be -0.0 (here -C at the
+    # zero tail); the report and its JSON carry 0.0
+    C = GridFunction(h=1.0, values=np.array([1.0, 0.6, 0.3, 0.1, 0.0, 0.0]))
+    report = check_covariance_shape(C)
+    for _, worst, _ in report.checked_conditions:
+        assert math.copysign(1.0, worst) == 1.0
+    assert "-0.0" not in json.dumps(report.to_json_dict())
 
 
 def test_covariance_shape_accepts_arcsine():

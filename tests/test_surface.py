@@ -1,6 +1,7 @@
-"""Frozen public surface: the defaulted parameters of every public function,
-the fields of every public dataclass and the option strings of every CLI
-verb.
+"""Frozen public surface: the names ``switchkit`` exports, the defaulted
+parameters of every public function and of the public methods of every
+exported class, the fields of every public dataclass and the option strings
+of every CLI verb.
 
 Tolerances, s grids and node counts are constants of the module that judges
 with them, not parameters, and every grid starts at t = 0, so a knob or a
@@ -21,6 +22,26 @@ import numpy as np
 import switchkit
 from switchkit.cli import build_parser
 
+# every name in switchkit.__all__
+NAMES = {
+    "CMReport", "DivisibilityReport", "GaussianCovariance", "GeometricCompound",
+    "GridFunction", "GridSpec", "IIAResult", "InvalidArgumentError", "NumericError",
+    "ResourceLimitError", "ShapeCheckError", "ShapeReport", "SwitchKitError",
+    "SwitchTrajectory", "SwitchingDistribution", "check_covariance_shape",
+    "check_expected_shape", "clip_covariance", "cm_check", "convolve", "covariance_delay_route",
+    "covariance_from_expected", "covariance_laplace", "cumulative_integral",
+    "damped_cosine_covariance", "derivative", "diffusion2d_covariance",
+    "divisor_from_covariance", "divisor_from_expected", "divisor_laplace",
+    "estimate_covariance", "estimate_expected_value", "expected_derivative_series",
+    "expected_from_covariance", "expected_laplace_from_psi", "expected_value_series",
+    "exponential_covariance", "gd_check", "geometric_map", "geometric_map_grid",
+    "iia_pipeline", "integral", "make_exponential", "make_gamma", "make_geometric_compound",
+    "make_rng", "make_tabulated", "mean_from_expected", "parse_distribution",
+    "psi_from_expected_laplace", "reduce_order", "second_derivative", "simulate_switch",
+    "solve_renewal", "switching_law_from_divisor", "tabulate_cdf", "tabulate_pdf",
+    "tabulated_covariance",
+}
+
 # module.function -> names of its parameters that have defaults
 DEFAULTED = {
     "cli.run": ("argv",),
@@ -31,6 +52,14 @@ DEFAULTED = {
     "iia.exponential_covariance": ("scale",),
     "simulation.estimate_covariance": ("workers",),
     "simulation.estimate_expected_value": ("workers",),
+}
+
+# Class.method, for the public methods an exported class defines -> names of
+# its parameters that have defaults
+METHOD_DEFAULTED = {
+    "GridFunction.to_csv": ("extra_columns",),
+    "SwitchingDistribution.sample": ("size",),
+    "SwitchingDistribution.sample_size_biased": ("size",),
 }
 
 # public dataclass -> its field names, in order
@@ -78,6 +107,16 @@ def _public_functions():
                 yield f"{info.name}.{name}", obj
 
 
+def _public_methods():
+    for name in switchkit.__all__:
+        cls = getattr(switchkit, name)
+        if inspect.isclass(cls):
+            for attr, obj in vars(cls).items():
+                fn = obj.__func__ if isinstance(obj, (classmethod, staticmethod)) else obj
+                if inspect.isfunction(fn) and not attr.startswith("_"):
+                    yield f"{name}.{attr}", fn
+
+
 def _verb_options() -> dict[str, set[str]]:
     parser = build_parser()
     verbs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
@@ -91,6 +130,15 @@ def _verb_options() -> dict[str, set[str]]:
 def test_defaulted_parameters_are_frozen():
     got = {key: names for key, fn in _public_functions() if (names := _defaulted(fn))}
     assert got == DEFAULTED
+
+
+def test_defaulted_method_parameters_are_frozen():
+    got = {key: names for key, fn in _public_methods() if (names := _defaulted(fn))}
+    assert got == METHOD_DEFAULTED
+
+
+def test_exported_names_are_frozen():
+    assert set(switchkit.__all__) == NAMES and len(switchkit.__all__) == len(NAMES)
 
 
 def test_package_api_has_seven_defaulted_parameters():

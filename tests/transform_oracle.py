@@ -1,10 +1,11 @@
-"""Frozen reference: the three transform maps that
-:func:`switchkit.laplace.geometric_map` replaced.
+"""Frozen references: the three transform maps that
+:func:`switchkit.laplace.geometric_map` replaced, and the fixed-Talbot
+inverter that the tests use to read a transform back in the time domain.
 
-Each formula is kept verbatim in test code so the single map can be checked
-against the closures it replaces: divisor extraction and order reduction
-bit for bit, the compound transform to within roundoff (it was written in a
-different but algebraically equal form).
+Each map formula is kept verbatim in test code so the single map can be
+checked against the closures it replaces: divisor extraction and order
+reduction bit for bit, the compound transform to within roundoff (it was
+written in a different but algebraically equal form).
 """
 
 from __future__ import annotations
@@ -37,3 +38,33 @@ def compound(div_laplace, r):
             return 1.0 / (r / psi - (r - 1.0))
 
     return fn
+
+
+def talbot(fn, t):
+    """Fixed-Talbot inversion of the vectorized transform ``fn`` at the
+    positive times ``t``, 64 contour nodes per time.
+
+    The contour weights grow like exp(2M/5), so the sum is accumulated in
+    extended precision (clongdouble); double precision would lose ~5 digits
+    to cancellation.  Times where the transform or the sum is not finite
+    come back NaN, with no floating-point warning.
+    """
+    t = np.asarray(t).astype(np.longdouble)
+    M = 64
+    theta = (np.pi * np.arange(M, dtype=np.longdouble)) / M
+    cot = np.zeros(M, dtype=np.longdouble)
+    cot[1:] = 1.0 / np.tan(theta[1:])
+    r = np.longdouble(2 * M) / np.longdouble(5)
+    # contour points: p[k] = (r/t) theta_k (cot theta_k + i), p[0] = r/t
+    base = theta * (cot + 1j)
+    base[0] = 1.0
+    p = np.multiply.outer(r / t, base).astype(np.clongdouble)
+    gamma = np.empty_like(p)
+    gamma[:, 0] = 0.5 * np.exp(p[:, 0] * t)
+    weights = 1.0 + 1j * theta[1:] * (1.0 + cot[1:] ** 2) - 1j * cot[1:]
+    gamma[:, 1:] = np.exp(p[:, 1:] * t[:, None]) * weights[None, :]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        F = np.asarray(fn(p)).astype(np.clongdouble)
+        vals = (2.0 / (5.0 * t)) * np.sum(gamma * F, axis=1).real
+    vals = vals.astype(float)
+    return np.where(np.isfinite(vals), vals, np.nan)
