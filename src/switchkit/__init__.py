@@ -45,7 +45,6 @@ from .iia import (
     diffusion2d_covariance,
     exponential_covariance,
     iia_pipeline,
-    tabulated_covariance,
 )
 from .laplace import (
     CMReport,
@@ -136,5 +135,4 @@ __all__ = [
     "switching_law_from_divisor",
     "tabulate_cdf",
     "tabulate_pdf",
-    "tabulated_covariance",
 ]

@@ -204,7 +204,7 @@ def _cmd_iia(args) -> dict:
     if args.r in _BUILTIN_COVARIANCES:
         r = _BUILTIN_COVARIANCES[args.r]()
     else:
-        r = iia_mod.tabulated_covariance(GridFunction.from_csv(args.r))
+        r = iia_mod.GaussianCovariance(fn=GridFunction.from_csv(args.r).interp, name="tabulated")
     grid = GridSpec.from_t_end(args.t_end, args.h)
     result = iia_mod.iia_pipeline(r, grid)
     clip_path = f"{args.out_prefix}_clipped_covariance.csv"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -121,38 +121,11 @@ class GeometricCompound(SwitchingDistribution):
 
 
 def make_exponential(rate: float) -> SwitchingDistribution:
-    """Exponential switching times with the given intensity."""
+    """Exponential switching times with the given intensity: the shape-1
+    gamma law of scale 1/rate under its own name, with the same draws."""
     if not (rate > 0 and math.isfinite(rate)):
         raise InvalidArgumentError(f"rate must be positive, got {rate}")
-    rate = float(rate)
-
-    def pdf(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t >= 0, rate * np.exp(-rate * np.maximum(t, 0.0)), 0.0)
-
-    def cdf(t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t >= 0, -np.expm1(-rate * np.maximum(t, 0.0)), 0.0)
-
-    def laplace(s):
-        return rate / (rate + np.asarray(s))
-
-    def sampler(rng, size=None):
-        return rng.exponential(1.0 / rate, size=size)
-
-    def size_biased(rng, size=None):
-        # t * rate e^{-rate t} is a shape-2 gamma density.
-        return rng.gamma(2.0, 1.0 / rate, size=size)
-
-    return SwitchingDistribution(
-        name=f"exp(rate={rate:g})",
-        mean=1.0 / rate,
-        laplace=laplace,
-        pdf=pdf,
-        cdf=cdf,
-        sampler=sampler,
-        size_biased_sampler=size_biased,
-    )
+    return replace(make_gamma(1.0, 1.0 / rate), name=f"exp(rate={float(rate):g})")
 
 
 def make_gamma(shape: float, scale: float) -> SwitchingDistribution:
@@ -164,23 +137,20 @@ def make_gamma(shape: float, scale: float) -> SwitchingDistribution:
     shape, scale = float(shape), float(scale)
     log_norm = gammaln(shape) + shape * math.log(scale)
 
+    # density at the origin: an integrable singularity below shape 1
+    origin = math.inf if shape < 1 else (1.0 / scale if shape == 1 else 0.0)
+
     def pdf(t):
         t = np.asarray(t, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logp = (shape - 1.0) * np.log(t) - t / scale - log_norm
-            out = np.exp(logp)
-        if shape > 1:
-            out = np.where(t > 0, out, 0.0)
-        elif shape == 1:
-            out = np.where(t >= 0, np.exp(-np.maximum(t, 0.0) / scale) / scale, 0.0)
-        else:
-            # integrable singularity at the origin
-            out = np.where(t > 0, out, np.inf)
-        return np.where(t < 0, 0.0, out)
+            out = np.exp((shape - 1.0) * np.log(t) - t / scale - log_norm)
+        # out is NaN at t = inf for shape >= 1, where the density is 0
+        return np.where((t > 0) & (t < math.inf), out, np.where(t == 0, origin, 0.0))
 
     def cdf(t):
-        t = np.asarray(t, dtype=float)
-        return gammainc(shape, np.maximum(t, 0.0) / scale)
+        x = np.maximum(np.asarray(t, dtype=float), 0.0) / scale
+        # -expm1(-x) is gammainc(1, x), several times faster
+        return -np.expm1(-x) if shape == 1 else gammainc(shape, x)
 
     def laplace(s):
         return (1.0 + scale * np.asarray(s)) ** (-shape)
@@ -244,15 +214,13 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
 
     def laplace(s):
         s_arr = np.asarray(s)
-        if s_arr.ndim == 0:
-            return np.dot(np.exp(-s_arr * t), wv)
         # block the outer product so large s arrays stay in memory
         flat = s_arr.ravel()
         out = np.empty(flat.shape, dtype=np.result_type(flat.dtype, float))
         for lo in range(0, flat.size, rows):
             blk = flat[lo : lo + rows]
             out[lo : lo + rows] = np.exp(-np.multiply.outer(blk, t)) @ wv
-        return out.reshape(s_arr.shape)
+        return out.reshape(s_arr.shape)[()]
 
     def sampler(rng, size=None):
         u = rng.random(size)
@@ -295,13 +263,11 @@ def make_geometric_compound(divisor: SwitchingDistribution, r: float) -> Geometr
         return 1 + np.floor(np.log(u) / log_q).astype(np.int64)
 
     def sampler(rng, size=None):
-        if size is None:
-            nu = int(draw_counts(rng, 1)[0])
-            return float(np.sum(divisor.sample(rng, nu)))
-        counts = draw_counts(rng, int(size))
-        draws = divisor.sample(rng, int(counts.sum()))
-        edges = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        return np.add.reduceat(draws, edges)
+        counts = draw_counts(rng, size)
+        draws = divisor.sample(rng, int(np.sum(counts)))
+        starts = np.cumsum(counts) - np.ravel(counts)
+        # [()] unwraps the 0-d sum that size=None gives
+        return np.add.reduceat(draws, starts).reshape(np.shape(counts))[()]
 
     return GeometricCompound(
         name=f"compound(r={r:g},divisor={divisor.name})",

@@ -94,32 +94,17 @@ def diffusion2d_covariance() -> GaussianCovariance:
     return GaussianCovariance(fn=fn, name="diffusion2d")
 
 
-def exponential_covariance(scale: float = 1.0) -> GaussianCovariance:
-    """Correlation exp(-t/scale) (Ornstein-Uhlenbeck type)."""
-    if not scale > 0:
-        raise InvalidArgumentError(f"scale must be positive, got {scale}")
-    return GaussianCovariance(fn=lambda t: np.exp(-np.asarray(t) / scale),
-                              name=f"exp(scale={scale:g})")
+def exponential_covariance() -> GaussianCovariance:
+    """Correlation exp(-t) (Ornstein-Uhlenbeck type)."""
+    return GaussianCovariance(fn=lambda t: np.exp(-np.asarray(t)), name="exp(scale=1)")
 
 
-def damped_cosine_covariance(rate: float = 1.0, freq: float = 1.0) -> GaussianCovariance:
-    """Correlation cos(freq t) exp(-rate t); it oscillates, so its clipped
-    covariance fails the shape screen (the rejected fixture)."""
+def damped_cosine_covariance() -> GaussianCovariance:
+    """Correlation cos(t) exp(-t); it oscillates, so its clipped covariance
+    fails the shape screen (the rejected fixture)."""
 
     def fn(t):
         t = np.asarray(t)
-        return np.cos(freq * t) * np.exp(-rate * t)
+        return np.cos(t) * np.exp(-t)
 
     return GaussianCovariance(fn=fn, name="damped-cosine")
-
-
-def tabulated_covariance(table: GridFunction) -> GaussianCovariance:
-    """Correlation function backed by a tabulated grid, linearly
-    interpolated."""
-    t = table.times()
-    vals = table.values
-
-    def fn(x):
-        return np.interp(x, t, vals)
-
-    return GaussianCovariance(fn=fn, name="tabulated")

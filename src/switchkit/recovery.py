@@ -279,9 +279,15 @@ def _renormalized_density(f: GridFunction, what: str) -> GridFunction:
     return f.with_values(vals)
 
 
+def _divisor_cdf(E: GridFunction) -> GridFunction:
+    """Divisor CDF 1 - E, clipped to [0, 1] and made non-decreasing."""
+    return E.with_values(np.maximum.accumulate(np.clip(1.0 - E.values, 0.0, 1.0)))
+
+
 def divisor_from_expected(E: GridFunction):
     """(divisor CDF, divisor density) read off a monotone expected value
-    tabulated from t = 0: CDF = 1 - E, density = -E'.
+    tabulated from t = 0: CDF = 1 - E (clipped to [0, 1], non-decreasing),
+    density = -E'.
 
     Refuses when the shape screen fails, since the divisor representation
     only exists for non-negative decreasing E.  The density is renormalized
@@ -289,9 +295,8 @@ def divisor_from_expected(E: GridFunction):
     discrepancies are errors.
     """
     _require(check_expected_shape(E), "expected value", "no 2-geometric divisor exists")
-    F_div = E.with_values(np.clip(1.0 - E.values, 0.0, None))
     f_div = _renormalized_density(E.with_values(-derivative(E).values), "divisor_from_expected")
-    return F_div, f_div
+    return _divisor_cdf(E), f_div
 
 
 def divisor_from_covariance(C: GridFunction):
@@ -310,13 +315,12 @@ def _covariance_route(C: GridFunction):
     """(report, mu, divisor CDF, divisor density): :func:`divisor_from_covariance`
     together with the passing report of its one shape screen."""
     report = _require(check_covariance_shape(C), "covariance", "divisor recovery refused")
-    dC = derivative(C)
-    slope0 = float(dC.values[0])
+    slope0 = float(derivative(C).values[0])
     if not slope0 < 0:
         raise NumericError(f"C'(0) = {slope0:.3e} is not negative; mu is undefined")
     mu = -2.0 / slope0
 
-    E = C.with_values(-(mu / 2.0) * dC.values)
+    E = expected_from_covariance(C, mu)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         mu_integral = mean_from_expected(E)
@@ -327,12 +331,11 @@ def _covariance_route(C: GridFunction):
             f"{abs(mu_integral - mu) / mu:.3e} > {MU_MISMATCH_TOL:.0e})"
         )
 
-    # F(0) = 0 exactly: mu was built from the same stencil value of C'(0).
-    F_div = C.with_values(np.maximum.accumulate(np.clip(1.0 + (mu / 2.0) * dC.values, 0.0, 1.0)))
     f_div = _renormalized_density(
         C.with_values((mu / 2.0) * second_derivative(C).values), "divisor_from_covariance"
     )
-    return report, mu, F_div, f_div
+    # F(0) = 0 exactly: mu was built from the same stencil value of C'(0).
+    return report, mu, _divisor_cdf(E), f_div
 
 
 def switching_law_from_divisor(divisor: SwitchingDistribution) -> GeometricCompound:

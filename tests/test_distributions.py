@@ -18,6 +18,7 @@ from switchkit import (
     tabulate_pdf,
 )
 
+import exp_reference
 from conftest import grid_fn
 
 S_PROBES = (0.1, 1.0, 10.0)
@@ -45,6 +46,32 @@ def test_exponential_validation():
         make_exponential(-2.0)
 
 
+EXP_RATES = (1e-3, 0.722751, 1.0, 3.7, 10.0, 123.456)
+
+
+def _rel_err(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return float(np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-300)))
+
+
+@pytest.mark.parametrize("rate", EXP_RATES)
+def test_exponential_is_the_frozen_reference(rate):
+    new, old = make_exponential(rate), exp_reference.make_exponential(rate)
+    assert new.name == old.name and new.mean == old.mean
+    for size in (None, 1, 1000):
+        for draw in ("sample", "sample_size_biased"):
+            got, want = getattr(new, draw)(7, size), getattr(old, draw)(7, size)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes(), (draw, size)
+    # rate t up to 700, where the density is still a normal double
+    t = np.concatenate([[0.0], np.logspace(-6, math.log10(700.0), 400)]) / rate
+    assert _rel_err(new.pdf(t), old.pdf(t)) <= 2e-13
+    assert _rel_err(new.cdf(t), old.cdf(t)) <= 1e-15
+    s = rate * np.logspace(-3, 3, 61)
+    assert _rel_err(new.laplace(s), old.laplace(s)) <= 1e-15
+    z = s[:, None] + 1j * rate * np.linspace(-50.0, 50.0, 41)[None, :]
+    assert _rel_err(new.laplace(z), old.laplace(z)) <= 1e-15
+
+
 # -- gamma ----------------------------------------------------------------------
 
 
@@ -58,6 +85,12 @@ def test_gamma_shape1_equals_exponential():
     e = make_exponential(1.0)
     s = np.logspace(-2, 2, 25)
     np.testing.assert_allclose(g.laplace(s), e.laplace(s), rtol=1e-12)
+
+
+@pytest.mark.parametrize("shape, origin", [(0.5, math.inf), (1.0, 2.0), (2.0, 0.0)])
+def test_gamma_density_at_the_origin_and_off_its_support(shape, origin):
+    pdf = make_gamma(shape, 0.5).pdf(np.array([-1.0, 0.0, np.inf, np.nan]))
+    np.testing.assert_array_equal(pdf, [0.0, origin, 0.0, 0.0])
 
 
 def test_gamma_validation():

@@ -18,7 +18,6 @@ from switchkit import (
     iia_pipeline,
     make_rng,
     tabulate_cdf,
-    tabulated_covariance,
 )
 from switchkit import recovery
 
@@ -94,7 +93,7 @@ def test_screen_rejects_damped_cosine():
 
 def test_tabulated_correlation_screens_like_its_closed_form():
     table = grid_fn(lambda t: sech(t / 2), 40.0, 1e-3)
-    tabulated = check_covariance_shape(clip_covariance(tabulated_covariance(table), GRID))
+    tabulated = check_covariance_shape(clip_covariance(GaussianCovariance(fn=table.interp), GRID))
     builtin = check_covariance_shape(clip_covariance(diffusion2d_covariance(), GRID))
     assert tabulated.passed and tabulated == builtin
 

@@ -308,6 +308,26 @@ def test_divisor_from_expected_sech():
     np.testing.assert_allclose(f_div.values, 0.5 * np.tanh(t / 2) * sech(t / 2), atol=1e-4)
 
 
+@pytest.mark.parametrize("table", [
+    # passes the screen with E(t_end) = -5e-4: 1 - E overshoots one
+    (lambda t: np.exp(-2 * t) - 5e-4 * t / 10, 10.0),
+    # passes the screen with E' = 5e-7 > 0 past t = 15: 1 - E falls
+    (lambda t: np.exp(-2 * t) + 5e-7 * np.maximum(t - 15, 0), 20.0),
+])
+def test_both_routes_clip_the_divisor_cdf_to_a_distribution_function(table):
+    def rule(E):
+        return np.maximum.accumulate(np.clip(1.0 - E.values, 0.0, 1.0))
+
+    fn, t_end = table
+    E = grid_fn(fn, t_end, 1e-3)
+    F_div = divisor_from_expected(E)[0].values
+    assert F_div[-1] <= 1.0 and np.all(np.diff(F_div) >= 0)
+    np.testing.assert_array_equal(F_div, rule(E))
+    C = grid_fn(lambda t: (2 / np.pi) * np.arcsin(sech(t / 2)), 40.0, 1e-3)
+    mu, F_cov, _ = divisor_from_covariance(C)
+    np.testing.assert_array_equal(F_cov.values, rule(expected_from_covariance(C, mu)))
+
+
 def test_divisor_from_expected_refuses_bad_shape(gamma22):
     grid = GridSpec.from_t_end(8.0, 1e-3)
     E = expected_value_series(gamma22, grid)

@@ -39,7 +39,6 @@ NAMES = {
     "make_rng", "make_tabulated", "mean_from_expected", "parse_distribution",
     "psi_from_expected_laplace", "reduce_order", "second_derivative", "simulate_switch",
     "solve_renewal", "switching_law_from_divisor", "tabulate_cdf", "tabulate_pdf",
-    "tabulated_covariance",
 }
 
 # module.function -> names of its parameters that have defaults
@@ -48,8 +47,6 @@ DEFAULTED = {
     "distributions.geometric_map_grid": ("g",),
     "distributions.make_rng": ("stream",),
     "grid.write_rows": ("end",),
-    "iia.damped_cosine_covariance": ("rate", "freq"),
-    "iia.exponential_covariance": ("scale",),
     "simulation.estimate_covariance": ("workers",),
     "simulation.estimate_expected_value": ("workers",),
 }
@@ -141,9 +138,9 @@ def test_exported_names_are_frozen():
     assert set(switchkit.__all__) == NAMES and len(switchkit.__all__) == len(NAMES)
 
 
-def test_package_api_has_seven_defaulted_parameters():
+def test_package_api_has_four_defaulted_parameters():
     fns = [getattr(switchkit, n) for n in switchkit.__all__]
-    assert sum(len(_defaulted(f)) for f in fns if inspect.isfunction(f)) == 7
+    assert sum(len(_defaulted(f)) for f in fns if inspect.isfunction(f)) == 4
 
 
 def test_dataclass_fields_are_frozen():
