@@ -35,9 +35,9 @@ MASS_TOLERANCE = 1e-3
 # clipped to zero.
 NEGATIVE_DENSITY_TOL = 1e-9
 
-# Kernel entries exp(-s t) that a tabulated law's transform builds per step:
-# 64 s-values at a time against the whole table up to 65 536 points, fewer
-# beyond, so a step holds two arrays of at most 32 MB (64 MB complex).
+# Exponentials and products that a tabulated law's transform holds per
+# step: rows of B + 2m entries (B baby steps, m giant steps and their
+# m-column product), so a step holds at most 32 MB (64 MB complex).
 _KERNEL_BLOCK = 1 << 22
 
 
@@ -155,12 +155,14 @@ def make_gamma(shape: float, scale: float) -> SwitchingDistribution:
     def laplace(s):
         return (1.0 + scale * np.asarray(s)) ** (-shape)
 
+    # numpy's gamma(shape, scale) is scale * standard_gamma(shape), the
+    # same bits without its argument checks
     def sampler(rng, size=None):
-        return rng.gamma(shape, scale, size=size)
+        return scale * rng.standard_gamma(shape, size)
 
     def size_biased(rng, size=None):
         # t^shape e^{-t/scale} is a shape+1 gamma density.
-        return rng.gamma(shape + 1.0, scale, size=size)
+        return scale * rng.standard_gamma(shape + 1.0, size)
 
     return SwitchingDistribution(
         name=f"gamma(shape={shape:g},scale={scale:g})",
@@ -180,9 +182,12 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
     renormalized exactly.  The CDF is the trapezoid antiderivative, the
     transform is trapezoid quadrature of e^{-s t} f(t) on the stored grid
     (truncation beyond the grid is bounded by exp(-s * t_end); for Re(s) << 0
-    the truncated sum overflows), and sampling inverts the CDF with linear
-    interpolation; the size-biased sampler inverts the cumulative of
-    t f(t)/mean the same way.
+    the truncated sum overflows).  On n points that sum is a polynomial in
+    z = e^{-s h}, evaluated by B = isqrt(n - 1) + 1 baby steps z^i and
+    m = ceil(n / B) giant steps z^{jB} around one matrix product (Paterson
+    & Stockmeyer 1973): about 2 sqrt(n) exponentials per s, not one per
+    point.  Sampling inverts the CDF with linear interpolation; the
+    size-biased sampler inverts the cumulative of t f(t)/mean the same way.
     """
     vals = np.array(pdf.values, dtype=float)
     if np.min(vals) < -NEGATIVE_DENSITY_TOL:
@@ -203,8 +208,11 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
     density = GridFunction(h=pdf.h, values=vals, notes=pdf.notes)
     cdf_vals = cdf_from_density(density).values
     mean = float(np.dot(weights, t * vals))
-    wv = weights * vals
-    rows = max(1, min(64, _KERNEL_BLOCK // len(t)))
+    # W[i, j] is the term k = jB + i of the trapezoid sum, zero past the table
+    B = math.isqrt(len(t) - 1) + 1
+    baby, giant = t[:B], t[::B]
+    W = np.pad(weights * vals, (0, B * len(giant) - len(t))).reshape(-1, B).T
+    rows = max(1, _KERNEL_BLOCK // (B + 2 * len(giant)))
 
     def pdf_fn(x):
         return np.interp(x, t, vals, left=0.0, right=0.0)
@@ -219,7 +227,9 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
         out = np.empty(flat.shape, dtype=np.result_type(flat.dtype, float))
         for lo in range(0, flat.size, rows):
             blk = flat[lo : lo + rows]
-            out[lo : lo + rows] = np.exp(-np.multiply.outer(blk, t)) @ wv
+            # e^{-s t_k} = z^i z^{jB} with z = e^{-sh}: B + m exponentials per s
+            A, G = np.exp(-np.multiply.outer(blk, baby)), np.exp(-np.multiply.outer(blk, giant))
+            out[lo : lo + rows] = np.einsum("ij,ij->i", A @ W, G)
         return out.reshape(s_arr.shape)[()]
 
     def sampler(rng, size=None):

@@ -1,6 +1,8 @@
 """Frozen references: the three transform maps that
-:func:`switchkit.laplace.geometric_map` replaced, and the fixed-Talbot
-inverter that the tests use to read a transform back in the time domain.
+:func:`switchkit.laplace.geometric_map` replaced, the direct sum that a
+tabulated law's transform was before it was split into baby and giant
+steps, and the fixed-Talbot inverter that the tests use to read a
+transform back in the time domain.
 
 Each map formula is kept verbatim in test code so the single map can be
 checked against the closures it replaces: divisor extraction and order
@@ -38,6 +40,12 @@ def compound(div_laplace, r):
             return 1.0 / (r / psi - (r - 1.0))
 
     return fn
+
+
+def tabulated(s, t, wv):
+    """Trapezoid transform of a table: the sum of wv[k] e^{-s t_k}, one
+    exponential per table point and s-value."""
+    return np.exp(-np.multiply.outer(s, t)) @ wv
 
 
 def talbot(fn, t):
