@@ -36,8 +36,8 @@ MASS_TOLERANCE = 1e-3
 NEGATIVE_DENSITY_TOL = 1e-9
 
 # Exponentials and products that a tabulated law's transform holds per
-# step: rows of B + 2m entries (B baby steps, m giant steps and their
-# m-column product), so a step holds at most 32 MB (64 MB complex).
+# step: rows of 2B + m entries (B baby steps, m giant steps and their
+# B-column product), so a step holds at most 32 MB (64 MB complex).
 _KERNEL_BLOCK = 1 << 22
 
 
@@ -208,11 +208,11 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
     density = GridFunction(h=pdf.h, values=vals, notes=pdf.notes)
     cdf_vals = cdf_from_density(density).values
     mean = float(np.dot(weights, t * vals))
-    # W[i, j] is the term k = jB + i of the trapezoid sum, zero past the table
+    # W[j, i] is the term k = jB + i of the trapezoid sum, zero past the table
     B = math.isqrt(len(t) - 1) + 1
     baby, giant = t[:B], t[::B]
-    W = np.pad(weights * vals, (0, B * len(giant) - len(t))).reshape(-1, B).T
-    rows = max(1, _KERNEL_BLOCK // (B + 2 * len(giant)))
+    W = np.pad(weights * vals, (0, B * len(giant) - len(t))).reshape(-1, B)
+    rows = max(1, _KERNEL_BLOCK // (2 * B + len(giant)))
 
     def pdf_fn(x):
         return np.interp(x, t, vals, left=0.0, right=0.0)
@@ -227,9 +227,9 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
         out = np.empty(flat.shape, dtype=np.result_type(flat.dtype, float))
         for lo in range(0, flat.size, rows):
             blk = flat[lo : lo + rows]
-            # e^{-s t_k} = z^i z^{jB} with z = e^{-sh}: B + m exponentials per s
+            # e^{-s t_k} = z^i z^{jB}, z = e^{-sh}; the giant steps, falling by z^B, sum first
             A, G = np.exp(-np.multiply.outer(blk, baby)), np.exp(-np.multiply.outer(blk, giant))
-            out[lo : lo + rows] = np.einsum("ij,ij->i", A @ W, G)
+            out[lo : lo + rows] = np.einsum("ij,ij->i", G @ W, A)
         return out.reshape(s_arr.shape)[()]
 
     def sampler(rng, size=None):

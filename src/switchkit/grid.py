@@ -10,6 +10,9 @@ second-order stencils; second-order accuracy keeps convolutions exactly
 symmetric and is sufficient for the tolerances this package targets.
 :func:`solve_renewal` inverts the trapezoid convolution exactly, which sums
 whole series of convolution powers in one O(n log n) step.
+
+CSV text is written by :func:`write_rows` and read by :func:`_read_rows` over
+one power-of-ten table, bit for bit as ``%.17e`` prints and ``float()`` reads.
 """
 
 from __future__ import annotations
@@ -135,17 +138,25 @@ class GridFunction:
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
-        """Read a ``t,value`` CSV (extra columns are ignored) whose first t is 0."""
+        """Read a ``t,value`` CSV (extra columns are ignored) whose first t is 0, each
+        value ``float()`` of its field, by :func:`_read_rows` or ``np.loadtxt``."""
         with open(path, newline="") as fh:
-            header = next(csv.reader([fh.readline()]), [])
+            line = fh.readline()
+            header = next(csv.reader([line]), [])
             if len(header) < 2 or header[0] != "t" or header[1] != "value":
                 raise InvalidArgumentError(f"{path}: expected a 't,value' header, got {header}")
-            try:
-                with warnings.catch_warnings():
-                    warnings.simplefilter("ignore")  # no data rows: refused below
-                    data = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2, comments=None)
-            except ValueError as exc:
-                raise InvalidArgumentError(f"{path}: malformed data row: {exc}") from exc
+            with open(path, "rb") as fb:
+                data = _read_rows(fb.read(), len(line.encode(fh.encoding)))
+            if data is None:
+                try:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")  # no data rows: refused below
+                        data = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2,
+                                          comments=None, max_rows=MAX_POINTS + 1)
+                except ValueError as exc:
+                    raise InvalidArgumentError(f"{path}: malformed data row: {exc}") from exc
+        if len(data) > MAX_POINTS:
+            raise ResourceLimitError(f"{path}: table of more than MAX_POINTS = {MAX_POINTS} rows")
         t = data[:, 0]
         if len(t) < 2:
             raise InvalidArgumentError(f"{path}: need at least two samples")
@@ -191,10 +202,10 @@ def _pow10_table():
 # correction of the log10 estimate.
 _K_MIN, _K_MAX = -325, 309
 _POW10 = _pow10_table()
-# Bound on the error of P + T from _scale: the table, the product's low
-# part and its last addition each err by at most ~2^-106 relative, which
-# below 10^18 is under 5e-14 absolute.  Nearer than this to a half, the
-# rounding is not certain (or is an exact tie) and the row goes to `%`.
+# Bound on the error of P + T from _scale: the table, the product's low part
+# and its additions each err by ~2^-106 relative, under 5e-14 below 10^18 (and
+# 1e-15 ulp in _value).  Nearer a half, the rounding is not certain (or is an
+# exact tie): the writer's row goes to `%`, the reader's field to `float()`.
 _ROUND_ERR = 2.0**-43
 
 # Byte slots of one field of the byte matrix in write_rows: sign, d0, '.',
@@ -203,8 +214,8 @@ _FIELD = 26
 _DIGIT_SLOTS = ((1, *range(3, 11)), tuple(range(11, 20)), (22, 23, 24))
 
 
-def _scale(f, e, k):
-    """(P, T) with P + T = f 2^e 10^(17-k), P an integer-valued double."""
+def _scale(f, e, k, tail=0.0):
+    """(P, T) with P + T = (f + tail) 2^e 10^(17-k) and P = fl(f 2^e 10^(17-k))."""
     i = k - _K_MIN
     hi, hi_hi, hi_lo, lo, b = (t.take(i) for t in _POW10)
     p = f * hi
@@ -212,7 +223,7 @@ def _scale(f, e, k):
     # Dekker's two-product: f hi = p + err exactly (numpy has no fma)
     err = ((f_hi * hi_hi - p) + f_hi * hi_lo + f_lo * hi_hi) + f_lo * hi_lo
     s = e + b
-    return np.ldexp(p, s), np.ldexp(err + f * lo, s)
+    return np.ldexp(p, s), np.ldexp(err + f * lo + tail * hi, s)
 
 
 def _decimal(x: np.ndarray):
@@ -307,6 +318,75 @@ def write_rows(fh, cols: np.ndarray, end: str = "\r\n") -> None:
             start = ends[i]
         parts.append(text[start:])
         fh.write("".join(parts))
+
+
+def _read_rows(raw: bytes, start: int):
+    """The first two columns of the rows in ``raw[start:]`` (after a header
+    line), or None unless each row is the same number (2 or more) of ``%.17e``
+    fields ended by ``,``, ``\n`` or ``\r\n``: the mirror of :func:`write_rows`,
+    in blocks of about ``_CSV_BLOCK`` fields, each read by :func:`_value` or,
+    where that is not certified, ``float``.  Past ``MAX_POINTS`` rows nothing
+    is converted."""
+    if len(raw) < start + _FIELD or raw[-1:] != b"\n":
+        return None
+    u = np.frombuffer(raw, dtype=np.uint8)
+    words = np.ndarray(len(raw) - 7, "<u8", raw, strides=(1,))  # the 8 bytes from each byte
+    out = np.empty((raw.count(b"\n", start), 2))  # one row per line end
+    n_cols, row, a = 0, 0, start
+    while a < len(raw):
+        b = raw.find(b"\n", min(a + _CSV_BLOCK * _FIELD, len(raw)) - 1) + 1
+        p = a + np.flatnonzero(u[a:b] == ord("e"))  # one 'e' per field
+        if len(p) == 0 or p[0] < 20 or p[-1] + 5 > len(raw):
+            return None
+        # each field is [-]d0.d1..d17e(+|-)x0x1[x2], d1..d8 and d9..d16 read as words
+        d0, d17, x0, x1, x2 = (u[p + j] - 48 for j in (-19, -1, 2, 3, 4))
+        (hi, hi_ok), (lo, lo_ok) = _eight_digits(words[p - 17]), _eight_digits(words[p - 9])
+        neg, plus, three = u[p - 20] == ord("-"), u[p + 1] == ord("+"), x2 < 10
+        q = p + 4 + three  # the separator
+        sep = u.take(q, mode="clip")
+        crlf = (sep == ord("\r")) & (u.take(q + 1, mode="clip") == ord("\n"))
+        end = crlf | (sep == ord("\n"))  # of a row
+        first, nxt = p - 19 - neg, q + 1 + crlf  # where this field and the next start
+        n_cols = n_cols or int(np.argmax(end)) + 1
+        valid = ((d0 < 10) & (d17 < 10) & (x0 < 10) & (x1 < 10) & (u[p - 18] == ord("."))
+                 & (plus | (u[p + 1] == ord("-"))) & (end | (sep == ord(","))) & hi_ok & lo_ok)
+        # the fields tile [a, b), and each row holds n_cols of them
+        if not (n_cols > 1 and np.array_equal(np.r_[first, b], np.r_[a, nxt]) and valid.all()
+                and np.array_equal(end, np.arange(1, len(p) + 1) % n_cols == 0)):
+            return None
+        if len(out) <= MAX_POINTS:
+            k = np.where(three, 100, 10) * x0 + np.where(three, 10, 1) * x1 + three * x2
+            v, ok = _value((d0 * np.int64(10**8) + hi) * 10**9 + lo * 10 + d17,
+                           np.where(plus, k, -k))
+            v = np.where(neg, -v, v)
+            for j in np.flatnonzero(~ok):
+                v[j] = float(raw[first[j] : q[j]])
+            out[row : row + len(p) // n_cols] = v.reshape(-1, n_cols)[:, :2]
+            row += len(p) // n_cols
+        a = b
+    return out
+
+
+def _value(D, k):
+    """(v, ok), the inverse of :func:`_decimal`: where ``ok``, v is the double
+    nearest D 10^(k-17) = P + T (D < 10^18), as the rest P + T - v is inside half
+    an ulp (a quarter below a power of two); not at ties or k out of the table."""
+    Dh, i = D.astype(np.float64), np.clip(34 - k, _K_MIN, _K_MAX)  # 10^(k-17) = 10^(17-i)
+    with np.errstate(over="ignore", invalid="ignore"):
+        P, T = _scale(Dh, 0, i, (D - Dh.astype(np.int64)).astype(np.float64))
+        v = P + T
+        f, e = np.frexp(v)
+        rest = np.abs(np.ldexp((P - v) + T, 53 - e))
+    return v, (i == 34 - k) & (rest < np.where(f == 0.5, 0.25, 0.5) - _ROUND_ERR)
+
+
+def _eight_digits(w):
+    """(n, ok): each uint64 of ``w`` read as 8 little-endian ASCII digits (Lemire's SWAR)."""
+    high, zeros, pairs = np.uint64(0xF0F0F0F0F0F0F0F0), 0x3030303030303030, 0x000000FF000000FF
+    ok = ((w & high) == zeros) & (((w + 0x0606060606060606) & high) == zeros)
+    v = (w - zeros) * 10 + ((w - zeros) >> 8)  # byte 2j: the two digits 2j, 2j+1
+    v = ((v & pairs) * (100 + (1000000 << 32)) + ((v >> 16) & pairs) * (1 + (10000 << 32))) >> 32
+    return v.astype(np.int64), ok
 
 
 def _check_combinable(f: GridFunction, g: GridFunction, op: str) -> None:

@@ -451,3 +451,35 @@ def test_one_parser_serves_every_run(capsys, tmp_path, monkeypatch):
         assert capsys.readouterr().out == want
     for name in ("ev.csv", "est.csv"):
         assert (together / name).read_bytes() == (apart / name).read_bytes()
+
+
+def test_table_inputs_give_the_same_bytes_through_either_layout(capsys, tmp_path, monkeypatch):
+    # one set of tables written CRLF by to_csv and LF by np.savetxt, and the
+    # CRLF files read again by np.loadtxt alone (the reader kernel declined)
+    h, t = 4e-3, np.arange(10_001) * 4e-3
+    tables = {"C.csv": (2 / np.pi) * np.arcsin(1 / np.cosh(t / 2)),
+              "density.csv": 2.0 * np.exp(-2.0 * t), "r.csv": 1 / np.cosh(t / 2)}
+    argvs = [["recover", "--from", "covariance", "--input", "C.csv", "--out-prefix", "rec"],
+             ["gd-check", "--dist", "table(density.csv)", "--r", "2"],
+             ["iia", "--r", "r.csv", "--t-end", "40", "--h", repr(h), "--out-prefix", "iia"]]
+    seen = {}
+    for layout in ("crlf", "lf", "loadtxt"):
+        (tmp_path / layout).mkdir()
+        monkeypatch.chdir(tmp_path / layout)
+        for name, values in tables.items():
+            if layout == "lf":
+                np.savetxt(name, np.column_stack([t, values]), fmt="%.17e", delimiter=",",
+                           header="t,value", comments="")
+            else:
+                GridFunction(h=h, values=values).to_csv(name)
+        with monkeypatch.context() as m:
+            if layout == "loadtxt":
+                m.setattr(switchkit.grid, "_read_rows", lambda raw, start: None)
+            summaries = [run_json(capsys, argv) for argv in argvs]
+        outputs = {p.name: p.read_bytes() for p in sorted((tmp_path / layout).iterdir())
+                   if p.name not in tables}
+        seen[layout] = (summaries, outputs)
+        assert len(outputs) == 5
+    assert seen["crlf"] == seen["lf"] == seen["loadtxt"]
+    assert (tmp_path / "crlf" / "C.csv").read_bytes().replace(b"\r\n", b"\n") == (
+        tmp_path / "lf" / "C.csv").read_bytes()

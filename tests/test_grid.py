@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,8 @@ from switchkit import (
     expected_value_series,
     second_derivative,
 )
-from switchkit.grid import MAX_POINTS, _ROUND_ERR, _decimal, _scale, write_rows
+import switchkit.grid as grid
+from switchkit.grid import MAX_POINTS, _ROUND_ERR, _decimal, _read_rows, _scale, _value, write_rows
 
 from conftest import grid_fn
 
@@ -359,7 +361,160 @@ def test_fast_path_covers_smooth_tables_and_random_bits(exp1):
     assert ok.mean() >= 0.999
 
 
-@pytest.mark.parametrize("body", ["0.0,1.0\n0.1,abc\n", "0.0,1.0\n0.1\n", ""])
+# -- the reader kernel --------------------------------------------------------
+
+CRLF_HEADER, LF_HEADER = b"t,value\r\n", b"t,value\n"
+
+
+def _crlf_table(cols):
+    return CRLF_HEADER + _written(cols).encode()
+
+
+def _lf_table(cols):
+    buf = io.BytesIO()
+    np.savetxt(buf, cols, fmt="%.17e", delimiter=",", header="t,value", comments="")
+    return buf.getvalue()
+
+
+def _assert_reads_as_float(raw):
+    """The kernel gives float() of each field of the first two columns, bit
+    for bit, or declines; returns whether it read the table."""
+    start = raw.index(b"\n") + 1
+    got = _read_rows(raw, start)
+    if got is None:
+        return False
+    want = np.array([[float(f) for f in line.split(b",")[:2]]
+                     for line in raw[start:].splitlines()])
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    return True
+
+
+def _assert_both_layouts(cols):
+    for raw in (_crlf_table(cols), _lf_table(cols)):
+        # only nan and inf, which are not %.17e fields, send a table to loadtxt
+        assert _assert_reads_as_float(raw) == bool(np.isfinite(cols).all())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(), min_size=2, max_size=60).filter(lambda xs: len(xs) % 2 == 0))
+def test_reader_matches_float_on_any_float(xs):
+    _assert_both_layouts(np.array(xs).reshape(-1, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
+                min_size=1, max_size=30))
+def test_reader_matches_float_on_random_bit_patterns(bits):
+    _assert_both_layouts(np.array(bits, dtype=np.uint64).view(np.float64).reshape(-1, 2))
+
+
+def test_reader_matches_float_on_many_bit_patterns():
+    bits = _bit_patterns(13, 60_000)
+    _assert_both_layouts(bits[np.isfinite(bits)][:50_000].reshape(-1, 2))
+
+
+def test_reader_matches_float_on_edge_values(tmp_path):
+    tiny, huge = 5e-324, float(np.finfo(float).max)
+    edges = [0.0, -0.0, tiny, -tiny, 2.5e-310, huge, -huge, 1e100, -1e-100,
+             float(np.finfo(float).smallest_normal)]
+    for p in range(-307, 309):
+        x = float(f"1e{p}")
+        edges += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+    cols = np.array(edges + [-x for x in edges])
+    _assert_both_layouts(cols.reshape(-1, 2))
+    # three columns, as to_csv writes them with extra_columns; only the
+    # first two are read
+    path = tmp_path / "g.csv"
+    g = GridFunction(h=0.5, values=cols[: len(cols) // 2])
+    g.to_csv(path, extra_columns={"stderr": cols[len(cols) // 2 :]})
+    assert _assert_reads_as_float(path.read_bytes())
+    assert np.array_equal(GridFunction.from_csv(path).values.view(np.int64),
+                          g.values.view(np.int64))
+
+
+def _midpoints(rng, n):
+    """18-digit strings of exact midpoints of adjacent doubles, which `%.17e`
+    never prints: x + ulp/2 for x in [2^53, 2^60) (an integer), and
+    2^e - ulp/4 just below a power of two."""
+    out = []
+    for e in range(53, 60):
+        for m in rng.integers(2**52, 2**53 - 1, n).tolist():
+            out.append((m << (e - 52)) + (1 << (e - 53)))
+    out += [2**e - 2 ** (e - 54) for e in range(54, 60)]
+    return [(int(str(v).ljust(18, "0")), len(str(v)) - 1) for v in out if v < 10**18]
+
+
+def test_reader_sends_midpoints_to_float_and_rounds_beside_them():
+    D, k = np.array(_midpoints(np.random.default_rng(3), 200), dtype=np.int64).T
+    k = k.astype(np.int32)
+    assert not _value(D, k)[1].any()  # exact ties are float()'s to round
+    powers = np.zeros(len(D), dtype=bool)
+    powers[-6:] = True
+    for step in (-1, 1):
+        _, ok = _value(D + step, k)
+        assert ok[~powers].all()  # one unit beside a tie is certified
+    digits = [str(d) for d in np.concatenate([D - 1, D, D + 1]).tolist()]
+    fields = [f"{d[0]}.{d[1:]}e+{kv:02d}".encode() for d, kv in zip(digits, np.tile(k, 3).tolist())]
+    rows = [a + b"," + b for a, b in zip(fields[0::2], fields[1::2])]
+    for end, header in ((b"\r\n", CRLF_HEADER), (b"\n", LF_HEADER)):
+        assert _assert_reads_as_float(header + end.join(rows) + end)
+
+
+def test_reader_covers_written_tables(exp1, monkeypatch):
+    # Without this, a kernel that sent every field to float() would still
+    # pass the tests above.  A finite table never leaves the kernel; of its
+    # fields, only uncertified ones (the exact powers of two in t) reach float().
+    E = expected_value_series(exp1, GridSpec(h=1e-3, n=100_001))
+    cols = np.column_stack([E.times(), E.values])
+    calls = []
+    monkeypatch.setattr(grid, "float", lambda x: calls.append(x) or float(x), raising=False)
+    for raw in (_crlf_table(cols), _lf_table(cols)):
+        calls.clear()
+        assert _read_rows(raw, raw.index(b"\n") + 1) is not None
+        assert len(calls) <= 1e-3 * cols.size
+
+
+def test_from_csv_memory_is_bounded(tmp_path):
+    # the kernel holds the file and works in blocks, not on the whole file
+    path = tmp_path / "g.csv"
+    grid_fn(lambda t: np.exp(-t) * np.cos(3 * t), 40.0, 1e-3).to_csv(path)
+    GridFunction.from_csv(path)
+    tracemalloc.start()
+    try:
+        GridFunction.from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * path.stat().st_size
+
+
+F, Z, H = "1.00000000000000000e+00", "0.00000000000000000e+00", "1.00000000000000006e-01"
+DECLINED_LAYOUTS = {
+    "no final newline": f"{Z},{F}\n{H},{F}",
+    "blank line": f"{Z},{F}\n\n{H},{F}\n",
+    "ragged row": f"{Z},{F}\n{H},{F},{F}\n",
+    "leading spaces": f" {Z}, {F}\n{H},{F}\n",
+    "capital E": f"{Z},{F}\n1E-1,{F}\n",
+    "truncated field": f"{Z},{F}\n1.0e-1,{F}\n",
+}
+
+
+@pytest.mark.parametrize("body", DECLINED_LAYOUTS.values(), ids=DECLINED_LAYOUTS.keys())
+def test_csv_other_layouts_read_as_loadtxt(tmp_path, body):
+    path = tmp_path / "g.csv"
+    path.write_text("t,value\n" + body)
+    raw = path.read_bytes()
+    assert _read_rows(raw, len(LF_HEADER)) is None
+    want = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1))
+    g = GridFunction.from_csv(path)
+    assert g.h == want[1, 0] and np.array_equal(g.values, want[:, 1])
+
+
+@pytest.mark.parametrize("body", ["0.0,1.0\n0.1,abc\n", "0.0,1.0\n0.1\n", "",
+                                  f"{Z},{F}\n{H},abc", f"{Z},{F}\n\n{H}\n",
+                                  f"{Z},{F}\n{H}\n{H},{F},{F}\n", f" {Z},{F}\n {H}, x\n",
+                                  f"{Z},{F}\n1E-1,1E\n", f"{Z},{F}\n1.0e-,{F}\n"])
 def test_csv_malformed_rows_rejected(tmp_path, body):
     path = tmp_path / "bad.csv"
     path.write_text("t,value\n" + body)
@@ -371,6 +526,16 @@ def test_csv_header_checked(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("x,y\n1,2\n")
     with pytest.raises(InvalidArgumentError):
+        GridFunction.from_csv(path)
+
+
+@pytest.mark.parametrize("row", ["{:.17e},{:.17e}\r\n", "{},{}\n"], ids=["kernel", "loadtxt"])
+def test_csv_longer_than_max_points_is_refused(tmp_path, monkeypatch, row):
+    path = tmp_path / "g.csv"
+    path.write_bytes(b"t,value\n" + "".join(row.format(0.5 * i, 1.0) for i in range(4)).encode())
+    assert len(GridFunction.from_csv(path)) == 4
+    monkeypatch.setattr(grid, "MAX_POINTS", 3)
+    with pytest.raises(ResourceLimitError, match="g.csv: table of more than MAX_POINTS = 3"):
         GridFunction.from_csv(path)
 
 
