@@ -2,7 +2,7 @@
 
 Compute and invert the relations among a switching-time distribution, the
 expected value E(t) of the switch process it drives, and the covariance
-C(t) of the stationary counterpart; screen geometric divisibility; run the
+C(t) of the stationary counterpart; test geometric divisibility; run the
 independent interval approximation for clipped Gaussian processes.
 """
 
@@ -47,8 +47,6 @@ from .iia import (
     iia_pipeline,
 )
 from .laplace import (
-    CMReport,
-    cm_check,
     covariance_laplace,
     expected_laplace_from_psi,
     geometric_map,
@@ -78,7 +76,6 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CMReport",
     "DivisibilityReport",
     "GaussianCovariance",
     "GeometricCompound",
@@ -96,7 +93,6 @@ __all__ = [
     "check_covariance_shape",
     "check_expected_shape",
     "clip_covariance",
-    "cm_check",
     "convolve",
     "covariance_delay_route",
     "covariance_from_expected",

@@ -82,11 +82,11 @@ def test_gd_check_verb_failing_law_still_exits_zero(capsys):
 
 
 def test_gd_check_verb_reports_the_time_domain_refutation(capsys):
-    # the complete-monotonicity screen passes gamma(2, 1) at r = 1.5; its
-    # divisor density is negative on (pi sqrt2, 2 pi sqrt2)
+    # gamma(2, 1) at r = 1.5: its divisor density is negative on
+    # (pi sqrt2, 2 pi sqrt2)
     summary = run_json(capsys, ["gd-check", "--dist", "gamma(shape=2,scale=1)", "--r", "1.5"])
-    assert summary["cm_report"]["passed"] is True
     assert summary["time_domain"]["refuted"] is True
+    assert summary["time_domain"]["reason"] is None
     assert summary["passed"] is False
 
 
@@ -292,9 +292,12 @@ def test_malformed_input_row_exits_one(capsys, tmp_path, row):
 
 def test_gd_check_reports_the_tolerances_it_judged_with(capsys):
     summary = run_json(capsys, ["gd-check", "--dist", "exp(rate=1)", "--r", "2"])
-    assert summary["cm_report"]["max_order_checked"] == 6
-    assert summary["cm_report"]["tolerance"] == 1e-7
     assert summary["zero_tolerance"] == 1e-6
+    # the span it judged: 40 / s*, psi(s*) = 1/(1 + s*) = 1/2
+    td = summary["time_domain"]
+    assert math.isclose(td["s_star"], 1.0, rel_tol=1e-9)
+    assert math.isclose(td["t_end"], 40.0, rel_tol=1e-9)
+    assert td["h"] == [40.0 / td["s_star"] / 4000, 40.0 / td["s_star"] / 8000]
 
 
 @pytest.mark.parametrize("argv", [
@@ -363,10 +366,11 @@ def test_simulate_writes_one_full_precision_epoch_per_line(capsys, tmp_path):
 
 def test_cli_import_leaves_scipy_signal_unloaded():
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(switchkit.__file__))}
-    code = "import sys, switchkit.cli; print('scipy.signal' in sys.modules)"
+    code = ("import sys, switchkit.cli; "
+            "print('scipy.signal' in sys.modules, 'scipy.optimize' in sys.modules)")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"
 
 
 @pytest.mark.parametrize("argv", [

@@ -8,7 +8,6 @@ from switchkit import (
     GridFunction,
     GridSpec,
     InvalidArgumentError,
-    cm_check,
     make_exponential,
     make_gamma,
     make_geometric_compound,
@@ -21,6 +20,7 @@ from switchkit import (
 from switchkit import distributions
 
 import exp_reference
+from cm_reference import cm_check
 import transform_oracle
 from conftest import grid_fn
 
@@ -191,6 +191,7 @@ def _table(n):
 
 
 def _cm_lattice():
+    # the 40 x 13 s-points at which the frozen CM screen evaluates a transform
     seen = []
     cm_check(lambda s: seen.append(s) or np.exp(-s))
     return seen[0]

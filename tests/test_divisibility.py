@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 import transform_oracle
 from switchkit import (
+    GridFunction,
     GridSpec,
     InvalidArgumentError,
     SwitchingDistribution,
@@ -21,7 +23,7 @@ from switchkit import (
     reduce_order,
     tabulate_pdf,
 )
-from switchkit.divisibility import TIME_POINTS, ZERO_TOL, divisor_density
+from switchkit.divisibility import TIME_POINTS, TIME_SPAN_MEANS, ZERO_TOL, divisor_density
 
 S_PROBES = (0.1, 1.0, 10.0)
 REAL_NODES = np.logspace(-3, 3, 25)
@@ -69,7 +71,7 @@ def test_gd_check_exponential_passes(exp1):
 def test_gd_check_gamma_fails(gamma22):
     report = gd_check(gamma22, 2.0)
     assert not report.passed
-    assert not report.cm_report.passed
+    assert report.time_domain["refuted"]
 
 
 def test_gd_check_compound_recovers_divisor(compound2):
@@ -86,12 +88,15 @@ def test_gd_check_json(gamma22):
     obj = gd_check(gamma22, 2.0).to_json_dict()
     assert obj["passed"] is False
     assert obj["r"] == 2.0
-    assert "cm_report" in obj
+    assert set(obj) == {"r", "passed", "laplace_at_zero", "zero_tolerance", "time_domain"}
     td = obj["time_domain"]
-    assert set(td) == {"min", "t_min", "h", "t_end", "refuted"}
-    assert td["t_end"] == 40.0 * gamma22.mean
-    assert td["h"] == [td["t_end"] / 4000, td["t_end"] / 8000]
-    assert td["refuted"] is True and td["min"][1] < 0
+    assert set(td) == {"s_star", "t_end", "h", "min", "t_min", "refuted", "reason"}
+    # psi(s*) = (1 + 2 s*)^-2 = 1/2
+    assert math.isclose(td["s_star"], (math.sqrt(2.0) - 1.0) / 2.0, rel_tol=1e-9)
+    span = TIME_SPAN_MEANS * min(gamma22.mean, 1.0 / td["s_star"])
+    assert td["h"] == [span / 4000, span / 8000]
+    assert math.isclose(td["t_end"], span, rel_tol=1e-12)  # nothing above 2/h
+    assert td["refuted"] is True and td["min"][1] < 0 and td["reason"] is None
 
 
 # -- time-domain divisor -----------------------------------------------------------
@@ -110,7 +115,7 @@ def _gd_laws():
     }
 
 
-# laws the complete-monotonicity screen passes although they are not
+# laws the former complete-monotonicity screen passed although they are not
 # r-divisible: each has a clearly negative divisor density
 CM_FALSE_PASSES = [("gamma1.5", 1.25), ("gamma1.5", 1.5), ("gamma1.5", 2.0),
                    ("gamma2,1", 1.25), ("gamma2,1", 1.5), ("gamma2,2", 1.25),
@@ -124,7 +129,6 @@ DIVISIBLE = ([(name, r) for name in ("exp1", "gamma0.5", "compound2_exp2")
 @pytest.mark.parametrize("name,r", CM_FALSE_PASSES)
 def test_negative_divisor_density_refutes_a_cm_pass(name, r):
     report = gd_check(_gd_laws()[name], r)
-    assert report.cm_report.passed
     assert report.time_domain["refuted"]
     assert not report.passed
 
@@ -137,13 +141,16 @@ def test_divisible_laws_are_not_refuted(name, r):
 
 
 def test_refuted_divisor_matches_closed_form():
-    # gamma(2, 1) at r = 1.5: divisor density 1.5 sqrt2 e^-t sin(t/sqrt2),
-    # whose minimum on (pi sqrt2, 2 pi sqrt2) is at t = sqrt2 (pi + arctan(1/sqrt2))
-    td = gd_check(make_gamma(2.0, 1.0), 1.5).time_domain
-    t = math.sqrt(2.0) * (math.pi + math.atan(1.0 / math.sqrt(2.0)))
-    want = 1.5 * math.sqrt(2.0) * math.exp(-t) * math.sin(t / math.sqrt(2.0))
-    assert abs(td["t_min"] - t) <= td["h"][0]
-    assert abs(td["min"][1] - want) <= 1e-6
+    # gamma(2, 1): divisor density (r/w) e^-t sin(w t), w = sqrt(r - 1), whose
+    # minimum on (pi/w, 2 pi/w) is at t = (pi + arctan w)/w; at r = 1e8 that
+    # is t ~ 4.71e-4, a scale that a span of 40 means cannot resolve
+    for r in (1.5, 1e8):
+        td = gd_check(make_gamma(2.0, 1.0), r).time_domain
+        w = math.sqrt(r - 1.0)
+        t = (math.pi + math.atan(w)) / w
+        want = r / w * math.exp(-t) * math.sin(w * t)
+        assert abs(td["t_min"] - t) <= td["h"][0]
+        assert math.isclose(td["min"][1], want, rel_tol=1e-4, abs_tol=1e-6)
 
 
 def test_a_roundoff_minimum_is_not_located():
@@ -168,18 +175,81 @@ def test_order_two_divisor_is_minus_expected_derivative(name):
 
 
 def test_unresolvable_divisor_is_not_refuted():
-    # exp(1) at r = 1e4 is divisible (divisor exp(1e4)), but its decay is
-    # far below the grid step: the grid values oscillate and prove nothing
+    # exp(1) at r = 1e4 is divisible (divisor exp(1e4)): its decay is far
+    # below the step of a span of 40 means, but at the divisor's own scale,
+    # 40/s* with s* = r - 1, the density is resolved and not refuted
     report = gd_check(make_exponential(1.0), 1e4)
-    assert report.time_domain["min"] is None
+    td = report.time_domain
+    assert math.isclose(td["s_star"], 1e4 - 1.0, rel_tol=1e-9)
+    assert td["min"] is not None and td["reason"] is None
+    assert min(td["min"]) >= -ZERO_TOL and not td["refuted"]
     assert report.passed
 
 
-def test_gd_check_without_a_density_skips_the_time_domain(exp1):
+def test_gd_check_without_a_density_is_refused(exp1):
     transform_only = SwitchingDistribution(name="transform", mean=1.0, laplace=exp1.laplace)
-    report = gd_check(transform_only, 2.0)
-    assert report.passed
-    assert report.time_domain["min"] is None and not report.time_domain["refuted"]
+    with pytest.raises(InvalidArgumentError, match="no density"):
+        gd_check(transform_only, 2.0)
+
+
+def test_a_divisor_past_2_over_h_is_cut_not_skipped():
+    # gamma(5, 1) at r = 1e8 exceeds 2/h inside its span; the causal solve
+    # is kept up to there, where its first negative lobe already lies
+    dist = make_gamma(5.0, 1.0)
+    td = gd_check(dist, 1e8).time_domain
+    (h0, h1), (n0, n1) = td["h"], TIME_POINTS
+    x0 = divisor_density(dist, 1e8, GridSpec(h=h0, n=n0)).values
+    x1 = divisor_density(dist, 1e8, GridSpec(h=h1, n=n1)).values
+    cut = round(td["t_end"] / h1) + 1  # h/2-grid points kept; coarse point j is point 2j
+    kept0, kept1 = x0[: (cut + 1) // 2], x1[:cut]
+    assert cut < n1 and h0 * np.max(np.abs(kept0)) <= 2 and h1 * np.max(np.abs(kept1)) <= 2
+    assert h1 * abs(x1[cut]) > 2 or (cut % 2 == 0 and h0 * abs(x0[cut // 2]) > 2)
+    assert td["min"] == [np.min(kept0), np.min(kept1)] and td["refuted"]
+
+
+def _exp2_table():
+    t = np.arange(40_001) * 1e-3
+    return make_tabulated(GridFunction(h=1e-3, values=2.0 * np.exp(-2.0 * t)))
+
+
+@pytest.mark.parametrize("r", [1e4, 1e8])
+def test_a_table_without_s_star_is_undecided(r):
+    # a table's trapezoid transform levels off at h f(0)/2 = 1e-3, so
+    # psi(s) = 1/r has no root: nothing is solved and nothing refuted
+    start = time.perf_counter()
+    report = gd_check(_exp2_table(), r)
+    assert time.perf_counter() - start < 5.0
+    td = report.time_domain
+    assert td["s_star"] is None and td["min"] is None and td["reason"] == "no s*"
+    assert not td["refuted"] and report.passed
+
+
+def test_a_table_at_its_own_scale_is_refuted_at_r_100():
+    # the table's piecewise-linear density, not exp(2), is judged: at r = 100
+    # its divisor dips to -5.4e-5 on both grids, which the rule certifies
+    td = gd_check(_exp2_table(), 100.0).time_domain
+    assert td["refuted"] and td["reason"] is None
+    np.testing.assert_allclose(td["min"], [-5.36e-5, -5.37e-5], rtol=2e-3)
+
+
+# each law with the orders r at which it is divisible: gamma with shape <= 1
+# at every r, shape > 1 at none, and compound(3, gamma(2, 1)) for r <= 3
+SWEEP_LAWS = {
+    **{f"gamma{a:g}": (lambda a=a: make_gamma(a, 1.0), lambda r, a=a: a <= 1)
+       for a in (0.5, 0.8, 1.0, 1.5, 2.0, 3.0, 5.0)},
+    "compound3_gamma2": (lambda: make_geometric_compound(make_gamma(2.0, 1.0), r=3.0),
+                         lambda r: r <= 3),
+    "compound2_gamma0.5": (lambda: make_geometric_compound(make_gamma(0.5, 1.0), r=2.0),
+                           lambda r: True),
+}
+SWEEP_R = (1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0, 1e4, 1e8)
+
+
+@pytest.mark.parametrize("r", SWEEP_R)
+@pytest.mark.parametrize("name", list(SWEEP_LAWS))
+def test_divisibility_verdict_matches_the_analytic_truth(name, r):
+    law, divisible = SWEEP_LAWS[name]
+    assert gd_check(law(), r).passed is divisible(r)
 
 
 # -- compound/extract identity ---------------------------------------------------

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from switchkit import (
     GridSpec,
     InvalidArgumentError,
-    cm_check,
     covariance_laplace,
     expected_laplace_from_psi,
     make_gamma,
@@ -17,8 +16,7 @@ from switchkit import (
     psi_from_expected_laplace,
     tabulate_pdf,
 )
-from switchkit.laplace import CM_MAX_ORDER, CM_S_GRID
-
+from cm_reference import CM_MAX_ORDER, CM_S_GRID, cm_check
 from transform_oracle import talbot
 
 S_PROBES = (0.1, 1.0, 10.0)
@@ -180,7 +178,10 @@ def test_invert_then_retransform_round_trip():
         assert math.isclose(got, 1.0 / (2.0 + s), abs_tol=1e-4)
 
 
-# -- cm_check --------------------------------------------------------------------
+# -- the frozen CM screen (tests/cm_reference.py) ---------------------------------
+# test_distributions screens every law's transform with it and pins the
+# tabulated transform on its lattice, so it must still fail where a
+# transform is not completely monotone.
 
 
 def test_cm_check_accepts_simple_pole():

@@ -17,18 +17,16 @@ import inspect
 import pkgutil
 from pathlib import Path
 
-import numpy as np
-
 import switchkit
 from switchkit.cli import build_parser
 
 # every name in switchkit.__all__
 NAMES = {
-    "CMReport", "DivisibilityReport", "GaussianCovariance", "GeometricCompound",
+    "DivisibilityReport", "GaussianCovariance", "GeometricCompound",
     "GridFunction", "GridSpec", "IIAResult", "InvalidArgumentError", "NumericError",
     "ResourceLimitError", "ShapeCheckError", "ShapeReport", "SwitchKitError",
     "SwitchTrajectory", "SwitchingDistribution", "check_covariance_shape",
-    "check_expected_shape", "clip_covariance", "cm_check", "convolve", "covariance_delay_route",
+    "check_expected_shape", "clip_covariance", "convolve", "covariance_delay_route",
     "covariance_from_expected", "covariance_laplace", "cumulative_integral",
     "damped_cosine_covariance", "derivative", "diffusion2d_covariance",
     "divisor_from_covariance", "divisor_from_expected", "divisor_laplace",
@@ -61,10 +59,7 @@ METHOD_DEFAULTED = {
 
 # public dataclass -> its field names, in order
 FIELDS = {
-    "CMReport": ("passed", "max_order_checked", "worst_violation", "violation_points",
-                 "tolerance"),
-    "DivisibilityReport": ("r", "passed", "cm_report", "laplace_at_zero", "zero_tolerance",
-                           "time_domain"),
+    "DivisibilityReport": ("r", "passed", "laplace_at_zero", "zero_tolerance", "time_domain"),
     "GaussianCovariance": ("fn", "name"),
     "GeometricCompound": ("name", "mean", "laplace", "pdf", "cdf", "sampler",
                           "size_biased_sampler", "divisor", "r"),
@@ -182,10 +177,7 @@ def test_readme_tolerance_table_matches_the_constants():
             unparsed[name] = (value, got)
             continue
         assert got == want, (name, got, value)
-    assert unparsed.keys() == {"CM_S_GRID", "TIME_POINTS"}
-    value, grid = unparsed["CM_S_GRID"]
-    assert value == "40 points, 1e-2 to 1e2"
-    np.testing.assert_array_equal(grid, np.logspace(-2, 2, 40))
+    assert unparsed.keys() == {"TIME_POINTS"}
     value, points = unparsed["TIME_POINTS"]
     assert tuple(int(p) for p in value.split(",")) == points
 
