@@ -19,7 +19,7 @@ from .distributions import (
     tabulate_cdf,
     tabulate_pdf,
 )
-from .divisibility import DivisibilityReport, divisor_laplace, gd_check, reduce_order
+from .divisibility import DivisibilityReport, gd_check
 from .errors import (
     InvalidArgumentError,
     NumericError,
@@ -64,7 +64,6 @@ from .recovery import (
     expected_from_covariance,
     expected_value_series,
     mean_from_expected,
-    switching_law_from_divisor,
 )
 from .simulation import (
     SwitchTrajectory,
@@ -103,7 +102,6 @@ __all__ = [
     "diffusion2d_covariance",
     "divisor_from_covariance",
     "divisor_from_expected",
-    "divisor_laplace",
     "estimate_covariance",
     "estimate_expected_value",
     "expected_derivative_series",
@@ -124,11 +122,9 @@ __all__ = [
     "mean_from_expected",
     "parse_distribution",
     "psi_from_expected_laplace",
-    "reduce_order",
     "second_derivative",
     "simulate_switch",
     "solve_renewal",
-    "switching_law_from_divisor",
     "tabulate_cdf",
     "tabulate_pdf",
 ]

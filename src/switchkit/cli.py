@@ -18,7 +18,7 @@ from . import iia as iia_mod
 from .distributions import geometric_map_grid, parse_distribution
 from .divisibility import gd_check
 from .errors import InvalidArgumentError, SwitchKitError
-from .grid import GridFunction, GridSpec, write_rows
+from .grid import GridFunction, GridSpec, _write_rows
 from .recovery import (
     covariance_from_expected,
     divisor_from_covariance,
@@ -115,7 +115,7 @@ def _cmd_simulate(args) -> dict:
     traj = simulate_switch(dist, args.horizon, args.seed)
     with open(args.out, "w") as fh:
         fh.write("epoch\n")
-        write_rows(fh, traj.epochs[:, None], end="\n")
+        _write_rows(fh, traj.epochs[:, None], end="\n")
     return {
         "verb": "simulate",
         "dist": dist.name,

@@ -1,10 +1,9 @@
-"""Geometric divisibility: divisor extraction, the divisibility verdict and
-order reduction.
+"""Geometric divisibility: the divisor density and the divisibility verdict.
 
 A law is r-geometric divisible when it is a Geometric(1/r) compound of some
 positive law, equivalently when the extracted divisor transform
 G_r(psi) = r*psi / (1 + (r-1)*psi) is completely monotone and equals one at
-s=0.  Extraction and order reduction are both
+s=0.  Extraction (q = r) and order reduction (q = u/r) are both
 :func:`~switchkit.laplace.geometric_map`.  By Bernstein's theorem that
 transform is completely monotone exactly when the divisor density is
 non-negative, so the verdict is a sign test of that density, solved in the
@@ -48,13 +47,6 @@ class DivisibilityReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-
-def divisor_laplace(psi, r: float):
-    """Transform of the order-r divisor: r*psi / (1 + (r-1)*psi) = G_r(psi)."""
-    if not (r > 1 and math.isfinite(r)):
-        raise InvalidArgumentError(f"r must be > 1, got {r}")
-    return geometric_map(psi, r)
 
 
 def divisor_density(dist: SwitchingDistribution, r: float, grid: GridSpec) -> GridFunction:
@@ -122,9 +114,12 @@ def gd_check(dist: SwitchingDistribution, r: float) -> DivisibilityReport:
     """Whether ``dist`` is r-geometric divisible: the divisor transform is one
     at s=0 to within ``ZERO_TOL`` and its time-domain density is not refuted.
 
-    A law without a grid density raises InvalidArgumentError.
+    An r outside (1, inf), or a law without a grid density, raises
+    InvalidArgumentError.
     """
-    at_zero = float(divisor_laplace(dist.laplace, r)(0.0))
+    if not (r > 1 and math.isfinite(r)):
+        raise InvalidArgumentError(f"r must be > 1, got {r}")
+    at_zero = float(geometric_map(dist.laplace, r)(0.0))
     time_domain = _time_domain(dist, r)
     return DivisibilityReport(
         r=float(r),
@@ -134,15 +129,3 @@ def gd_check(dist: SwitchingDistribution, r: float) -> DivisibilityReport:
         time_domain=time_domain,
     )
 
-
-def reduce_order(divisor_psi, r: float, u: float):
-    """Transform of the order-u divisor of the same compound law, 1 < u <= r.
-
-    The order-u divisor is itself a (u/r)-geometric compound of the order-r
-    divisor: (u/r) psi / (1 - (1 - u/r) psi).
-    """
-    if not (r > 1 and math.isfinite(r)):
-        raise InvalidArgumentError(f"r must be > 1, got {r}")
-    if not (1 < u <= r):
-        raise InvalidArgumentError(f"u must lie in (1, r], got u={u}, r={r}")
-    return geometric_map(divisor_psi, u / r)

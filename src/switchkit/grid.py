@@ -11,7 +11,7 @@ symmetric and is sufficient for the tolerances this package targets.
 :func:`solve_renewal` inverts the trapezoid convolution exactly, which sums
 whole series of convolution powers in one O(n log n) step.
 
-CSV text is written by :func:`write_rows` and read by :func:`_read_rows` over
+CSV text is written by :func:`_write_rows` and read by :func:`_read_rows` over
 one power-of-ten table, bit for bit as ``%.17e`` prints and ``float()`` reads.
 """
 
@@ -27,13 +27,13 @@ from scipy import fft as sp_fft
 
 from .errors import InvalidArgumentError, NumericError, ResourceLimitError
 
-# Rows formatted per step of write_rows.  A step holds a few float64 arrays
+# Rows formatted per step of _write_rows.  A step holds a few float64 arrays
 # and a byte matrix of this many rows, so the writer's working memory stays
 # near 1 MB per column whatever the table length.
 _CSV_BLOCK = 8192
 
-# Bound on the a-posteriori residual max|x + c convolve(x, f) - rhs| of
-# solve_renewal, in units of rhs; a larger residual is a numeric failure.
+# Bound on the absolute a-posteriori residual max|x + c convolve(x, f) - rhs|
+# of solve_renewal; a larger residual is a numeric failure.
 RENEWAL_TOL = 1e-6
 
 # Largest grid, and largest number of switches simulate_switch expects to
@@ -134,7 +134,7 @@ class GridFunction:
         cols = np.column_stack([self.times(), self.values, *extra.values()])
         with open(path, "w", newline="") as fh:
             csv.writer(fh).writerow(["t", "value", *extra.keys()])
-            write_rows(fh, cols)
+            _write_rows(fh, cols)
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
@@ -208,7 +208,7 @@ _POW10 = _pow10_table()
 # exact tie): the writer's row goes to `%`, the reader's field to `float()`.
 _ROUND_ERR = 2.0**-43
 
-# Byte slots of one field of the byte matrix in write_rows: sign, d0, '.',
+# Byte slots of one field of the byte matrix in _write_rows: sign, d0, '.',
 # d1..d17, 'e', exponent sign, three exponent digits, ','.
 _FIELD = 26
 _DIGIT_SLOTS = ((1, *range(3, 11)), tuple(range(11, 20)), (22, 23, 24))
@@ -261,7 +261,7 @@ def _decimal(x: np.ndarray):
     return D, k, ok
 
 
-def write_rows(fh, cols: np.ndarray, end: str = "\r\n") -> None:
+def _write_rows(fh, cols: np.ndarray, end: str = "\r\n") -> None:
     """Write each row of the 2-d float array ``cols`` to ``fh`` as
     comma-separated ``%.17e`` fields followed by ``end`` (by default
     csv.writer's terminator).
@@ -323,7 +323,7 @@ def write_rows(fh, cols: np.ndarray, end: str = "\r\n") -> None:
 def _read_rows(raw: bytes, start: int):
     """The first two columns of the rows in ``raw[start:]`` (after a header
     line), or None unless each row is the same number (2 or more) of ``%.17e``
-    fields ended by ``,``, ``\n`` or ``\r\n``: the mirror of :func:`write_rows`,
+    fields ended by ``,``, ``\n`` or ``\r\n``: the mirror of :func:`_write_rows`,
     in blocks of about ``_CSV_BLOCK`` fields, each read by :func:`_value` or,
     where that is not certified, ``float``.  Past ``MAX_POINTS`` rows nothing
     is converted."""

@@ -22,10 +22,10 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import GeometricCompound, make_tabulated
+from .distributions import GeometricCompound, make_geometric_compound, make_tabulated
 from .errors import InvalidArgumentError
 from .grid import GridFunction, GridSpec
-from .recovery import ShapeReport, _covariance_route, switching_law_from_divisor
+from .recovery import ShapeReport, _covariance_route
 
 # |r| may exceed one by this much (roundoff) before it is no correlation.
 CORRELATION_TOL = 1e-12
@@ -78,7 +78,7 @@ def iia_pipeline(r: GaussianCovariance, grid: GridSpec) -> IIAResult:
     """
     clipped = clip_covariance(r, grid)
     screen, mu, divisor_cdf, divisor_pdf = _covariance_route(clipped)
-    compound = switching_law_from_divisor(make_tabulated(divisor_pdf))
+    compound = make_geometric_compound(make_tabulated(divisor_pdf), r=2.0)
     return IIAResult(screen=screen, mu=mu, clipped=clipped, divisor_cdf=divisor_cdf,
                      divisor_pdf=divisor_pdf, compound=compound)
 

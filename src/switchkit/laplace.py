@@ -25,8 +25,10 @@ def geometric_map(psi, q: float):
 
     The maps compose by multiplying q, G_q(G_p(psi)) = G_{qp}(psi): the
     Geometric(1/r) compound of psi is q = 1/r, its r-geometric divisor q = r,
-    and the order-u reduction of that divisor q = u/r.
+    and the order-u reduction of that divisor q = u/r; q must be in (0, inf).
     """
+    if not (q > 0 and math.isfinite(q)):
+        raise InvalidArgumentError(f"q must be in (0, inf), got {q}")
 
     def fn(s):
         v = psi(s)
@@ -54,8 +56,8 @@ def psi_from_expected_laplace(le):
     """psi(s) = (1 - s L(E)(s)) / (1 + s L(E)(s)); inverse of
     :func:`expected_laplace_from_psi`.
 
-    For real s the product s*L(E)(s) must lie in [-1, 1]; points violating
-    that are marked NaN rather than raising so a scan over s can proceed.
+    For real s the product s*L(E)(s) must lie in [-1, 1]; one vectorized call
+    over many s marks the points violating that NaN rather than raising.
     """
 
     def fn(s):

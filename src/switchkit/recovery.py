@@ -22,11 +22,9 @@ import numpy as np
 
 from .distributions import (
     MASS_TOLERANCE,
-    GeometricCompound,
     SwitchingDistribution,
     geometric_base,
     geometric_map_grid,
-    make_geometric_compound,
     tabulate_cdf,
     tabulate_pdf,
 )
@@ -91,11 +89,14 @@ class ShapeReport:
         }
 
 
-def _finish_report(conds, tols, limits) -> ShapeReport:
-    """Report that passes when each condition's worst violation is within
-    its tolerance."""
-    passed = all(worst <= tols[name] for name, worst, _ in conds)
-    return ShapeReport(passed=passed, checked_conditions=tuple(conds), limits=limits,
+def _screen(g: GridFunction, rows) -> ShapeReport:
+    """Shape report on ``g`` from rows (name, tolerance, grid index, worst
+    violation); it passes when each violation is within its tolerance."""
+    t, v = g.times(), g.values
+    conds = tuple((name, float(worst), float(t[i])) for name, _, i, worst in rows)
+    tols = {name: tol for name, tol, _, _ in rows}
+    return ShapeReport(passed=all(worst <= tols[name] for name, worst, _ in conds),
+                       checked_conditions=conds, limits=(float(v[0]), float(v[-1])),
                        tolerances=tols)
 
 
@@ -111,13 +112,6 @@ def _require(report: ShapeReport, what: str, refusal: str) -> ShapeReport:
     raise ShapeCheckError(f"{what} fails the shape screen; {refusal}: {failed}", report=report)
 
 
-def _sign_condition(name, values, times, upper=True):
-    """Worst violation of values <= 0 (upper) or values >= 0 (lower)."""
-    excess = values if upper else -values
-    idx = int(np.argmax(excess))
-    return (name, float(max(0.0, excess[idx])), float(times[idx]))
-
-
 # -- series ----------------------------------------------------------------
 
 
@@ -126,7 +120,7 @@ def expected_value_series(dist: SwitchingDistribution, grid: GridSpec) -> GridFu
 
     1 - E is the CDF of the 2-divisor, one :func:`geometric_map_grid` of the
     base law with q doubled (x + (x * f) = 2F, E = 1 - x, for a non-compound).
-    A residual above ``grid.RENEWAL_TOL``, in units of E, raises NumericError.
+    A residual above ``grid.RENEWAL_TOL`` raises NumericError.
     """
     base, q = geometric_base(dist)
     x = geometric_map_grid(tabulate_pdf(base, grid), 2.0 * q, tabulate_cdf(base, grid))
@@ -216,24 +210,16 @@ def check_expected_shape(E: GridFunction) -> ShapeReport:
     """Screen E for: value 1 at the origin, decay to 0, differentiability
     (proxied by the absence of sample-to-sample jumps), and a non-positive
     derivative."""
-    t = E.times()
     v = E.values
-    dE = derivative(E)
+    dE = derivative(E).values
     jumps = np.abs(np.diff(v))
-    j_idx = int(np.argmax(jumps)) if len(jumps) else 0
-    conds = [
-        ("starts_at_one", abs(float(v[0]) - 1.0), float(t[0])),
-        ("decays_to_zero", abs(float(v[-1])), float(t[-1])),
-        ("differentiable", float(jumps[j_idx]) if len(jumps) else 0.0, float(t[j_idx])),
-        _sign_condition("nonincreasing", dE.values, t, upper=True),
-    ]
-    tols = {
-        "starts_at_one": LIMIT_TOL,
-        "decays_to_zero": LIMIT_TOL,
-        "differentiable": JUMP_TOL,
-        "nonincreasing": SIGN_TOL,
-    }
-    return _finish_report(conds, tols, (float(v[0]), float(v[-1])))
+    j, i = int(np.argmax(jumps)), int(np.argmax(dE))
+    return _screen(E, [
+        ("starts_at_one", LIMIT_TOL, 0, abs(v[0] - 1.0)),
+        ("decays_to_zero", LIMIT_TOL, -1, abs(v[-1])),
+        ("differentiable", JUMP_TOL, j, jumps[j]),
+        ("nonincreasing", SIGN_TOL, i, max(0.0, dE[i])),
+    ])
 
 
 def check_covariance_shape(C: GridFunction) -> ShapeReport:
@@ -244,25 +230,16 @@ def check_covariance_shape(C: GridFunction) -> ShapeReport:
     itself but is required for divisor recovery (the recovered density must
     integrate to one), so it is screened here and reported separately.
     """
-    t = C.times()
     v = C.values
-    dC = derivative(C)
-    d2C = second_derivative(C)
-    conds = [
-        _sign_condition("nonnegative", v, t, upper=False),
-        _sign_condition("nonincreasing", dC.values, t, upper=True),
-        _sign_condition("convex", d2C.values, t, upper=False),
-        ("starts_at_one", abs(float(v[0]) - 1.0), float(t[0])),
-        ("decays_to_zero", abs(float(v[-1])), float(t[-1])),
-    ]
-    tols = {
-        "nonnegative": SIGN_TOL,
-        "nonincreasing": SIGN_TOL,
-        "convex": SIGN_TOL,
-        "starts_at_one": LIMIT_TOL,
-        "decays_to_zero": LIMIT_TOL,
-    }
-    return _finish_report(conds, tols, (float(v[0]), float(v[-1])))
+    rows = []
+    for name, excess in (("nonnegative", -v), ("nonincreasing", derivative(C).values),
+                         ("convex", -second_derivative(C).values)):
+        i = int(np.argmax(excess))
+        rows.append((name, SIGN_TOL, i, max(0.0, excess[i])))
+    return _screen(C, rows + [
+        ("starts_at_one", LIMIT_TOL, 0, abs(v[0] - 1.0)),
+        ("decays_to_zero", LIMIT_TOL, -1, abs(v[-1])),
+    ])
 
 
 # -- divisor recovery --------------------------------------------------------
@@ -337,12 +314,3 @@ def _covariance_route(C: GridFunction):
     # F(0) = 0 exactly: mu was built from the same stencil value of C'(0).
     return report, mu, _divisor_cdf(E), f_div
 
-
-def switching_law_from_divisor(divisor: SwitchingDistribution) -> GeometricCompound:
-    """The switching-time law whose 2-geometric divisor is ``divisor``.
-
-    Sampler and transform are exact.  No closed-form density exists;
-    :func:`tabulate_pdf` solves the geometric renewal equation for it on a
-    grid (``geometric_map_grid(pdf, 0.5)`` from a tabulated divisor).
-    """
-    return make_geometric_compound(divisor, r=2.0)

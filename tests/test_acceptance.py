@@ -18,12 +18,12 @@ from switchkit import (
     covariance_delay_route,
     covariance_from_expected,
     divisor_from_covariance,
-    divisor_laplace,
     estimate_covariance,
     estimate_expected_value,
     expected_laplace_from_psi,
     expected_value_series,
     gd_check,
+    geometric_map,
     iia_pipeline,
     make_exponential,
     make_gamma,
@@ -174,7 +174,7 @@ def test_criterion_7_laplace_round_trips():
 def test_criterion_8_divisibility_algebra():
     gamma22 = make_gamma(2.0, 2.0)
     comp = make_geometric_compound(gamma22, r=2.0)
-    extracted = divisor_laplace(comp.laplace, 2.0)
+    extracted = geometric_map(comp.laplace, 2.0)
     worst = max(abs(extracted(s) - gamma22.laplace(s)) for s in S_PROBES)
     exp1 = make_exponential(1.0)
     passes = [gd_check(exp1, 2.0).passed] + [gd_check(exp1, u).passed for u in (1.25, 1.5)]

@@ -10,7 +10,7 @@ import pytest
 import switchkit
 from switchkit import GridFunction, make_gamma, simulate_switch
 from switchkit.cli import build_parser, run
-from switchkit.grid import write_rows
+from switchkit.grid import _write_rows
 
 
 def run_json(capsys, argv):
@@ -319,7 +319,7 @@ def test_recover_refuses_a_table_off_the_origin(capsys, tmp_path, source):
     t = 0.5 + 1e-3 * np.arange(20_000)
     with open(src, "w", newline="") as fh:
         fh.write("t,value\r\n")
-        write_rows(fh, np.column_stack([t, np.exp(-2 * t)]))
+        _write_rows(fh, np.column_stack([t, np.exp(-2 * t)]))
     prefix = str(tmp_path / "rec")
     argv = {
         "table": ["expected-value", "--dist", f"table({src})", "--out", prefix + ".csv"],

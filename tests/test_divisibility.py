@@ -12,7 +12,6 @@ from switchkit import (
     GridSpec,
     InvalidArgumentError,
     SwitchingDistribution,
-    divisor_laplace,
     expected_derivative_series,
     gd_check,
     geometric_map,
@@ -20,7 +19,6 @@ from switchkit import (
     make_gamma,
     make_geometric_compound,
     make_tabulated,
-    reduce_order,
     tabulate_pdf,
 )
 from switchkit.divisibility import TIME_POINTS, TIME_SPAN_MEANS, ZERO_TOL, divisor_density
@@ -37,7 +35,7 @@ COMPLEX_NODES = np.multiply.outer(25.6 / np.array([0.1, 1.0, 10.0]),
 
 def test_divisor_of_exponential_is_faster_exponential(exp1):
     # dividing a rate-1 exponential by 2 gives the rate-2 exponential
-    div = divisor_laplace(exp1.laplace, 2.0)
+    div = geometric_map(exp1.laplace, 2.0)
     assert math.isclose(div(2.0), 0.5, rel_tol=1e-12)
     for s in S_PROBES:
         assert math.isclose(div(s), 2.0 / (2.0 + s), rel_tol=1e-12)
@@ -46,17 +44,17 @@ def test_divisor_of_exponential_is_faster_exponential(exp1):
 def test_divisor_normalized_at_zero(exp1, gamma22):
     for dist in (exp1, gamma22):
         for r in (1.5, 2.0, 7.0):
-            assert math.isclose(divisor_laplace(dist.laplace, r)(0.0), 1.0, rel_tol=1e-12)
+            assert math.isclose(geometric_map(dist.laplace, r)(0.0), 1.0, rel_tol=1e-12)
 
 
 def test_divisor_gamma_value(gamma22):
-    div = divisor_laplace(gamma22.laplace, 2.0)
+    div = geometric_map(gamma22.laplace, 2.0)
     assert math.isclose(div(1.0), 0.2, rel_tol=1e-12)
 
 
 def test_divisor_requires_r_above_one(exp1):
-    with pytest.raises(InvalidArgumentError):
-        divisor_laplace(exp1.laplace, 1.0)
+    with pytest.raises(InvalidArgumentError, match="r must be > 1, got 1.0"):
+        gd_check(exp1, 1.0)
 
 
 # -- gd_check -----------------------------------------------------------------
@@ -78,7 +76,7 @@ def test_gd_check_compound_recovers_divisor(compound2):
     report = gd_check(compound2, 2.0)
     assert report.passed
     # extraction at the construction order returns the divisor transform
-    extracted = divisor_laplace(compound2.laplace, 2.0)
+    extracted = geometric_map(compound2.laplace, 2.0)
     want = make_exponential(2.0).laplace
     for s in S_PROBES:
         assert math.isclose(extracted(s), want(s), abs_tol=1e-10)
@@ -258,7 +256,7 @@ def test_divisibility_verdict_matches_the_analytic_truth(name, r):
 @pytest.mark.parametrize("r", [2.0, 3.0, 5.5])
 def test_compound_then_extract_is_identity(gamma22, r):
     comp = make_geometric_compound(gamma22, r=r)
-    extracted = divisor_laplace(comp.laplace, r)
+    extracted = geometric_map(comp.laplace, r)
     for s in S_PROBES:
         assert math.isclose(extracted(s), gamma22.laplace(s), abs_tol=1e-10)
 
@@ -272,17 +270,17 @@ def test_compound_then_extract_is_identity(gamma22, r):
 def test_compound_extract_identity_random_orders(r, shape, s):
     divisor = make_gamma(shape, 1.0)
     comp = make_geometric_compound(divisor, r=r)
-    extracted = divisor_laplace(comp.laplace, r)
+    extracted = geometric_map(comp.laplace, r)
     assert math.isclose(float(extracted(s)), float(divisor.laplace(s)),
                         rel_tol=1e-10, abs_tol=1e-13)
 
 
-# -- reduce_order ------------------------------------------------------------------
+# -- order reduction -------------------------------------------------------------
 
 
 def test_reduce_order_identity_at_u_equals_r(exp1):
-    div = divisor_laplace(exp1.laplace, 2.0)
-    reduced = reduce_order(div, r=2.0, u=2.0)
+    div = geometric_map(exp1.laplace, 2.0)
+    reduced = geometric_map(div, 2.0 / 2.0)
     for s in S_PROBES:
         assert math.isclose(reduced(s), div(s), abs_tol=1e-14)
 
@@ -290,19 +288,17 @@ def test_reduce_order_identity_at_u_equals_r(exp1):
 def test_reduce_order_matches_direct_extraction(exp1):
     # reducing a known order-2 divisor to order 1.5 must agree with
     # extracting the order-1.5 divisor from scratch
-    div2 = divisor_laplace(exp1.laplace, 2.0)
-    reduced = reduce_order(div2, r=2.0, u=1.5)
-    direct = divisor_laplace(exp1.laplace, 1.5)
+    div2 = geometric_map(exp1.laplace, 2.0)
+    reduced = geometric_map(div2, 1.5 / 2.0)
+    direct = geometric_map(exp1.laplace, 1.5)
     for s in S_PROBES:
         assert math.isclose(reduced(s), direct(s), abs_tol=1e-12)
 
 
-def test_reduce_order_validates_u(exp1):
-    div = divisor_laplace(exp1.laplace, 2.0)
-    with pytest.raises(InvalidArgumentError):
-        reduce_order(div, r=2.0, u=1.0)
-    with pytest.raises(InvalidArgumentError):
-        reduce_order(div, r=2.0, u=2.5)
+def test_geometric_map_refuses_q_outside_the_positive_reals(exp1):
+    for q in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(InvalidArgumentError, match="q must be in"):
+            geometric_map(exp1.laplace, q)
 
 
 # -- set monotonicity ----------------------------------------------------------------
@@ -340,10 +336,10 @@ def test_divisor_and_reduction_equal_frozen_closures(name):
     psi = _map_laws()[name].laplace
     for s in (REAL_NODES, COMPLEX_NODES):
         for r, u in ((2.0, 1.5), (3.0, 3.0), (5.5, 1.01)):
-            div = divisor_laplace(psi, r)
+            div = geometric_map(psi, r)
             with np.errstate(**_OVERFLOW_OK):
                 np.testing.assert_array_equal(div(s), transform_oracle.divisor(psi, r)(s))
-                np.testing.assert_array_equal(reduce_order(div, r, u)(s),
+                np.testing.assert_array_equal(geometric_map(div, u / r)(s),
                                               transform_oracle.reduced(div, r, u)(s))
 
 
@@ -368,7 +364,7 @@ def test_geometric_maps_compose_by_multiplying_q():
 @pytest.mark.parametrize("u", [1.25, 2.0, 3.0])
 def test_reduction_of_a_divisor_is_the_lower_order_divisor(gamma22, u):
     r = 3.0
-    got = reduce_order(divisor_laplace(gamma22.laplace, r), r, u)
-    want = divisor_laplace(gamma22.laplace, u)
+    got = geometric_map(geometric_map(gamma22.laplace, r), u / r)
+    want = geometric_map(gamma22.laplace, u)
     for s in (REAL_NODES, COMPLEX_NODES):
         np.testing.assert_allclose(got(s), want(s), rtol=1e-12)

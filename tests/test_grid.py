@@ -21,7 +21,7 @@ from switchkit import (
     second_derivative,
 )
 import switchkit.grid as grid
-from switchkit.grid import MAX_POINTS, _ROUND_ERR, _decimal, _read_rows, _scale, _value, write_rows
+from switchkit.grid import MAX_POINTS, _ROUND_ERR, _decimal, _read_rows, _scale, _value, _write_rows
 
 from conftest import grid_fn
 
@@ -228,7 +228,7 @@ def test_csv_writer_bytes_are_frozen(tmp_path):
     path = tmp_path / "g.csv"
     with open(path, "w", newline="") as fh:
         fh.write("t,value,stderr\r\n")
-        write_rows(fh, cols)
+        _write_rows(fh, cols)
     assert path.read_bytes() == FROZEN_CSV
     g.to_csv(path, extra_columns={"stderr": cols[:, 2]})
     assert path.read_bytes() == FROZEN_CSV.replace(b"nan", b"0.00000000000000000e+00")
@@ -258,7 +258,7 @@ def _percent_rows(cols, end="\r\n"):
 
 def _written(cols, end="\r\n"):
     buf = io.StringIO(newline="")
-    write_rows(buf, cols, end=end)
+    _write_rows(buf, cols, end=end)
     return buf.getvalue()
 
 

@@ -10,6 +10,7 @@ from switchkit import (
     InvalidArgumentError,
     covariance_laplace,
     expected_laplace_from_psi,
+    geometric_map,
     make_gamma,
     make_geometric_compound,
     make_tabulated,
@@ -199,9 +200,7 @@ def test_cm_check_rejects_oscillation():
 
 
 def test_cm_check_rejects_gamma_divisor(gamma22):
-    from switchkit import divisor_laplace
-
-    report = cm_check(divisor_laplace(gamma22.laplace, 2.0))
+    report = cm_check(geometric_map(gamma22.laplace, 2.0))
     assert not report.passed
 
 

@@ -30,7 +30,6 @@ from switchkit import (
     make_rng,
     make_tabulated,
     mean_from_expected,
-    switching_law_from_divisor,
     tabulate_cdf,
     tabulate_pdf,
 )
@@ -363,7 +362,7 @@ def test_divisor_from_covariance_cross_validation_failure():
 
 
 def test_switching_law_from_divisor_closed_form():
-    compound = switching_law_from_divisor(make_exponential(2.0))
+    compound = make_geometric_compound(make_exponential(2.0), r=2.0)
     for s in S_PROBES:
         assert math.isclose(compound.laplace(s), 1.0 / (1.0 + s), rel_tol=1e-12)
     assert math.isclose(compound.laplace(0.0), 1.0, rel_tol=1e-12)
@@ -372,7 +371,7 @@ def test_switching_law_from_divisor_closed_form():
 
 def test_switching_law_from_tabulated_divisor_sampling():
     f = grid_fn(lambda t: 0.5 * np.tanh(t / 2) * sech(t / 2), 60.0, 2e-3)
-    compound = switching_law_from_divisor(make_tabulated(f))
+    compound = make_geometric_compound(make_tabulated(f), r=2.0)
     draws = compound.sample(make_rng(3), size=100_000)
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean() - 2 * compound.divisor.mean) < 4 * se
@@ -425,6 +424,6 @@ def test_full_recovery_round_trip(exp1):
     grid = GridSpec.from_t_end(12.0, 5e-4)
     E = expected_value_series(exp1, grid)
     _, f_div = divisor_from_expected(E)
-    compound = switching_law_from_divisor(make_tabulated(f_div))
+    compound = make_geometric_compound(make_tabulated(f_div), r=2.0)
     for s in S_PROBES:
         assert abs(compound.laplace(s) - exp1.laplace(s)) < 1e-6

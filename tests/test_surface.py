@@ -29,14 +29,14 @@ NAMES = {
     "check_expected_shape", "clip_covariance", "convolve", "covariance_delay_route",
     "covariance_from_expected", "covariance_laplace", "cumulative_integral",
     "damped_cosine_covariance", "derivative", "diffusion2d_covariance",
-    "divisor_from_covariance", "divisor_from_expected", "divisor_laplace",
+    "divisor_from_covariance", "divisor_from_expected",
     "estimate_covariance", "estimate_expected_value", "expected_derivative_series",
     "expected_from_covariance", "expected_laplace_from_psi", "expected_value_series",
     "exponential_covariance", "gd_check", "geometric_map", "geometric_map_grid",
     "iia_pipeline", "integral", "make_exponential", "make_gamma", "make_geometric_compound",
     "make_rng", "make_tabulated", "mean_from_expected", "parse_distribution",
-    "psi_from_expected_laplace", "reduce_order", "second_derivative", "simulate_switch",
-    "solve_renewal", "switching_law_from_divisor", "tabulate_cdf", "tabulate_pdf",
+    "psi_from_expected_laplace", "second_derivative", "simulate_switch",
+    "solve_renewal", "tabulate_cdf", "tabulate_pdf",
 }
 
 # module.function -> names of its parameters that have defaults
@@ -44,7 +44,6 @@ DEFAULTED = {
     "cli.run": ("argv",),
     "distributions.geometric_map_grid": ("g",),
     "distributions.make_rng": ("stream",),
-    "grid.write_rows": ("end",),
     "simulation.estimate_covariance": ("workers",),
     "simulation.estimate_expected_value": ("workers",),
 }
