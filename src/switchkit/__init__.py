@@ -19,7 +19,7 @@ from .distributions import (
     tabulate_cdf,
     tabulate_pdf,
 )
-from .divisibility import DivisibilityReport, gd_check
+from .divisibility import DivisibilityReport, divisor_density, gd_check
 from .errors import (
     InvalidArgumentError,
     NumericError,
@@ -60,7 +60,6 @@ from .recovery import (
     covariance_from_expected,
     divisor_from_covariance,
     divisor_from_expected,
-    expected_derivative_series,
     expected_from_covariance,
     expected_value_series,
     mean_from_expected,
@@ -100,11 +99,11 @@ __all__ = [
     "damped_cosine_covariance",
     "derivative",
     "diffusion2d_covariance",
+    "divisor_density",
     "divisor_from_covariance",
     "divisor_from_expected",
     "estimate_covariance",
     "estimate_expected_value",
-    "expected_derivative_series",
     "expected_from_covariance",
     "expected_laplace_from_psi",
     "expected_value_series",

@@ -92,7 +92,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("iia", help="clipped-Gaussian admissibility screen and recovery")
     p.add_argument("--r", required=True,
-                   help="builtin name (diffusion2d, exp, damped-cosine) or a t,value CSV")
+                   help="builtin name (diffusion2d; exp and damped-cosine are refusal "
+                        "fixtures, exit 2) or a t,value CSV")
     _add_grid_args(p, t_end_default=40.0)
     p.add_argument("--out-prefix", default="iia")
     p.add_argument("--plot", default=None)

@@ -394,9 +394,9 @@ def parse_distribution(spec: str) -> SwitchingDistribution:
     for part in _split_top_level(body):
         if "=" not in part:
             raise InvalidArgumentError(f"expected key=value in {part!r}")
-        key, value = part.split("=", 1)
-        key = key.strip()
-        value = value.strip()
+        key, value = (s.strip() for s in part.split("=", 1))
+        if key in kwargs:
+            raise InvalidArgumentError(f"repeated key {key!r} in {spec!r}")
         if _CALL_RE.match(value):
             kwargs[key] = parse_distribution(value)
         else:

@@ -28,7 +28,6 @@ from .distributions import (
     tabulate_cdf,
     tabulate_pdf,
 )
-from .divisibility import divisor_density
 from .errors import InvalidArgumentError, NumericError, ShapeCheckError
 from .grid import (
     GridFunction,
@@ -48,8 +47,8 @@ LIMIT_TOL = 1e-3
 # Differentiability proxy: a jump between adjacent samples larger than this
 # is treated as a discontinuity.
 JUMP_TOL = 0.05
-# Relative gap between the slope and integral estimates of mu above which
-# divisor_from_covariance refuses.
+# Relative gap between the slope mu and 2 int E on the grid above which
+# divisor_from_covariance refuses (the grid does not resolve the origin).
 MU_MISMATCH_TOL = 1e-2
 # |E| at the grid end at or above this warns that the mean's tail estimate
 # may be biased.
@@ -125,16 +124,6 @@ def expected_value_series(dist: SwitchingDistribution, grid: GridSpec) -> GridFu
     base, q = geometric_base(dist)
     x = geometric_map_grid(tabulate_pdf(base, grid), 2.0 * q, tabulate_cdf(base, grid))
     return x.with_values(1.0 - x.values)
-
-
-def expected_derivative_series(dist: SwitchingDistribution, grid: GridSpec) -> GridFunction:
-    """E'(t) = 2 sum_{k>=1} (-1)^k f^(k-fold)(t) on the grid.
-
-    -E' is the density of the 2-divisor (:func:`divisor_density`).  A singular
-    density origin is extrapolated and flagged in ``notes``.
-    """
-    x = divisor_density(dist, 2.0, grid)
-    return x.with_values(-x.values)
 
 
 # -- bridges ----------------------------------------------------------------
@@ -281,9 +270,11 @@ def divisor_from_covariance(C: GridFunction):
     tabulated from t = 0: mu = -2/C'(0), CDF = 1 + (mu/2) C', density = (mu/2) C''.
 
     The slope at the origin pins mu because the divisor CDF must vanish
-    there.  The estimate is cross-validated against the integral identity
-    mu = 2 int E with E = -(mu/2) C'; a relative mismatch beyond
-    ``MU_MISMATCH_TOL`` raises with both estimates attached.
+    there.  The check compares that mu with 2 int E on the grid, E = -(mu/2) C'.
+    Their ratio, -int C', depends on C alone, so it tests whether the grid
+    resolves the origin, not a second estimate of mu.  No tail is added past
+    the grid end, where the screen bounds |C| by ``LIMIT_TOL``.  A relative
+    gap beyond ``MU_MISMATCH_TOL`` raises with both values attached.
     """
     return _covariance_route(C)[1:]
 
@@ -292,15 +283,13 @@ def _covariance_route(C: GridFunction):
     """(report, mu, divisor CDF, divisor density): :func:`divisor_from_covariance`
     together with the passing report of its one shape screen."""
     report = _require(check_covariance_shape(C), "covariance", "divisor recovery refused")
-    slope0 = float(derivative(C).values[0])
-    if not slope0 < 0:
-        raise NumericError(f"C'(0) = {slope0:.3e} is not negative; mu is undefined")
-    mu = -2.0 / slope0
+    dC = derivative(C).values
+    if not dC[0] < 0:
+        raise NumericError(f"C'(0) = {dC[0]:.3e} is not negative; mu is undefined")
+    mu = -2.0 / float(dC[0])
 
-    E = expected_from_covariance(C, mu)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        mu_integral = mean_from_expected(E)
+    E = C.with_values(-(mu / 2.0) * dC)
+    mu_integral = 2.0 * integral(E)
     if abs(mu_integral - mu) > MU_MISMATCH_TOL * mu:
         raise NumericError(
             f"mean cross-validation failed: slope route {mu:.6g}, "
@@ -313,4 +302,3 @@ def _covariance_route(C: GridFunction):
     )
     # F(0) = 0 exactly: mu was built from the same stencil value of C'(0).
     return report, mu, _divisor_cdf(E), f_div
-

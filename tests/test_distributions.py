@@ -359,7 +359,8 @@ def test_parse_table(tmp_path):
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "exp", "exp(rate=x)", "mystery(a=1)", "gamma(shape=2)", "compound(r=2)"],
+    ["", "exp", "exp(rate=x)", "mystery(a=1)", "gamma(shape=2)", "compound(r=2)",
+     "exp(rate=1,rate=2)", "compound(r=2,divisor=exp(rate=1),divisor=exp(rate=5))"],
 )
 def test_parse_rejects_malformed(bad):
     with pytest.raises(InvalidArgumentError):

@@ -16,10 +16,10 @@ from switchkit import (
     covariance_delay_route,
     covariance_from_expected,
     derivative,
+    divisor_density,
     divisor_from_covariance,
     divisor_from_expected,
     estimate_covariance,
-    expected_derivative_series,
     expected_from_covariance,
     expected_laplace_from_psi,
     expected_value_series,
@@ -118,32 +118,32 @@ def test_series_observed_order(dist, floor):
     assert np.all(orders >= floor), orders
 
 
-# -- expected_derivative_series -----------------------------------------------------
+# -- E' = -(2-divisor density) -------------------------------------------------------
 
 
 def test_derivative_series_exponential(exp1):
     grid = GridSpec.from_t_end(5.0, 1e-3)
-    dE = expected_derivative_series(exp1, grid)
+    dE = -divisor_density(exp1, 2.0, grid).values
     t = grid.times()
     mask = t >= 0.1
-    assert np.max(np.abs(dE.values[mask] + 2 * np.exp(-2 * t[mask]))) < 1e-3
+    assert np.max(np.abs(dE[mask] + 2 * np.exp(-2 * t[mask]))) < 1e-3
 
 
 def test_derivative_series_consistent_with_series(gamma22):
     grid = GridSpec.from_t_end(6.0, 1e-3)
-    dE = expected_derivative_series(gamma22, grid)
+    dE = -divisor_density(gamma22, 2.0, grid).values
     dE_num = derivative(expected_value_series(gamma22, grid))
     t = grid.times()
     mask = t >= 0.05
-    assert np.max(np.abs(dE.values[mask] - dE_num.values[mask])) < 1e-3
+    assert np.max(np.abs(dE[mask] - dE_num.values[mask])) < 1e-3
 
 
 def test_derivative_series_gamma_closed_form(gamma22):
     grid = GridSpec.from_t_end(6.0, 1e-3)
-    dE = expected_derivative_series(gamma22, grid)
+    dE = -divisor_density(gamma22, 2.0, grid).values
     t = grid.times()
     mask = t >= 0.1
-    assert np.max(np.abs(dE.values[mask] - gamma22_expected_deriv(t[mask]))) < 1e-3
+    assert np.max(np.abs(dE[mask] - gamma22_expected_deriv(t[mask]))) < 1e-3
 
 
 # -- bridges --------------------------------------------------------------------------
@@ -359,6 +359,18 @@ def test_divisor_from_covariance_cross_validation_failure():
     C = grid_fn(lambda t: np.exp(-50.0 * t), 8.0, 0.01)
     with pytest.raises(NumericError, match="cross-validation"):
         divisor_from_covariance(C)
+
+
+def test_compactly_supported_covariance_is_recovered_at_any_length():
+    # (1 - t)_+^2 is the covariance of compound(2, uniform[0, 1]), mu = 1;
+    # E vanishes past t = 1, so neither verdict nor law may depend on t_end
+    recovered = [divisor_from_covariance(grid_fn(lambda t: np.clip(1 - t, 0, None) ** 2,
+                                                 t_end, 1e-3))
+                 for t_end in (2.0, 10.0, 40.0)]
+    head = recovered[0][2].values
+    for mu, _, f_div in recovered:
+        assert abs(mu - 1.0) < 1e-12
+        assert np.max(np.abs(f_div.values[:len(head)] - head)) <= 1e-15
 
 
 def test_switching_law_from_divisor_closed_form():

@@ -29,8 +29,8 @@ NAMES = {
     "check_expected_shape", "clip_covariance", "convolve", "covariance_delay_route",
     "covariance_from_expected", "covariance_laplace", "cumulative_integral",
     "damped_cosine_covariance", "derivative", "diffusion2d_covariance",
-    "divisor_from_covariance", "divisor_from_expected",
-    "estimate_covariance", "estimate_expected_value", "expected_derivative_series",
+    "divisor_density", "divisor_from_covariance", "divisor_from_expected",
+    "estimate_covariance", "estimate_expected_value",
     "expected_from_covariance", "expected_laplace_from_psi", "expected_value_series",
     "exponential_covariance", "gd_check", "geometric_map", "geometric_map_grid",
     "iia_pipeline", "integral", "make_exponential", "make_gamma", "make_geometric_compound",
@@ -141,6 +141,12 @@ def test_dataclass_fields_are_frozen():
     got = {name: tuple(f.name for f in dataclasses.fields(obj))
            for name in switchkit.__all__ if dataclasses.is_dataclass(obj := getattr(switchkit, name))}
     assert got == FIELDS
+
+
+def test_source_stays_under_its_line_ceiling():
+    # the ceiling ROADMAP sets for src/ this round
+    src = Path(switchkit.__file__).parent
+    assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) <= 2650
 
 
 def test_cli_options_are_frozen():
