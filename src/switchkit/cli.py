@@ -114,7 +114,7 @@ def _emit(summary: dict) -> None:
 def _cmd_simulate(args) -> dict:
     dist = parse_distribution(args.dist)
     traj = simulate_switch(dist, args.horizon, args.seed)
-    with open(args.out, "w") as fh:
+    with open(args.out, "w", newline="") as fh:
         fh.write("epoch\n")
         _write_rows(fh, traj.epochs[:, None], end="\n")
     return {

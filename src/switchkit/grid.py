@@ -13,6 +13,9 @@ whole series of convolution powers in one O(n log n) step.
 
 CSV text is written by :func:`_write_rows` and read by :func:`_read_rows` over
 one power-of-ten table, bit for bit as ``%.17e`` prints and ``float()`` reads.
+The writer lays each block of rows out at one fixed width and stores 8-byte
+words of digits at their final offsets; only a block whose columns mix signs
+or exponent widths is gathered afterwards.
 """
 
 from __future__ import annotations
@@ -27,9 +30,10 @@ from scipy import fft as sp_fft
 
 from .errors import InvalidArgumentError, NumericError, ResourceLimitError
 
-# Rows formatted per step of _write_rows.  A step holds a few float64 arrays
-# and a byte matrix of this many rows, so the writer's working memory stays
-# near 1 MB per column whatever the table length.
+# Rows formatted per step of _write_rows.  A step holds about twenty 8-byte
+# arrays of this many rows per column, its rows' bytes (at most 26 per field)
+# and their text, so the writer's working memory stays at 2 to 2.5 MB per
+# column whatever the table length.
 _CSV_BLOCK = 8192
 
 # Bound on the absolute a-posteriori residual max|x + c convolve(x, f) - rhs|
@@ -208,10 +212,13 @@ _POW10 = _pow10_table()
 # exact tie): the writer's row goes to `%`, the reader's field to `float()`.
 _ROUND_ERR = 2.0**-43
 
-# Byte slots of one field of the byte matrix in _write_rows: sign, d0, '.',
-# d1..d17, 'e', exponent sign, three exponent digits, ','.
+# Bytes of the widest field with its separator: sign, d0, '.', d1..d17, 'e',
+# exponent sign, three exponent digits, ','.
 _FIELD = 26
-_DIGIT_SLOTS = ((1, *range(3, 11)), tuple(range(11, 20)), (22, 23, 24))
+# [three, k - _K_MIN]: b"0e%+03d" % k, or b"0e%+04d" % k where three = 1, as a
+# little-endian word; _write_rows adds the last mantissa digit to its '0'.
+_EXP_WORDS = np.array([[int.from_bytes(b"0e%+0*d" % (3 + three, k), "little")
+                        for k in range(_K_MIN, _K_MAX + 1)] for three in (0, 1)])
 
 
 def _scale(f, e, k, tail=0.0):
@@ -231,14 +238,15 @@ def _decimal(x: np.ndarray):
 
     Returns (D, k, ok): ``|v|`` rounds half-even to D 10^(k-17) with the
     18-digit integer D (0 for zeros).  ``ok`` is false where v is not finite
-    or the rounding is not certified; D and k mean nothing there.
+    or the rounding is not certified; D and k mean nothing there, but they
+    are still an 18-digit D and a k of a finite double.
     """
     a = np.abs(x)
     finite = np.isfinite(a)
     zero = a == 0.0
     a = np.where(finite & ~zero, a, 1.0)
     f, e = np.frexp(a)
-    k = np.floor(np.log10(a)).astype(np.int32)
+    k = np.floor(np.log10(a)).astype(np.intp)
     P, T = _scale(f, e, k)
     # log10 can miss floor(log10|v|) by one next to a power of ten.  P + T
     # itself would round, so it is compared with 10^17 and 10^18 in parts.
@@ -249,10 +257,9 @@ def _decimal(x: np.ndarray):
     if redo.any():
         k[redo] += step[redo]
         P[redo], T[redo] = _scale(f[redo], e[redo], k[redo])
-    F = np.floor(T)
-    frac = T - F
-    ok = finite & (np.abs(frac - 0.5) > _ROUND_ERR)
-    D = P.astype(np.int64) + F.astype(np.int64) + (frac > 0.5)
+    R = np.rint(T)
+    ok = finite & (np.abs(T - R) < 0.5 - _ROUND_ERR)
+    D = P.astype(np.int64) + R.astype(np.int64)
     top = D == 10**18
     D[top] = 10**17
     k[top] += 1
@@ -261,10 +268,22 @@ def _decimal(x: np.ndarray):
     return D, k, ok
 
 
-def _write_rows(fh, cols: np.ndarray, end: str = "\r\n") -> None:
+def _eight_ascii(n):
+    """Each n < 10^8 of the int64 array ``n`` as a word of 8 little-endian
+    ASCII digits, the first digit lowest: the inverse of :func:`_eight_digits`."""
+    v = n // 10**4
+    v += (n - v * 10**4) << 32  # two lanes of 4 digits
+    q = (v * 5243 >> 19) & 0x0000007F0000007F  # each lane // 100
+    v = q + ((v - q * 100) << 16)  # four lanes of 2 digits
+    q = (v * 103 >> 10) & 0x000F000F000F000F  # each lane // 10
+    return q + ((v - q * 10) << 8) + 0x3030303030303030
+
+
+def _write_rows(fh, cols: np.ndarray, end: str = "\r\n") -> tuple[int, int]:
     """Write each row of the 2-d float array ``cols`` to ``fh`` as
     comma-separated ``%.17e`` fields followed by ``end`` (by default
-    csv.writer's terminator).
+    csv.writer's terminator; at most two ASCII characters).  Returns the
+    number of rows formatted by ``%`` and the number of blocks gathered.
 
     The text is exactly ``row % tuple(values)`` for each row, built in blocks
     of ``_CSV_BLOCK`` rows by a numpy kernel: each |v| is scaled to
@@ -272,52 +291,79 @@ def _write_rows(fh, cols: np.ndarray, end: str = "\r\n") -> None:
     1971) from an exact power-of-ten table, and Y is rounded to 18 digits
     where its fractional part is certified away from one half.  Rows with a
     NaN, an infinity or an uncertified rounding are formatted by ``%``.
+
+    The rows of a block share one fixed-width layout: a field has a sign slot
+    where any value of its column is negative, and three exponent digits
+    where any needs them.  Each field is four 8-byte little-endian stores
+    into the row-major block, each inside the field: ``[-]d0.`` at its
+    start, its last 8 bytes (d17, ``e``, the exponent and the separator),
+    then d1..d8 and d9..d16, which overwrite what the first two put in their
+    bytes.  Only a block in which a column mixes signs or exponent widths
+    is gathered, to drop the slots that some of its rows leave empty.
     """
     cols = np.asarray(cols, dtype=np.float64)
     n_cols = cols.shape[1]
     row = ",".join(["%.17e"] * n_cols) + end
-    tail = np.frombuffer(end.encode(), dtype=np.uint8)
-    width = _FIELD * n_cols + len(tail)
+    if len(end) > 2 or not end.isascii():
+        raise ValueError(f"row end {end!r} is not at most two ASCII characters")
+    if n_cols == 0:
+        fh.write(end * len(cols))
+        return 0, 0
+    seps = [b","] * (n_cols - 1) + [end.encode()]
+    n_percent = n_gathered = 0
     for lo in range(0, len(cols), _CSV_BLOCK):
         block = cols[lo : lo + _CSV_BLOCK]
+        n = len(block)
         x = np.ascontiguousarray(block.T)
         D, k, ok = _decimal(x)
-        # one matrix row per byte slot, one column per table row; slots a
-        # table row does not print are dropped by `keep`
-        buf = np.empty((width, len(block)), dtype=np.uint8)
-        keep = np.ones(buf.shape, dtype=bool)
-        fields = buf[: _FIELD * n_cols].reshape(n_cols, _FIELD, len(block))
-        kept = keep[: _FIELD * n_cols].reshape(n_cols, _FIELD, len(block))
-        fields[:, 0] = ord("-")
-        kept[:, 0] = np.signbit(x)
-        hi = D // 10**9
-        ak = np.abs(k)
-        for v, slots in zip((hi, D - hi * 10**9, ak), _DIGIT_SLOTS):
-            v = v.astype(np.uint32)
-            for s in reversed(slots):
-                q = v // 10  # v % 10 is several times slower than //
-                fields[:, s] = v - 10 * q + ord("0")
-                v = q
-        kept[:, 22] = ak >= 100
-        fields[:, 2] = ord(".")
-        fields[:, 20] = ord("e")
-        fields[:, 21] = np.where(k < 0, ord("-"), ord("+"))
-        fields[:, 25] = ord(",")
-        kept[-1:, 25] = False  # no comma after the last field
-        buf[_FIELD * n_cols :] = tail[:, None]
+        neg = np.signbit(x)
         good = ok.all(axis=0)
-        keep[:, ~good] = False
-        text = buf.T[keep.T].tobytes().decode()
-        if good.all():
-            fh.write(text)
-            continue
-        ends = np.cumsum(keep.sum(axis=0))
-        parts, start = [], 0
-        for i in np.flatnonzero(~good):
-            parts += [text[start : ends[i]], row % tuple(block[i].tolist())]
-            start = ends[i]
-        parts.append(text[start:])
-        fh.write("".join(parts))
+        bad = np.flatnonzero(~good)
+        # rows left to `%` take the digits of a certified row, if there is
+        # one, so they add no slot to the layout
+        j = np.argmax(good)
+        D[:, bad], k[:, bad], neg[:, bad] = D[:, j, None], k[:, j, None], neg[:, j, None]
+        three = np.abs(k) >= 100
+        q = D // 10
+        r = q // 10**8
+        d0 = r // 10**8
+        first, second = _eight_ascii(r - d0 * 10**8), _eight_ascii(q - r * 10**8)
+        d17 = D - q * 10
+        signs, threes = (m.any(axis=1).astype(int).tolist() for m in (neg, three))
+        width = sum(signs) + sum(threes) + sum(map(len, seps)) + 23 * n_cols
+        buf = np.empty(n * width, dtype=np.uint8)
+        drop, o = [], 0  # drop: (byte, rows that print it) of the mixed slots
+        for c, (sign, wide, sep) in enumerate(zip(signs, threes, seps)):
+            w = sign + 23 + wide + len(sep)
+            head = (d0[c] << 8 * sign) + int.from_bytes(b"-0."[1 - sign :], "little")
+            # d17, 'e', the exponent and the separator: the field's last
+            # 5 + wide + len(sep) bytes, at the top of an 8-byte word
+            tail = _EXP_WORDS[wide].take(k[c] - _K_MIN) + d17[c]
+            tail += int.from_bytes(sep, "little") << 8 * (5 + wide)
+            tail <<= 8 * (3 - wide - len(sep))
+            for at, word in ((0, head), (w - 8, tail), (sign + 2, first[c]),
+                             (sign + 10, second[c])):
+                np.ndarray(n, "<i8", buf, o + at, (width,))[...] = word
+            drop += [(o + at, m) for has, at, m in ((sign, 0, neg[c]), (wide, sign + 21, three[c]))
+                     if has and not m.all()]
+            o += w
+        if drop:
+            n_gathered += 1
+            keep = np.ones((n, width), dtype=bool)
+            for at, m in drop:
+                keep[:, at] = m
+            buf = buf.reshape(n, width)[keep]
+        text = str(buf.data, "ascii")
+        if len(bad):
+            n_percent += len(bad)
+            bounds = np.r_[0, np.cumsum(keep.sum(axis=1))] if drop else width * np.arange(n + 1)
+            parts, start = [], 0
+            for i in bad:
+                parts += [text[start : bounds[i]], row % tuple(block[i].tolist())]
+                start = bounds[i + 1]
+            text = "".join(parts + [text[start:]])
+        fh.write(text)
+    return n_percent, n_gathered
 
 
 def _read_rows(raw: bytes, start: int):

@@ -15,6 +15,7 @@ from switchkit import (
     InvalidArgumentError,
     ResourceLimitError,
     convolve,
+    covariance_from_expected,
     cumulative_integral,
     derivative,
     expected_value_series,
@@ -359,6 +360,70 @@ def test_fast_path_covers_smooth_tables_and_random_bits(exp1):
     bits = _bit_patterns(11, 200_000)
     ok = _decimal(bits[np.isfinite(bits)])[2]
     assert ok.mean() >= 0.999
+
+
+def test_smooth_tables_are_written_without_gather_or_percent(exp1):
+    # _write_rows returns (rows sent to `%`, blocks gathered).  Every column
+    # of exp(1)'s E keeps one sign and two exponent digits: the trapezoid E
+    # levels off at h^2/24 = 4.2e-8.
+    E = expected_value_series(exp1, GridSpec(h=1e-3, n=100_001))
+    assert _write_rows(io.StringIO(), np.column_stack([E.times(), E.values])) == (0, 0)
+    # Its C crosses zero once, at t = 6.999 (it levels off at -8.6e-6, where
+    # the exact C is e^-2t), so only the first block mixes signs.
+    C = covariance_from_expected(E, exp1.mean)
+    assert _write_rows(io.StringIO(), np.column_stack([C.times(), C.values])) == (0, 1)
+
+
+def _layouts():
+    """name: (cols, end, rows sent to `%`, blocks gathered)."""
+    n = grid._CSV_BLOCK
+    i = np.arange(3 * n)
+    t = i * 1e-3
+    decay = np.exp(-t)
+    stderr = 1e-3 * np.sqrt(1.0 - decay**2)
+    stderr[[5, n + 7]] = np.nan, np.inf
+    epochs = np.cumsum(np.random.default_rng(2).exponential(size=3 * n))
+    return {
+        "sign alternates every row": (np.column_stack([t, np.where(i % 2, -decay, decay)]),
+                                      "\r\n", 0, 3),
+        "crosses 1e-100 inside a block": (np.column_stack([t, 10.0 ** -(95 + 10 * i / i[-1])]),
+                                          "\r\n", 0, 1),
+        "sign changes at a block boundary": (np.column_stack([t, np.where(i < n, decay, -decay)]),
+                                             "\r\n", 0, 0),
+        "one column, LF rows (simulate)": (epochs[:, None], "\n", 0, 0),
+        "three columns (estimate)": (np.column_stack([t, decay, stderr]), "\r\n", 2, 0),
+        "-0.0 in a positive column": (np.column_stack([t, np.where(i == n + 3, -0.0, decay)]),
+                                      "\r\n", 0, 1),
+        "shape (0, 2)": (np.zeros((0, 2)), "\r\n", 0, 0),
+        "shape (1, 1)": (np.ones((1, 1)), "\r\n", 0, 0),
+        "shape (2, 0)": (np.zeros((2, 0)), "\n", 0, 0),
+    }
+
+
+@pytest.mark.parametrize("name", _layouts())
+def test_writer_layouts_match_percent(name):
+    cols, end, percent, gathered = _layouts()[name]
+    buf = io.StringIO(newline="")
+    assert _write_rows(buf, cols, end=end) == (percent, gathered)
+    assert buf.getvalue() == _percent_rows(cols, end)
+
+
+def test_writer_refuses_a_row_end_it_cannot_store():
+    with pytest.raises(ValueError, match="two ASCII characters"):
+        _write_rows(io.StringIO(), np.ones((2, 2)), end="\r\n\n")
+
+
+def test_csv_writer_memory_is_bounded(tmp_path):
+    # to_csv holds the stacked (n, 2) table, 3.2 MB here, and the writer a
+    # few MB for one block of _CSV_BLOCK rows, whatever the table length
+    g = GridFunction(h=1e-3, values=np.exp(-1e-3 * np.arange(200_001)))
+    tracemalloc.start()
+    try:
+        g.to_csv(tmp_path / "g.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8_000_000
 
 
 # -- the reader kernel --------------------------------------------------------
