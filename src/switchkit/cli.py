@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 
 from . import iia as iia_mod
@@ -20,6 +19,7 @@ from .divisibility import gd_check
 from .errors import InvalidArgumentError, SwitchKitError
 from .grid import GridFunction, GridSpec, _write_rows
 from .recovery import (
+    MU_MISMATCH_TOL,
     covariance_from_expected,
     divisor_from_covariance,
     divisor_from_expected,
@@ -85,7 +85,8 @@ def build_parser() -> _Parser:
     p.add_argument("--from", dest="source", choices=["expected", "covariance"], required=True)
     p.add_argument("--input", required=True, help="t,value CSV of E(t) or C(t)")
     p.add_argument("--mu", type=float, default=None,
-                   help="switching-time mean (expected route only; covariance derives it)")
+                   help="expected switching-time mean: a validation failure unless "
+                        f"within {MU_MISMATCH_TOL:g} (relative) of the table's mean")
     p.add_argument("--out-prefix", default="recovered")
     p.add_argument("--compound-pdf-out", default=None,
                    help="also tabulate the 2-geometric compound density on the input grid")
@@ -173,18 +174,11 @@ def _write_divisor(prefix: str, cdf: GridFunction, pdf: GridFunction) -> list[st
 
 
 def _cmd_recover(args) -> dict:
-    if args.mu is not None:
-        if args.source == "covariance":
-            raise InvalidArgumentError("--mu is for --from expected; the covariance route "
-                                       "derives mu = -2/C'(0)")
-        if not (args.mu > 0 and math.isfinite(args.mu)):
-            raise InvalidArgumentError(f"--mu must be positive and finite, got {args.mu}")
-    table = GridFunction.from_csv(args.input)
-    if args.source == "expected":
-        divisor_cdf, divisor_pdf = divisor_from_expected(table)
-        mu = args.mu
-    else:
-        mu, divisor_cdf, divisor_pdf = divisor_from_covariance(table)
+    route = divisor_from_expected if args.source == "expected" else divisor_from_covariance
+    mu, divisor_cdf, divisor_pdf = route(GridFunction.from_csv(args.input))
+    if args.mu is not None and not abs(args.mu - mu) <= MU_MISMATCH_TOL * mu:
+        raise InvalidArgumentError(f"--mu {args.mu} is not the table's mean {mu:.6g} to "
+                                   f"within {MU_MISMATCH_TOL:g} relative")
     outputs = _write_divisor(args.out_prefix, divisor_cdf, divisor_pdf)
     summary = {"verb": "recover", "from": args.source, "mu": mu, "outputs": outputs}
     if args.compound_pdf_out:

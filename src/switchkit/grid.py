@@ -21,6 +21,7 @@ or exponent widths is gathered afterwards.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import warnings
 from dataclasses import dataclass
@@ -143,22 +144,10 @@ class GridFunction:
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
         """Read a ``t,value`` CSV (extra columns are ignored) whose first t is 0, each
-        value ``float()`` of its field, by :func:`_read_rows` or ``np.loadtxt``."""
-        with open(path, newline="") as fh:
-            line = fh.readline()
-            header = next(csv.reader([line]), [])
-            if len(header) < 2 or header[0] != "t" or header[1] != "value":
-                raise InvalidArgumentError(f"{path}: expected a 't,value' header, got {header}")
-            with open(path, "rb") as fb:
-                data = _read_rows(fb.read(), len(line.encode(fh.encoding)))
-            if data is None:
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore")  # no data rows: refused below
-                        data = np.loadtxt(fh, delimiter=",", usecols=(0, 1), ndmin=2,
-                                          comments=None, max_rows=MAX_POINTS + 1)
-                except ValueError as exc:
-                    raise InvalidArgumentError(f"{path}: malformed data row: {exc}") from exc
+        value ``float()`` of its field, by :func:`_read_rows` or ``np.loadtxt``.
+        The file is opened and read once, so a pipe such as ``/dev/stdin`` works."""
+        with open(path, "rb") as fh:
+            data = _table_rows(fh.read(), path)
         if len(data) > MAX_POINTS:
             raise ResourceLimitError(f"{path}: table of more than MAX_POINTS = {MAX_POINTS} rows")
         t = data[:, 0]
@@ -364,6 +353,27 @@ def _write_rows(fh, cols: np.ndarray, end: str = "\r\n") -> tuple[int, int]:
             text = "".join(parts + [text[start:]])
         fh.write(text)
     return n_percent, n_gathered
+
+
+def _table_rows(raw: bytes, path):
+    """The first two columns of the data rows of ``raw``, the bytes of a
+    ``t,value`` CSV, by :func:`_read_rows` or ``np.loadtxt``."""
+    start = raw.find(b"\n") + 1 or len(raw)  # the first data row
+    header = next(csv.reader([raw[:start].decode(errors="replace")]), [])
+    if len(header) < 2 or header[0] != "t" or header[1] != "value":
+        raise InvalidArgumentError(f"{path}: expected a 't,value' header, got {header}")
+    data = _read_rows(raw, start)
+    if data is not None:
+        return data
+    rows = io.BytesIO(raw)  # shares raw's buffer
+    rows.seek(start)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # no data rows: refused by the caller
+            return np.loadtxt(rows, delimiter=",", usecols=(0, 1), ndmin=2,
+                              comments=None, max_rows=MAX_POINTS + 1)
+    except ValueError as exc:
+        raise InvalidArgumentError(f"{path}: malformed data row: {exc}") from exc
 
 
 def _read_rows(raw: bytes, start: int):

@@ -15,7 +15,6 @@ CDF = 1 - E, divisor density = -E'.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,11 +47,9 @@ LIMIT_TOL = 1e-3
 # is treated as a discontinuity.
 JUMP_TOL = 0.05
 # Relative gap between the slope mu and 2 int E on the grid above which
-# divisor_from_covariance refuses (the grid does not resolve the origin).
+# divisor_from_covariance refuses (the grid does not resolve the origin);
+# recover --mu is held to the same gap from its table's mu.
 MU_MISMATCH_TOL = 1e-2
-# |E| at the grid end at or above this warns that the mean's tail estimate
-# may be biased.
-DECAY_THRESHOLD = 1e-4
 
 
 @dataclass(frozen=True)
@@ -161,35 +158,19 @@ def covariance_delay_route(E: GridFunction, F: GridFunction, mu: float) -> GridF
 
 
 def mean_from_expected(E: GridFunction) -> float:
-    """Switching-time mean via mu = 2 * int_0^inf E(u) du.
+    """Switching-time mean mu = 2 * int_0^inf E(u) du, the trapezoid integral
+    of E on its grid.
 
-    The grid integral is trapezoid; the tail past the grid end is estimated
-    by fitting log|E| over the last decade of the grid (t in
-    [t_end/10, t_end]) and integrating the fitted exponential.  A
-    non-decaying fit is refused: the identity needs E to vanish at
-    infinity.  |E| at the grid end of ``DECAY_THRESHOLD`` or more warns.
+    Nothing is added past the grid end, so E must have decayed there: an E
+    with |E(t_end)| above ``LIMIT_TOL`` (the E screen's ``decays_to_zero``
+    bound) raises NumericError.  Tabulate E past where it has decayed.
     """
-    t = E.times()
-    vals = E.values
-    if abs(vals[-1]) >= DECAY_THRESHOLD:
-        warnings.warn(
-            f"|E| at the grid end is {abs(vals[-1]):.2e} >= {DECAY_THRESHOLD:.0e}; "
-            "the mean estimate may be biased by the tail",
-            stacklevel=2,
-        )
-    window = t >= E.t_end / 10.0
-    tw, vw = t[window], np.abs(vals[window])
-    keep = vw > 1e-300
-    if keep.sum() < 3:
-        raise NumericError("tail window has too few nonzero samples to fit a decay rate")
-    slope, intercept = np.polyfit(tw[keep], np.log(vw[keep]), 1)
-    if slope >= 0:
+    if abs(E.values[-1]) > LIMIT_TOL:
         raise NumericError(
-            f"tail of |E| is not decaying (fitted rate {slope:+.3e} per unit time); "
-            "refusing to extrapolate the mean integral"
+            f"|E| at the grid end t = {E.t_end:.6g} is {abs(E.values[-1]):.3e} > "
+            f"{LIMIT_TOL:g}: E has not decayed, so 2 int E is not the mean"
         )
-    tail = math.exp(intercept + slope * E.t_end) / (-slope)
-    return 2.0 * (integral(E) + tail)
+    return 2.0 * integral(E)
 
 
 # -- shape screens -----------------------------------------------------------
@@ -251,9 +232,9 @@ def _divisor_cdf(E: GridFunction) -> GridFunction:
 
 
 def divisor_from_expected(E: GridFunction):
-    """(divisor CDF, divisor density) read off a monotone expected value
-    tabulated from t = 0: CDF = 1 - E (clipped to [0, 1], non-decreasing),
-    density = -E'.
+    """(mu, divisor CDF, divisor density) read off a monotone expected value
+    tabulated from t = 0: mu = 2 int E (:func:`mean_from_expected`),
+    CDF = 1 - E (clipped to [0, 1], non-decreasing), density = -E'.
 
     Refuses when the shape screen fails, since the divisor representation
     only exists for non-negative decreasing E.  The density is renormalized
@@ -262,7 +243,7 @@ def divisor_from_expected(E: GridFunction):
     """
     _require(check_expected_shape(E), "expected value", "no 2-geometric divisor exists")
     f_div = _renormalized_density(E.with_values(-derivative(E).values), "divisor_from_expected")
-    return _divisor_cdf(E), f_div
+    return mean_from_expected(E), _divisor_cdf(E), f_div
 
 
 def divisor_from_covariance(C: GridFunction):
@@ -270,11 +251,10 @@ def divisor_from_covariance(C: GridFunction):
     tabulated from t = 0: mu = -2/C'(0), CDF = 1 + (mu/2) C', density = (mu/2) C''.
 
     The slope at the origin pins mu because the divisor CDF must vanish
-    there.  The check compares that mu with 2 int E on the grid, E = -(mu/2) C'.
-    Their ratio, -int C', depends on C alone, so it tests whether the grid
-    resolves the origin, not a second estimate of mu.  No tail is added past
-    the grid end, where the screen bounds |C| by ``LIMIT_TOL``.  A relative
-    gap beyond ``MU_MISMATCH_TOL`` raises with both values attached.
+    there.  The check compares that mu with :func:`mean_from_expected` of
+    E = -(mu/2) C', which refuses an E that has not decayed.  Their ratio, -int C', depends on C alone, so it tests
+    whether the grid resolves the origin, not a second estimate of mu.  A
+    relative gap beyond ``MU_MISMATCH_TOL`` raises with both values attached.
     """
     return _covariance_route(C)[1:]
 
@@ -289,7 +269,7 @@ def _covariance_route(C: GridFunction):
     mu = -2.0 / float(dC[0])
 
     E = C.with_values(-(mu / 2.0) * dC)
-    mu_integral = 2.0 * integral(E)
+    mu_integral = mean_from_expected(E)
     if abs(mu_integral - mu) > MU_MISMATCH_TOL * mu:
         raise NumericError(
             f"mean cross-validation failed: slope route {mu:.6g}, "

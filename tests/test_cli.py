@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import switchkit
-from switchkit import GridFunction, make_gamma, simulate_switch
+from switchkit import GridFunction, make_gamma, mean_from_expected, simulate_switch
 from switchkit.cli import build_parser, run
 from switchkit.grid import _write_rows
 
@@ -333,16 +333,59 @@ def test_recover_refuses_a_table_off_the_origin(capsys, tmp_path, source):
     assert not list(tmp_path.glob("rec*"))
 
 
-def test_recover_expected_route_reports_the_given_mu(capsys, tmp_path):
+def test_recover_expected_route_reports_the_tables_mu(capsys, tmp_path):
     # unit-rate exponential switching has E = exp(-2t) and divisor exp(rate=2)
     t = np.arange(0, 20 + 5e-4, 1e-3)
     src = tmp_path / "E.csv"
     GridFunction(h=1e-3, values=np.exp(-2 * t)).to_csv(src)
     summary = run_json(capsys, ["recover", "--from", "expected", "--input", str(src),
                                 "--mu", "1.0", "--out-prefix", str(tmp_path / "rec")])
-    assert summary["mu"] == 1.0
+    assert summary["mu"] == mean_from_expected(GridFunction.from_csv(src))
+    assert math.isclose(summary["mu"], 1.0, rel_tol=1e-6)
     cdf = GridFunction.from_csv(tmp_path / "rec_divisor_cdf.csv")
     np.testing.assert_allclose(cdf.values, -np.expm1(-2 * t), atol=1e-12)
+
+
+def test_recover_expected_route_takes_an_E_that_vanishes_early(capsys, tmp_path):
+    # E = (1 - t)_+ is that of compound(2, uniform[0, 1]): zero over most of the grid
+    src = tmp_path / "E.csv"
+    E = GridFunction(h=1e-3, values=np.clip(1 - np.arange(20_001) * 1e-3, 0, None))
+    E.to_csv(src)
+    summary = run_json(capsys, ["recover", "--from", "expected", "--input", str(src),
+                                "--out-prefix", str(tmp_path / "rec")])
+    assert math.isclose(summary["mu"], 1.0, rel_tol=1e-9)
+    pdf = GridFunction.from_csv(tmp_path / "rec_divisor_pdf.csv").values
+    np.testing.assert_allclose(pdf[1:1000], 1.0, rtol=1e-12)
+
+
+def test_recover_covariance_route_accepts_its_own_mu(capsys, tmp_path):
+    summary = run_json(capsys, ["recover", "--from", "covariance",
+                                "--input", str(_arcsine_table(tmp_path)), "--mu", "6.283185",
+                                "--out-prefix", str(tmp_path / "rec")])
+    assert math.isclose(summary["mu"], 2 * np.pi, rel_tol=1e-3)
+
+
+@pytest.mark.parametrize("verb", ["expected-value", "recover"])
+def test_a_table_on_a_pipe_reads_as_the_file(tmp_path, verb):
+    # /dev/stdin on a pipe can be read only once
+    t = np.arange(20_001) * 5e-5
+    if verb == "recover":
+        table = GridFunction(h=1e-3, values=np.exp(-2 * np.arange(20_001) * 1e-3))
+        argv = ["recover", "--from", "expected", "--input", "{}", "--out-prefix", "out"]
+    else:
+        table = GridFunction(h=5e-5, values=50.0 * np.exp(-50.0 * t))
+        argv = ["expected-value", "--dist", "table({})", "--t-end", "1", "--out", "out.csv"]
+    table.to_csv(tmp_path / "in.csv")
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(switchkit.__file__))}
+    outputs = []
+    for name, stdin in (("file", None), ("pipe", (tmp_path / "in.csv").read_bytes())):
+        (tmp_path / name).mkdir()
+        path = tmp_path / "in.csv" if stdin is None else "/dev/stdin"
+        subprocess.run([sys.executable, "-m", "switchkit.cli",
+                        *[a.format(path) for a in argv]], cwd=tmp_path / name, env=env,
+                       input=stdin, capture_output=True, check=True)
+        outputs.append({p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())})
+    assert outputs[0] == outputs[1] and outputs[0]
 
 
 def test_estimate_workers_leave_the_bytes_unchanged(capsys, tmp_path):

@@ -34,10 +34,10 @@ def _grid(values, h=0.1) -> GridFunction:
 
 
 CASES = {
-    # E vanishes on the whole last decade of its grid
-    "mean_from_expected_empty_tail": (
-        lambda: mean_from_expected(_grid(np.r_[np.exp(-0.1 * np.arange(5)), np.zeros(96)])),
-        NumericError, "too few nonzero samples"),
+    # E(t_end) = exp(-1) is far from zero: the grid ends before E has decayed
+    "mean_from_expected_undecayed": (
+        lambda: mean_from_expected(_grid(np.exp(-0.1 * np.arange(11)))),
+        NumericError, "has not decayed"),
     # 1 + c h f(0)/2 = 1 - 0.5 * 0.1 * 40 / 2 = 0
     "solve_renewal_singular": (
         lambda: solve_renewal(_grid(np.full(5, 40.0)), _grid(np.ones(5)), -0.5),

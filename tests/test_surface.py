@@ -149,6 +149,22 @@ def test_source_stays_under_its_line_ceiling():
     assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) <= 2650
 
 
+def test_every_imported_name_is_used():
+    # no lint tool is a dependency; a name in __all__ counts as a use
+    unused = []
+    for path in sorted(Path(switchkit.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if path.name == "__init__.py":
+            used |= set(switchkit.__all__)
+        unused += [f"{path.name}:{node.lineno} {name}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for alias in node.names
+                   if (name := (alias.asname or alias.name).split(".")[0]) not in used]
+    assert not unused
+
+
 def test_cli_options_are_frozen():
     assert _verb_options() == OPTIONS
 
