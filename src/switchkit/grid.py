@@ -37,18 +37,17 @@ from .errors import InvalidArgumentError, NumericError, ResourceLimitError
 # column whatever the table length.
 _CSV_BLOCK = 8192
 
-# Bound on the absolute a-posteriori residual max|x + c convolve(x, f) - rhs|
-# of solve_renewal; a larger residual is a numeric failure.
+# Bound on the a-posteriori residual max|x + c convolve(x, f) - rhs| of
+# solve_renewal relative to max(1, max|rhs|); a larger one is a numeric failure.
 RENEWAL_TOL = 1e-6
 
 # Largest grid, and largest number of switches simulate_switch expects to
 # draw.  The E solve peaks near 97 bytes per point, about 1.6 GB at the cap.
 MAX_POINTS = 2**24
 
-# A table read by GridFunction.from_csv is uniform when every step matches
-# the first to this relative and absolute tolerance (np.allclose).
+# A table read by GridFunction.from_csv is uniform when each step is within
+# this times h of the first step h, plus 2 eps t for the rounding of its times.
 UNIFORM_STEP_RTOL = 1e-9
-UNIFORM_STEP_ATOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -155,12 +154,15 @@ class GridFunction:
             raise InvalidArgumentError(f"{path}: need at least two samples")
         if t[0] != 0.0:
             raise InvalidArgumentError(f"{path}: the table must start at t = 0, got t = {t[0]}")
-        steps = np.diff(t)
-        h = float(steps[0])
-        if not np.allclose(steps, h, rtol=UNIFORM_STEP_RTOL, atol=UNIFORM_STEP_ATOL):
+        gap = np.diff(t)
+        h = float(gap[0])
+        gap -= h
+        slack = t[:-1] * (2.0 * np.finfo(float).eps)  # t[:-1]: an infinite time is refused
+        slack += UNIFORM_STEP_RTOL * h
+        if not (np.abs(gap, out=gap) <= slack).all():
             raise InvalidArgumentError(
-                f"{path}: grid is not uniform to rtol {UNIFORM_STEP_RTOL:g}, atol "
-                f"{UNIFORM_STEP_ATOL:g}; resampling is not performed")
+                f"{path}: grid is not uniform to rtol {UNIFORM_STEP_RTOL:g} beyond the "
+                "rounding of its times; resampling is not performed")
         return cls(h=h, values=data[:, 1])
 
 
@@ -518,7 +520,7 @@ def solve_renewal(f: GridFunction, rhs: GridFunction, c: float) -> GridFunction:
     series of convolution powers of f converge to this x.
 
     An a-posteriori residual max|x + c convolve(x, f) - rhs|, an independent
-    full product of length 2n, above ``RENEWAL_TOL`` raises NumericError.
+    full product of length 2n, above ``RENEWAL_TOL`` max(1, max|rhs|) raises.
     """
     _check_combinable(f, rhs, "solve_renewal")
     n, h, fv = len(f), f.h, f.values
@@ -533,9 +535,10 @@ def solve_renewal(f: GridFunction, rhs: GridFunction, c: float) -> GridFunction:
     x[0] = x0
     residual = float(np.max(np.abs(x + c * (_product(w, x, n) - (0.5 * h * x0) * fv)
                                    - rhs.values)))
-    if not residual <= RENEWAL_TOL:
+    tol = RENEWAL_TOL * max(1.0, float(np.max(np.abs(rhs.values))))
+    if not residual <= tol:
         raise NumericError(
-            f"renewal solve residual {residual:.3e} exceeds tol {RENEWAL_TOL:.3e} (n={n}, c={c:g})"
+            f"renewal solve residual {residual:.3e} exceeds tol {tol:.3e} (n={n}, c={c:g})"
         )
     return rhs.with_values(x)
 

@@ -13,6 +13,7 @@ valued), which makes them exactly order-insensitive.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -129,14 +130,15 @@ def _estimate(dist: SwitchingDistribution, grid: GridSpec, n_paths: int, seed,
               workers: int, draw_start):
     """(mean, stderr) of the sign (-1)^(switches in (0, t]) over n_paths paths.
 
-    Paths come in blocks of ``_BLOCK``; block b draws
-    ``draw_start(dist, rng, m)`` and then its inter-arrivals from
-    ``make_rng(seed, stream=(b,))``.  The
-    counts are integers, so the sum over blocks does not depend on how
-    ``workers`` threads schedule them.
+    Paths come in blocks of ``_BLOCK``; block b draws ``draw_start(dist,
+    rng, m)`` and then its inter-arrivals from ``make_rng(seed,
+    stream=(b,))``.  The counts are integers, so their sum does not depend on
+    how min(``workers``, blocks, CPUs) threads (none if one) schedule them.
     """
     if n_paths < 100:
         raise InvalidArgumentError(f"need at least 100 paths, got {n_paths}")
+    if workers < 1:
+        raise InvalidArgumentError(f"workers must be at least 1, got {workers}")
     if isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
         raise InvalidArgumentError("block streams derive from an integer seed")
     t = grid.times()
@@ -147,10 +149,11 @@ def _estimate(dist: SwitchingDistribution, grid: GridSpec, n_paths: int, seed,
         return _odd_counts(dist, t, draw_start(dist, rng, m), rng)
 
     blocks = range(-(-n_paths // _BLOCK))
-    if workers <= 1:
+    threads = min(workers, len(blocks), os.cpu_count() or 1)
+    if threads == 1:
         parts = [block(b) for b in blocks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(block, blocks))
     mean = 1.0 - 2.0 * np.sum(parts, axis=0) / n_paths
     stderr = np.sqrt(np.maximum(1.0 - mean * mean, 0.0) / (n_paths - 1))

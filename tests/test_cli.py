@@ -399,6 +399,14 @@ def test_estimate_workers_leave_the_bytes_unchanged(capsys, tmp_path):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_estimate_refuses_fewer_than_one_worker(capsys, tmp_path, workers):
+    out = tmp_path / "e.csv"
+    assert run(["estimate", "--dist", "exp(rate=1)", "--n-paths", "200", "--workers", workers,
+                "--out", str(out)]) == 1
+    assert "workers must be at least 1" in capsys.readouterr().err and not out.exists()
+
+
 def test_simulate_writes_one_full_precision_epoch_per_line(capsys, tmp_path):
     out = tmp_path / "epochs.csv"
     run_json(capsys, ["simulate", "--dist", "gamma(shape=2,scale=2)", "--horizon", "200",

@@ -254,7 +254,19 @@ SWEEP_R = (1.25, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0, 1e4, 1e8)
 @pytest.mark.parametrize("name", list(SWEEP_LAWS))
 def test_divisibility_verdict_matches_the_analytic_truth(name, r):
     law, divisible = SWEEP_LAWS[name]
-    assert gd_check(law(), r).passed is divisible(r)
+    report = gd_check(law(), r)
+    assert report.passed is divisible(r)
+    assert report.time_domain["reason"] is None
+
+
+@pytest.mark.parametrize("name", ["gamma0.5", "gamma0.8", "compound2_gamma0.5"])
+def test_singular_laws_at_r_1e8_are_decided(name):
+    # their divisor densities reach 1e17, 3e10 and 3e16 next to the origin;
+    # the renewal residual is judged relative to the right-hand side, so the
+    # span is decided, and the density is non-negative on both grids
+    td = gd_check(SWEEP_LAWS[name][0](), 1e8).time_domain
+    assert td["reason"] is None and not td["refuted"]
+    assert min(td["min"]) >= 0.0
 
 
 # -- compound/extract identity ---------------------------------------------------

@@ -204,12 +204,13 @@ def test_second_derivative():
 
 
 def test_csv_round_trip(tmp_path):
-    g = grid_fn(lambda t: np.exp(-t) * np.sin(3 * t), 2.0, 0.01)
-    path = tmp_path / "g.csv"
-    g.to_csv(path)
-    back = GridFunction.from_csv(path)
-    assert back.h == g.h
-    np.testing.assert_array_equal(back.values, g.values)
+    for h in (0.01, 1e-9):
+        g = grid_fn(lambda t: np.exp(-t) * np.sin(3 * t), 200 * h, h)
+        path = tmp_path / "g.csv"
+        g.to_csv(path)
+        back = GridFunction.from_csv(path)
+        assert back.h == g.h
+        np.testing.assert_array_equal(back.values, g.values)
 
 
 # Output of the earlier writer (one csv.writer row per sample) on the table
@@ -606,6 +607,10 @@ def test_csv_longer_than_max_points_is_refused(tmp_path, monkeypatch, row):
 
 def test_csv_nonuniform_rejected(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("t,value\n0.0,1.0\n0.1,1.0\n0.3,1.0\n")
-    with pytest.raises(InvalidArgumentError):
-        GridFunction.from_csv(path)
+    for times in ([0.0, 0.1, 0.3],
+                  # steps of 1e-9 jittered by 1e-4 relative: 1e-13 in absolute terms
+                  np.r_[0.0, np.cumsum(1e-9 * (1.0 + 1e-4 * (-1.0) ** np.arange(999)))],
+                  [0.0, 0.1, 0.2, math.inf]):
+        path.write_text("t,value\n" + "".join(f"{t:.17e},1.0\n" for t in times))
+        with pytest.raises(InvalidArgumentError, match="not uniform"):
+            GridFunction.from_csv(path)

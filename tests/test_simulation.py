@@ -17,6 +17,7 @@ from switchkit import (
     parse_distribution,
     simulate_switch,
 )
+from switchkit import simulation
 from switchkit.simulation import _BLOCK, _forward_delays, _odd_counts
 
 from conftest import grid_fn
@@ -201,6 +202,34 @@ def test_estimates_are_worker_independent_over_blocks(exp1):
         runs = [estimate(exp1, grid, n, seed=6, workers=w)[0].values for w in (1, 2, 3)]
         np.testing.assert_array_equal(runs[0], runs[1])
         np.testing.assert_array_equal(runs[0], runs[2])
+
+
+@pytest.mark.parametrize("cpus", [None, 1, 3, 64])
+def test_a_huge_worker_count_asks_for_at_most_one_thread_per_block_and_cpu(
+        exp1, monkeypatch, cpus):
+    asked = []
+
+    class RecordingPool:  # ThreadPoolExecutor's interface, mapped serially
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    grid = GridSpec.from_t_end(2.0, 0.5)
+    serial = estimate_expected_value(exp1, grid, 4 * _BLOCK, seed=8)[0].values
+    monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
+    mean, _ = estimate_expected_value(exp1, grid, 4 * _BLOCK, seed=8, workers=10**6)
+    threads = min(4, cpus or 1)
+    assert asked == ([threads] if threads > 1 else [])
+    np.testing.assert_array_equal(mean.values, serial)
 
 
 def test_estimates_do_not_depend_on_the_grid_step(gamma22):

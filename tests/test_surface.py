@@ -188,7 +188,7 @@ def _tolerance_rows() -> list[tuple[str, str, str]]:
 
 def test_readme_tolerance_table_matches_the_constants():
     rows = _tolerance_rows()
-    assert len(rows) >= 15
+    assert len(rows) >= 14
     unparsed = {}
     for name, value, module in rows:
         got = getattr(importlib.import_module(f"switchkit.{module}"), name)
