@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc, gammaln
 
 from .errors import InvalidArgumentError
 from .grid import GridFunction, GridSpec, cumulative_integral, solve_renewal
@@ -135,7 +134,12 @@ def make_gamma(shape: float, scale: float) -> SwitchingDistribution:
     if not (scale > 0 and math.isfinite(scale)):
         raise InvalidArgumentError(f"scale must be positive, got {scale}")
     shape, scale = float(shape), float(scale)
-    log_norm = gammaln(shape) + shape * math.log(scale)
+    if shape == 1:  # Gamma(1) = 1: an exponential law loads no scipy.special
+        log_norm = math.log(scale)
+    else:
+        from scipy.special import gammainc, gammaln
+
+        log_norm = gammaln(shape) + shape * math.log(scale)
 
     # density at the origin: an integrable singularity below shape 1
     origin = math.inf if shape < 1 else (1.0 / scale if shape == 1 else 0.0)

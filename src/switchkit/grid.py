@@ -9,7 +9,9 @@ Convolution, integration and differentiation all use the trapezoid rule /
 second-order stencils; second-order accuracy keeps convolutions exactly
 symmetric and is sufficient for the tolerances this package targets.
 :func:`solve_renewal` inverts the trapezoid convolution exactly, which sums
-whole series of convolution powers in one O(n log n) step.
+whole series of convolution powers in one O(n log n) step.  Its FFT helpers
+import ``scipy.fft`` at their first call, so importing this module loads no
+scipy module.
 
 CSV text is written by :func:`_write_rows` and read by :func:`_read_rows` over
 one power-of-ten table, bit for bit as ``%.17e`` prints and ``float()`` reads.
@@ -27,7 +29,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import InvalidArgumentError, NumericError, ResourceLimitError
 
@@ -41,8 +42,8 @@ _CSV_BLOCK = 8192
 # solve_renewal relative to max(1, max|rhs|); a larger one is a numeric failure.
 RENEWAL_TOL = 1e-6
 
-# Largest grid, and largest number of switches simulate_switch expects to
-# draw.  The E solve peaks near 97 bytes per point, about 1.6 GB at the cap.
+# Largest grid, and largest number of switches one simulated path (of
+# simulate_switch or an estimate) is expected to draw.  The E solve peaks near 97 bytes per point, about 1.6 GB at the cap.
 MAX_POINTS = 2**24
 
 # A table read by GridFunction.from_csv is uniform when each step is within
@@ -472,6 +473,7 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
 
 def _product(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """First n coefficients of the power-series product u*v, by real FFT."""
+    from scipy import fft as sp_fft
     u, v = u[:n], v[:n]
     size = sp_fft.next_fast_len(len(u) + len(v) - 1, real=True)
     return sp_fft.irfft(sp_fft.rfft(u, size) * sp_fft.rfft(v, size), size)[:n]
@@ -486,6 +488,7 @@ def _series_inverse(a: np.ndarray, n: int) -> np.ndarray:
         return np.array([1.0 / a[0]])
     m = (n + 1) // 2
     b = _series_inverse(a, m)
+    from scipy import fft as sp_fft
     L = sp_fft.next_fast_len(n, real=True)
     fb = sp_fft.rfft(b, L)
     e = sp_fft.irfft(sp_fft.rfft(a[:n], L) * fb, L)[m:n]
@@ -499,6 +502,7 @@ def _series_divide(r: np.ndarray, a: np.ndarray) -> np.ndarray:
     n = len(r)
     m = (n + 1) // 2
     b = _series_inverse(a, m)
+    from scipy import fft as sp_fft
     L = sp_fft.next_fast_len(n, real=True)
     fb = sp_fft.rfft(b, L)
     x0 = sp_fft.irfft(fb * sp_fft.rfft(r[:m], L), L)[:m]

@@ -134,6 +134,7 @@ def _estimate(dist: SwitchingDistribution, grid: GridSpec, n_paths: int, seed,
     rng, m)`` and then its inter-arrivals from ``make_rng(seed,
     stream=(b,))``.  The counts are integers, so their sum does not depend on
     how min(``workers``, blocks, CPUs) threads (none if one) schedule them.
+    Like :func:`simulate_switch`, it refuses t_end / mean above ``MAX_POINTS``.
     """
     if n_paths < 100:
         raise InvalidArgumentError(f"need at least 100 paths, got {n_paths}")
@@ -141,6 +142,8 @@ def _estimate(dist: SwitchingDistribution, grid: GridSpec, n_paths: int, seed,
         raise InvalidArgumentError(f"workers must be at least 1, got {workers}")
     if isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
         raise InvalidArgumentError("block streams derive from an integer seed")
+    if grid.t_end / dist.mean > MAX_POINTS:  # each path would draw that many switches
+        raise ResourceLimitError(f"t_end / mean exceeds MAX_POINTS = {MAX_POINTS}")
     t = grid.times()
 
     def block(b: int) -> np.ndarray:

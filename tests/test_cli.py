@@ -9,6 +9,7 @@ import pytest
 
 import switchkit
 from switchkit import GridFunction, make_gamma, mean_from_expected, simulate_switch
+from switchkit import simulation
 from switchkit.cli import build_parser, run
 from switchkit.grid import _write_rows
 
@@ -415,13 +416,76 @@ def test_simulate_writes_one_full_precision_epoch_per_line(capsys, tmp_path):
     assert out.read_bytes() == ("epoch\n" + "".join(f"{e:.17e}\n" for e in epochs)).encode()
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
+@pytest.mark.parametrize("target", ["expected", "covariance"])
+def test_estimate_refuses_a_horizon_past_max_points_means(capsys, tmp_path, monkeypatch, target):
+    # 1e9 means of 200 paths would take hours; nothing may be drawn
+    def no_draws(*args):
+        raise AssertionError("drew switches")
+
+    monkeypatch.setattr(simulation, "_rounds", no_draws)
+    out = tmp_path / "e.csv"
+    assert run(["estimate", "--dist", "exp(rate=1)", "--target", target, "--n-paths", "200",
+                "--t-end", "1e9", "--h", "1e3", "--out", str(out)]) == 2
+    assert "t_end / mean exceeds MAX_POINTS" in capsys.readouterr().err and not out.exists()
+
+
+def test_estimate_at_max_points_means_still_runs(capsys, tmp_path, monkeypatch):
+    # the cap itself is allowed: t_end / mean = 8 runs under a cap of 8, 8.5 does not
+    monkeypatch.setattr(simulation, "MAX_POINTS", 8)
+    argv = ["estimate", "--dist", "exp(rate=2)", "--n-paths", "200", "--h", "0.25",
+            "--out", str(tmp_path / "e.csv")]
+    assert run_json(capsys, argv + ["--t-end", "4"])["outputs"] == [str(tmp_path / "e.csv")]
+    assert run(argv + ["--t-end", "4.25"]) == 2
+
+
+# Verbs that load no scipy module, run in this order in one process, then a
+# renewal solve, which loads scipy.fft (and through it scipy.special)
+_IMPORT_PROBE = """
+import json, sys
+from switchkit.cli import run
+from switchkit.grid import GridFunction
+import numpy as np
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("scipy"))
+
+seen = [["import", loaded()]]
+t = np.arange(4001) * 1e-2
+GridFunction(h=1e-2, values=np.exp(-2.0 * t)).to_csv("C.csv")
+GridFunction(h=1e-2, values=np.exp(-t)).to_csv("f.csv")
+for argv in (["simulate", "--dist", "exp(rate=1)"],
+             ["estimate", "--dist", "exp(rate=1)", "--n-paths", "100"],
+             ["estimate", "--dist", "exp(rate=1)", "--n-paths", "100", "--target", "covariance"],
+             ["estimate", "--dist", "table(f.csv)", "--n-paths", "100",
+              "--target", "covariance"],
+             ["recover", "--from", "covariance", "--input", "C.csv"],
+             ["iia", "--r", "diffusion2d", "--h", "0.01"],
+             ["expected-value", "--dist", "exp(rate=1)"]):
+    assert run(argv) == 0, argv
+    seen.append([" ".join(argv), loaded()])
+print(json.dumps(seen))
+"""
+
+
+def _probe(code, cwd):
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(switchkit.__file__))}
-    code = ("import sys, switchkit.cli; "
-            "print('scipy.signal' in sys.modules, 'scipy.optimize' in sys.modules)")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, capture_output=True,
                           text=True, check=True)
-    assert done.stdout.strip() == "False False"
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_only_a_renewal_solve_or_a_gamma_law_loads_scipy(tmp_path):
+    seen = _probe(_IMPORT_PROBE, tmp_path)
+    assert seen[0] == ["import", []] and len(seen) == 8
+    for step, modules in seen[1:-1]:
+        assert modules == [], step
+    solve = seen[-1][1]
+    assert "scipy.fft" in solve and "scipy.special" in solve
+    assert "scipy.signal" not in solve and "scipy.optimize" not in solve
+    gamma = _probe("import json, sys\nfrom switchkit.cli import run\n"
+                   "assert run(['estimate', '--dist', 'gamma(shape=2,scale=1)', '--n-paths', "
+                   "'100']) == 0\nprint(json.dumps(sorted(sys.modules)))", tmp_path)
+    assert "scipy.special" in gamma and "scipy.fft" not in gamma
 
 
 @pytest.mark.parametrize("argv", [
