@@ -9,6 +9,7 @@ JSON summary to stdout.  Exit codes: 0 success, 1 validation failure,
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import sys
@@ -254,7 +255,25 @@ _DISPATCH = {
 }
 
 
+@functools.cache  # once per process, at the first run
+def _keep_heap() -> None:
+    """Fix glibc's malloc thresholds at the values its dynamic ones reach at
+    their 64-bit maximum: arrays under 32 MB come from the heap, not from
+    fresh mmaps, and the heap is trimmed back to the system only when 64 MB
+    at its top are free.  The FFT and CSV temporaries of one task after
+    another then reuse the same pages instead of faulting them in anew.  A C
+    library without ``mallopt`` is left as it is."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (TypeError, AttributeError):  # no process-wide C library, or no mallopt in it
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, glibc's largest dynamic value on 64 bits
+
+
 def run(argv=None) -> int:
+    _keep_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

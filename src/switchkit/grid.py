@@ -10,8 +10,8 @@ second-order stencils; second-order accuracy keeps convolutions exactly
 symmetric and is sufficient for the tolerances this package targets.
 :func:`solve_renewal` inverts the trapezoid convolution exactly, which sums
 whole series of convolution powers in one O(n log n) step.  Its FFT helpers
-import ``scipy.fft`` at their first call, so importing this module loads no
-scipy module.
+run on ``numpy.fft`` at lengths from :func:`_fast_len`, so neither importing
+this module nor solving loads a scipy module.
 
 CSV text is written by :func:`_write_rows` and read by :func:`_read_rows` over
 one power-of-ten table, bit for bit as ``%.17e`` prints and ``float()`` reads.
@@ -43,7 +43,9 @@ _CSV_BLOCK = 8192
 RENEWAL_TOL = 1e-6
 
 # Largest grid, and largest number of switches one simulated path (of
-# simulate_switch or an estimate) is expected to draw.  The E solve peaks near 97 bytes per point, about 1.6 GB at the cap.
+# simulate_switch or an estimate) is expected to draw.  The E solve of a
+# fresh process raises its peak RSS by 112-126 bytes per point at 2^20 to
+# 2^22 points, so about 2 GB at the cap.
 MAX_POINTS = 2**24
 
 # A table read by GridFunction.from_csv is uniform when each step is within
@@ -471,12 +473,24 @@ def convolve(f: GridFunction, g: GridFunction) -> GridFunction:
     return GridFunction(h=f.h, values=out, notes=f.notes + g.notes)
 
 
+def _fast_len(n: int) -> int:
+    """The smallest 2^a 3^b 5^c >= n, a length numpy's real FFT takes fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _product(u: np.ndarray, v: np.ndarray, n: int) -> np.ndarray:
     """First n coefficients of the power-series product u*v, by real FFT."""
-    from scipy import fft as sp_fft
     u, v = u[:n], v[:n]
-    size = sp_fft.next_fast_len(len(u) + len(v) - 1, real=True)
-    return sp_fft.irfft(sp_fft.rfft(u, size) * sp_fft.rfft(v, size), size)[:n]
+    size = _fast_len(len(u) + len(v) - 1)
+    return np.fft.irfft(np.fft.rfft(u, size) * np.fft.rfft(v, size), size)[:n]
 
 
 def _series_inverse(a: np.ndarray, n: int) -> np.ndarray:
@@ -488,11 +502,10 @@ def _series_inverse(a: np.ndarray, n: int) -> np.ndarray:
         return np.array([1.0 / a[0]])
     m = (n + 1) // 2
     b = _series_inverse(a, m)
-    from scipy import fft as sp_fft
-    L = sp_fft.next_fast_len(n, real=True)
-    fb = sp_fft.rfft(b, L)
-    e = sp_fft.irfft(sp_fft.rfft(a[:n], L) * fb, L)[m:n]
-    return np.concatenate([b, -sp_fft.irfft(fb * sp_fft.rfft(e, L), L)[: n - m]])
+    L = _fast_len(n)
+    fb = np.fft.rfft(b, L)
+    e = np.fft.irfft(np.fft.rfft(a[:n], L) * fb, L)[m:n]
+    return np.concatenate([b, -np.fft.irfft(fb * np.fft.rfft(e, L), L)[: n - m]])
 
 
 def _series_divide(r: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -502,12 +515,11 @@ def _series_divide(r: np.ndarray, a: np.ndarray) -> np.ndarray:
     n = len(r)
     m = (n + 1) // 2
     b = _series_inverse(a, m)
-    from scipy import fft as sp_fft
-    L = sp_fft.next_fast_len(n, real=True)
-    fb = sp_fft.rfft(b, L)
-    x0 = sp_fft.irfft(fb * sp_fft.rfft(r[:m], L), L)[:m]
-    d = r[m:n] - sp_fft.irfft(sp_fft.rfft(a[:n], L) * sp_fft.rfft(x0, L), L)[m:n]
-    return np.concatenate([x0, sp_fft.irfft(fb * sp_fft.rfft(d, L), L)[: n - m]])
+    L = _fast_len(n)
+    fb = np.fft.rfft(b, L)
+    x0 = np.fft.irfft(fb * np.fft.rfft(r[:m], L), L)[:m]
+    d = r[m:n] - np.fft.irfft(np.fft.rfft(a[:n], L) * np.fft.rfft(x0, L), L)[m:n]
+    return np.concatenate([x0, np.fft.irfft(fb * np.fft.rfft(d, L), L)[: n - m]])
 
 
 def solve_renewal(f: GridFunction, rhs: GridFunction, c: float) -> GridFunction:
@@ -519,9 +531,12 @@ def solve_renewal(f: GridFunction, rhs: GridFunction, c: float) -> GridFunction:
     x[0] = rhs[0] exactly.  The division inverts delta + c w to order n/2
     by Newton iteration on halved lengths with middle products (Hanrot,
     Quercia and Zimmermann, AAECC 14, 2004), then takes Karp and
-    Markstein's last step: about 19 n of FFT length, O(n log n) whatever
-    the grid length.  Truncated alternating (c = 1) or geometric (c < 0)
-    series of convolution powers of f converge to this x.
+    Markstein's last step: about 19 n of ``numpy.fft`` length, O(n log n)
+    whatever the grid length.  numpy's complex product is not bitwise
+    commutative (a*b and b*a can differ in the last bit), so an edit of the
+    helpers keeps each product's operand order to keep the results.
+    Truncated alternating (c = 1) or geometric (c < 0) series of
+    convolution powers of f converge to this x.
 
     An a-posteriori residual max|x + c convolve(x, f) - rhs|, an independent
     full product of length 2n, above ``RENEWAL_TOL`` max(1, max|rhs|) raises.

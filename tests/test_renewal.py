@@ -1,13 +1,17 @@
 """The discrete renewal solve against the convolution-power series it
 replaced (frozen in ``series_oracle``) and against closed forms."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import series_oracle
+import switchkit
 from switchkit import (
     GridFunction,
     GridSpec,
@@ -24,6 +28,7 @@ from switchkit import (
     tabulate_pdf,
 )
 from switchkit.divisibility import divisor_density
+from switchkit.grid import _fast_len
 
 from conftest import grid_fn
 
@@ -196,7 +201,7 @@ def test_solve_matches_the_frozen_newton_solve(n):
 def test_fft_work_budget(monkeypatch, n):
     # summed transform lengths, residual included: 19.1-19.3 n measured; the
     # doubling solve took 27.4-33.0 n, most just above a power of two.  The
-    # helpers look scipy.fft up at each call, so the module's own functions
+    # helpers look numpy.fft up at each call, so the module's own functions
     # are counted, and a count of at most n would mean they were not
     total = [0]
 
@@ -207,7 +212,34 @@ def test_fft_work_budget(monkeypatch, n):
         return wrapped
 
     for name in ("rfft", "irfft"):
-        monkeypatch.setattr(scipy.fft, name, counted(getattr(scipy.fft, name)))
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
     f = tabulate_pdf(make_exponential(1.0), _sweep_grid(n))
     solve_renewal(f, f, 1.0)
     assert n < total[0] <= 21 * n
+
+
+def test_fast_len_is_the_next_5_smooth_number():
+    smooth = sorted(2**a * 3**b * 5**c for a in range(15) for b in range(10) for c in range(7))
+    for n in range(1, 10_001):
+        assert _fast_len(n) == next(s for s in smooth if s >= n), n
+    assert _fast_len(2**24 + 1) == 2**9 * 3**8 * 5  # scipy's next_fast_len(real=True) agrees
+
+
+_SOLVE_RSS = """
+import resource
+from switchkit import GridSpec, expected_value_series, make_exponential
+expected_value_series(make_exponential(1.0), GridSpec(h=1e-2, n=1000))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+expected_value_series(make_exponential(1.0), GridSpec(h=2.0**-14, n=2**20))
+print((resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before) * 1024 / 2**20)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss in KiB on Linux")
+def test_e_solve_peaks_under_150_bytes_per_point():
+    # growth of the peak RSS of a fresh process over one E solve on 2^20
+    # points: 117.7 B measured; 191-203 B with scipy.fft (see MAX_POINTS)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(switchkit.__file__))}
+    done = subprocess.run([sys.executable, "-c", _SOLVE_RSS], env=env, capture_output=True,
+                          text=True, check=True)
+    assert float(done.stdout) <= 150.0
