@@ -10,8 +10,7 @@ second-order stencils; second-order accuracy keeps convolutions exactly
 symmetric and is sufficient for the tolerances this package targets.
 :func:`solve_renewal` inverts the trapezoid convolution exactly, which sums
 whole series of convolution powers in one O(n log n) step.  Its FFT helpers
-run on ``numpy.fft`` at lengths from :func:`_fast_len`, so neither importing
-this module nor solving loads a scipy module.
+run on ``numpy.fft`` at lengths from :func:`_fast_len`.
 
 CSV text is written by :func:`_write_rows` and read by :func:`_read_rows` over
 one power-of-ten table, bit for bit as ``%.17e`` prints and ``float()`` reads.
@@ -540,8 +539,13 @@ def solve_renewal(f: GridFunction, rhs: GridFunction, c: float) -> GridFunction:
 
     An a-posteriori residual max|x + c convolve(x, f) - rhs|, an independent
     full product of length 2n, above ``RENEWAL_TOL`` max(1, max|rhs|) raises.
+    At c = 0 the system is x = rhs, returned as it is with residual 0: the
+    E of a law whose compound orders multiply to 2, gd-check at a compound's
+    own r.
     """
     _check_combinable(f, rhs, "solve_renewal")
+    if c == 0:
+        return rhs
     n, h, fv = len(f), f.h, f.values
     w = h * fv
     w[0] *= 0.5

@@ -439,8 +439,8 @@ def test_estimate_at_max_points_means_still_runs(capsys, tmp_path, monkeypatch):
     assert run(argv + ["--t-end", "4.25"]) == 2
 
 
-# Verbs that load no scipy module, run in this order in one process: the
-# renewal solves among them run on numpy.fft
+# Every verb, run in this order in one process, loads no scipy module: the
+# renewal solves run on numpy.fft and gamma laws on switchkit's own P(a, x)
 _IMPORT_PROBE = """
 import json, sys
 from switchkit.cli import run
@@ -464,7 +464,15 @@ for argv in (["simulate", "--dist", "exp(rate=1)"],
              ["expected-value", "--dist", "exp(rate=1)"],
              ["gd-check", "--dist", "exp(rate=1)", "--r", "2"],
              ["recover", "--from", "expected", "--input", "C.csv",
-              "--compound-pdf-out", "pdf.csv"]):
+              "--compound-pdf-out", "pdf.csv"],
+             ["expected-value", "--dist", "gamma(shape=2.5,scale=1)"],
+             ["covariance", "--dist", "gamma(shape=2.5,scale=1)"],
+             ["expected-value", "--dist", "gamma(shape=0.5,scale=1)"],
+             ["covariance", "--dist", "gamma(shape=0.5,scale=1)"],
+             ["gd-check", "--dist", "gamma(shape=2,scale=1)", "--r", "1.5"],
+             ["estimate", "--dist", "gamma(shape=2,scale=1)", "--n-paths", "100"],
+             ["estimate", "--dist", "gamma(shape=2,scale=1)", "--n-paths", "100",
+              "--target", "covariance"]):
     assert run(argv) == 0, argv
     seen.append([" ".join(argv), loaded()])
 print(json.dumps(seen))
@@ -478,15 +486,11 @@ def _probe(code, cwd):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def test_only_a_gamma_law_of_shape_other_than_one_loads_scipy(tmp_path):
+def test_no_verb_loads_scipy(tmp_path):
     seen = _probe(_IMPORT_PROBE, tmp_path)
-    assert seen[0] == ["import", []] and len(seen) == 10
+    assert seen[0] == ["import", []] and len(seen) == 17
     for step, modules in seen[1:]:
         assert modules == [], step
-    gamma = _probe("import json, sys\nfrom switchkit.cli import run\n"
-                   "assert run(['estimate', '--dist', 'gamma(shape=2,scale=1)', '--n-paths', "
-                   "'100']) == 0\nprint(json.dumps(sorted(sys.modules)))", tmp_path)
-    assert "scipy.special" in gamma and "scipy.fft" not in gamma
 
 
 def _has_mallopt():

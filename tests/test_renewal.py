@@ -218,6 +218,30 @@ def test_fft_work_budget(monkeypatch, n):
     assert n < total[0] <= 21 * n
 
 
+def test_identity_system_is_returned_without_a_transform(monkeypatch):
+    # compound(2, exp(2)) maps its base law with q = 1/2, so its E solves
+    # x + 0 (x * f) = F; gd-check of a compound at its own r solves x = f
+    calls = [0]
+
+    def counted(transform):
+        def wrapped(*args, **kwargs):
+            calls[0] += 1
+            return transform(*args, **kwargs)
+        return wrapped
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    grid = GridSpec.from_t_end(12.0, 2e-3)
+    E = expected_value_series(make_geometric_compound(make_exponential(2.0), 2.0), grid)
+    np.testing.assert_array_equal(E.values, 1.0 - tabulate_cdf(make_exponential(2.0), grid).values)
+    compound = make_geometric_compound(make_gamma(2.0, 1.0), 4.0)
+    np.testing.assert_array_equal(divisor_density(compound, 4.0, grid).values,
+                                  tabulate_pdf(make_gamma(2.0, 1.0), grid).values)
+    f = tabulate_pdf(make_exponential(1.0), grid)
+    assert solve_renewal(f, f, 0.0) is f
+    assert calls[0] == 0
+
+
 def test_fast_len_is_the_next_5_smooth_number():
     smooth = sorted(2**a * 3**b * 5**c for a in range(15) for b in range(10) for c in range(7))
     for n in range(1, 10_001):
