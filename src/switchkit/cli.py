@@ -66,7 +66,8 @@ def build_parser() -> _Parser:
     p.add_argument("--target", choices=["expected", "covariance"], default="expected")
     _add_grid_args(p, t_end_default=4.0, h_default=0.5)
     p.add_argument("--n-paths", type=int, default=10_000)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="validated (at least 1), then ignored; "
+                   "ROADMAP item 1B deletes it with the benchmark's change")
     _add_seed_arg(p)
     p.add_argument("--out", default="estimate.csv")
     p.add_argument("--plot", default=None)
@@ -130,10 +131,12 @@ def _cmd_simulate(args) -> dict:
 
 
 def _cmd_estimate(args) -> dict:
+    if args.workers < 1:
+        raise InvalidArgumentError(f"workers must be at least 1, got {args.workers}")
     dist = parse_distribution(args.dist)
     grid = GridSpec.from_t_end(args.t_end, args.h)
     estimate = estimate_expected_value if args.target == "expected" else estimate_covariance
-    mean, stderr = estimate(dist, grid, args.n_paths, args.seed, workers=args.workers)
+    mean, stderr = estimate(dist, grid, args.n_paths, args.seed)
     mean.to_csv(args.out, extra_columns={"stderr": stderr.values})
     outputs = [args.out]
     if args.plot:

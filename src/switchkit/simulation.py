@@ -4,17 +4,15 @@ and of the stationary covariance C(t).
 
 These simulators are the brute-force oracle for every analytic result in the
 package.  Determinism contract: a path is a pure function of its seed, and
-estimators derive one stream per fixed-size block of paths from
-(seed, block_index), so results do not depend on how blocks are scheduled
-across workers.  The reductions are integer counts (the processes are +/-1
-valued), which makes them exactly order-insensitive.
+estimators run fixed-size blocks of paths in order on the calling thread,
+block b drawing from the stream of (seed, b), and add each block's integer
+counts (the processes are +/-1 valued) to one running total, so memory does
+not grow with the number of paths.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,8 +21,8 @@ from .distributions import SwitchingDistribution, make_rng
 from .errors import InvalidArgumentError, ResourceLimitError
 from .grid import MAX_POINTS, GridFunction, GridSpec
 
-# Paths per random stream: a constant, so an estimate does not depend on the
-# number of worker threads.
+# Paths per random stream: a constant, so an estimate is a pure function of
+# its seed and path count.
 _BLOCK = 1024
 # Inter-arrival draws per round of one block, which bounds a block's memory
 # whatever t_end / mean is.
@@ -35,9 +33,11 @@ _ROUND_DRAWS = 1 << 17
 class SwitchTrajectory:
     """Switch epochs of one realization, which starts at +1.
 
-    The last epoch may exceed the horizon (the draw that crossed it is
-    kept); evaluation clips at the horizon implicitly since callers only ask
-    for t <= horizon.
+    Epochs are non-decreasing: a draw below half an ulp of the running epoch
+    (or one that underflowed to 0) repeats it, two switches at one
+    representable time.  An epoch of 0 is a switch at time 0, which
+    ``value(0)`` counts, as the estimators do at grid time 0.  The last
+    epoch may exceed the horizon (the draw that crossed it is kept).
     """
 
     epochs: np.ndarray
@@ -47,10 +47,10 @@ class SwitchTrajectory:
         ep = np.asarray(self.epochs, dtype=float)
         if ep.ndim != 1:
             raise InvalidArgumentError("epochs must be a 1-d array")
-        if len(ep) > 1 and not np.all(np.diff(ep) > 0):
-            raise InvalidArgumentError("epochs must be strictly increasing")
-        if len(ep) and ep[0] <= 0:
-            raise InvalidArgumentError("epochs must be positive")
+        if len(ep) > 1 and not np.all(np.diff(ep) >= 0):  # NaN fails too
+            raise InvalidArgumentError("epochs must be non-decreasing")
+        if len(ep) and not ep[0] >= 0:
+            raise InvalidArgumentError("epochs must be non-negative")
         ep.setflags(write=False)
         object.__setattr__(self, "epochs", ep)
 
@@ -126,53 +126,40 @@ def _odd_counts(dist: SwitchingDistribution, t: np.ndarray, start: np.ndarray,
     return np.cumsum(hist[1:2 * n:2] - hist[0:2 * n:2])
 
 
-def _estimate(dist: SwitchingDistribution, grid: GridSpec, n_paths: int, seed,
-              workers: int, draw_start):
+def _estimate(dist: SwitchingDistribution, grid: GridSpec, n_paths: int, seed, draw_start):
     """(mean, stderr) of the sign (-1)^(switches in (0, t]) over n_paths paths.
 
-    Paths come in blocks of ``_BLOCK``; block b draws ``draw_start(dist,
-    rng, m)`` and then its inter-arrivals from ``make_rng(seed,
-    stream=(b,))``.  The counts are integers, so their sum does not depend on
-    how min(``workers``, blocks, CPUs) threads (none if one) schedule them.
-    Like :func:`simulate_switch`, it refuses t_end / mean above ``MAX_POINTS``.
+    Paths come in blocks of ``_BLOCK``, run in order; block b draws
+    ``draw_start(dist, rng, m)`` and then its inter-arrivals from
+    ``make_rng(seed, stream=(b,))``, and its odd counts join one running
+    total.  Like :func:`simulate_switch`, it refuses t_end / mean above
+    ``MAX_POINTS``.
     """
     if n_paths < 100:
         raise InvalidArgumentError(f"need at least 100 paths, got {n_paths}")
-    if workers < 1:
-        raise InvalidArgumentError(f"workers must be at least 1, got {workers}")
     if isinstance(seed, (np.random.Generator, np.random.SeedSequence)):
         raise InvalidArgumentError("block streams derive from an integer seed")
     if grid.t_end / dist.mean > MAX_POINTS:  # each path would draw that many switches
         raise ResourceLimitError(f"t_end / mean exceeds MAX_POINTS = {MAX_POINTS}")
     t = grid.times()
-
-    def block(b: int) -> np.ndarray:
-        m = min(_BLOCK, n_paths - b * _BLOCK)
+    odd = np.zeros(len(t), dtype=np.int64)
+    for b in range(-(-n_paths // _BLOCK)):
         rng = make_rng(seed, stream=(b,))
-        return _odd_counts(dist, t, draw_start(dist, rng, m), rng)
-
-    blocks = range(-(-n_paths // _BLOCK))
-    threads = min(workers, len(blocks), os.cpu_count() or 1)
-    if threads == 1:
-        parts = [block(b) for b in blocks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(block, blocks))
-    mean = 1.0 - 2.0 * np.sum(parts, axis=0) / n_paths
+        start = draw_start(dist, rng, min(_BLOCK, n_paths - b * _BLOCK))
+        odd += _odd_counts(dist, t, start, rng)
+    mean = 1.0 - 2.0 * odd / n_paths
     stderr = np.sqrt(np.maximum(1.0 - mean * mean, 0.0) / (n_paths - 1))
     return GridFunction(h=grid.h, values=mean), GridFunction(h=grid.h, values=stderr)
 
 
-def estimate_expected_value(dist: SwitchingDistribution, grid: GridSpec,
-                            n_paths: int, seed, workers: int = 1):
+def estimate_expected_value(dist: SwitchingDistribution, grid: GridSpec, n_paths: int, seed):
     """Pointwise Monte Carlo mean of the switch process with standard errors.
 
     Returns (mean, stderr) as GridFunctions.  Every path starts a switching
     interval at 0.  Block b of ``_BLOCK`` paths draws from
-    ``make_rng(seed, stream=(b,))``, so ``seed`` must be an integer and the
-    result does not depend on ``workers``.
+    ``make_rng(seed, stream=(b,))``, so ``seed`` must be an integer.
     """
-    return _estimate(dist, grid, n_paths, seed, workers, lambda dist, rng, m: np.zeros(m))
+    return _estimate(dist, grid, n_paths, seed, lambda dist, rng, m: np.zeros(m))
 
 
 def _forward_delays(dist: SwitchingDistribution, rng, m: int) -> np.ndarray:
@@ -181,8 +168,7 @@ def _forward_delays(dist: SwitchingDistribution, rng, m: int) -> np.ndarray:
     return dist.sample_size_biased(rng, m) * rng.random(m)
 
 
-def estimate_covariance(dist: SwitchingDistribution, grid: GridSpec,
-                        n_paths: int, seed, workers: int = 1):
+def estimate_covariance(dist: SwitchingDistribution, grid: GridSpec, n_paths: int, seed):
     """Monte Carlo mean of Y(t) Y(0) over stationary paths, with stderr.
 
     Only the forward construction matters for t >= 0: Y(t) Y(0) is +1 until
@@ -190,4 +176,4 @@ def estimate_covariance(dist: SwitchingDistribution, grid: GridSpec,
     flips at every switch after it; the symmetric sign cancels and is not
     drawn.
     """
-    return _estimate(dist, grid, n_paths, seed, workers, _forward_delays)
+    return _estimate(dist, grid, n_paths, seed, _forward_delays)

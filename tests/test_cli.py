@@ -106,6 +106,25 @@ def test_simulate_verb(capsys, tmp_path):
     assert np.all(np.diff(epochs) > 0)
 
 
+@pytest.mark.parametrize("horizon", ["100", "1e4"])
+@pytest.mark.parametrize("shape", ["0.01", "0.1", "0.2"])
+def test_simulate_writes_the_repeated_epochs_of_a_singular_law(capsys, tmp_path, shape,
+                                                               horizon):
+    # a draw below half an ulp of the running epoch repeats it (most draws
+    # at shape 0.01): two switches at one representable time
+    out = tmp_path / "epochs.csv"
+    summary = run_json(capsys, ["simulate", "--dist", f"gamma(shape={shape},scale=1)",
+                                "--horizon", horizon, "--seed", "1", "--out", str(out)])
+    epochs = np.array(out.read_text().splitlines()[1:], dtype=float)
+    assert len(epochs) == summary["n_epochs"] and np.all(np.diff(epochs) >= 0)
+
+
+def test_figure1_plots_a_path_with_repeated_epochs(capsys, tmp_path):
+    out = tmp_path / "fig.svg"
+    run_json(capsys, ["figure1", "--dist", "gamma(shape=0.01,scale=1)", "--out", str(out)])
+    assert out.read_text().count("<polyline") >= 3
+
+
 def test_simulate_plot_flag_is_gone(capsys, tmp_path):
     # figure1 --t-end H draws the same path and plots it with E and C
     code = run(["simulate", "--dist", "exp(rate=1)", "--out", str(tmp_path / "e.csv"),
@@ -447,8 +466,8 @@ from switchkit.cli import run
 from switchkit.grid import GridFunction
 import numpy as np
 
-def loaded():
-    return sorted(m for m in sys.modules if m.startswith("scipy"))
+def loaded():  # Monte Carlo runs on the calling thread: no concurrent.* either
+    return sorted(m for m in sys.modules if m.startswith(("scipy", "concurrent")))
 
 seen = [["import", loaded()]]
 t = np.arange(4001) * 1e-2

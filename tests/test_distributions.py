@@ -172,6 +172,71 @@ def test_gamma_density_and_cdf_match_scipy(shape):
     assert np.max(np.abs(law.cdf(t) - ref.cdf(t))) <= 1e-14
 
 
+# (x, x^(a-1) e^-x / Gamma(a)) at 40 digits, rounded to double: nine points
+# over a +- 4 sqrt(a), x > 0
+GAMMA_PDF_40_DIGITS = {
+    2.5: [
+        (0.125, 0.02933877723035829),
+        (0.5, 0.16131381634609557),
+        (1.0, 0.2767383316137298),
+        (1.5, 0.30836065960753856),
+        (2.5, 0.2440830426987748),
+        (3.5, 0.14874253544024565),
+        (4.5, 0.07977327141488413),
+        (6.5, 0.018742162665522116),
+        (8.5, 0.0037930545856335192),
+    ],
+    50.0: [
+        (22.0, 2.7550398832281057e-07),
+        (29.0, 0.00019004526506231852),
+        (36.0, 0.006920162949629384),
+        (43.0, 0.03812297053423574),
+        (50.0, 0.05632500632519082),
+        (57.0, 0.03154841836062728),
+        (64.0, 0.008392029759487706),
+        (71.0, 0.0012377872474313904),
+        (78.0, 0.00011312564678151272),
+    ],
+    1000.0: [
+        (876.0, 3.2733443335189104e-06),
+        (907.0, 0.0001380195047315869),
+        (938.0, 0.001810369787721523),
+        (969.0, 0.007969959001423358),
+        (1000.0, 0.012614611348721499),
+        (1031.0, 0.007641023825274665),
+        (1062.0, 0.0018750300198543334),
+        (1093.0, 0.00019634906854158063),
+        (1124.0, 9.202440972545437e-06),
+    ],
+    10000.0: [
+        (9600.0, 1.1188152326344706e-06),
+        (9700.0, 4.166985083846276e-05),
+        (9800.0, 0.0005362084783323951),
+        (9900.0, 0.00243593344317132),
+        (10000.0, 0.003989389558962826),
+        (10100.0, 0.002403669257862049),
+        (10200.0, 0.0005434098589667711),
+        (10300.0, 4.6986349278486105e-05),
+        (10400.0, 1.582972367708167e-06),
+    ],
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0])
+@pytest.mark.parametrize("shape", sorted(GAMMA_PDF_40_DIGITS))
+def test_gamma_density_near_the_mode(shape, scale):
+    # exp((a - 1) log t - t - lgamma(a)) cancels there: 1.5e-11 off at
+    # a = 1e4; the shared prefactor's worst is 1.9e-14, at a = 50
+    x, want = np.array(GAMMA_PDF_40_DIGITS[shape]).T
+    got = make_gamma(shape, scale).pdf(scale * x) * scale  # exact: scale is a power of 2
+    np.testing.assert_allclose(got, want, rtol=5e-14, atol=0)
+
+
+def test_exponential_density_keeps_its_formula():
+    t = np.linspace(0.0, 30.0, 3_001)[1:]
+    np.testing.assert_array_equal(make_gamma(1.0, 0.5).pdf(t), np.exp(-t / 0.5 - math.log(0.5)))
+
+
 def test_exponential_cdf_is_minus_expm1():
     t = np.linspace(0.0, 30.0, 3_001)
     np.testing.assert_array_equal(make_gamma(1.0, 0.5).cdf(t), -np.expm1(-t / 0.5))

@@ -9,9 +9,11 @@ from switchkit import (
     GridSpec,
     InvalidArgumentError,
     ResourceLimitError,
+    SwitchTrajectory,
     SwitchingDistribution,
     estimate_covariance,
     estimate_expected_value,
+    make_gamma,
     make_rng,
     make_tabulated,
     parse_distribution,
@@ -54,6 +56,29 @@ def test_bitwise_determinism(exp1):
     a = simulate_switch(exp1, 20.0, seed=99)
     b = simulate_switch(exp1, 20.0, seed=99)
     np.testing.assert_array_equal(a.epochs, b.epochs)
+
+
+def test_repeated_epochs_are_two_switches_at_one_time():
+    traj = SwitchTrajectory(epochs=[0.0, 1.0, 1.0, 2.0])
+    # an epoch of 0 (a first draw that underflowed) is a switch at time 0
+    np.testing.assert_array_equal(traj.count([0.0, 0.5, 1.0, 1.5, 2.0]), [1, 1, 3, 3, 4])
+    np.testing.assert_array_equal(traj.value([0.0, 0.5, 1.0, 1.5, 2.0]), [-1, -1, -1, -1, 1])
+    xs, ys = SwitchTrajectory(epochs=[0.5, 0.5], horizon=1.0).step_points()
+    np.testing.assert_array_equal(xs, [0.0, 0.5, 0.5, 0.5, 0.5, 1.0])
+    np.testing.assert_array_equal(ys, [1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("epochs", [[1.0, 0.5], [-1.0, 1.0], [-0.5], [np.nan],
+                                    [1.0, np.nan], [np.nan, 1.0]])
+def test_decreasing_negative_and_nan_epochs_are_refused(epochs):
+    with pytest.raises(InvalidArgumentError, match="epochs must be"):
+        SwitchTrajectory(epochs=epochs)
+
+
+@pytest.mark.parametrize("shape", [0.01, 0.1, 0.2])
+def test_a_singular_law_draws_repeated_epochs(shape):
+    epochs = simulate_switch(make_gamma(shape, 1.0), 1e4, seed=1).epochs
+    assert np.all(np.diff(epochs) >= 0) and np.any(np.diff(epochs) == 0)
 
 
 def test_horizon_validation(exp1):
@@ -174,13 +199,19 @@ def test_estimate_covariance_gamma(gamma22):
 
 
 def test_estimators_are_scheduling_independent(exp1):
+    # block b's counts depend on (seed, b) alone: summed in reverse order
+    # they give the estimate
     grid = GridSpec.from_t_end(2.0, 0.5)
-    a, _ = estimate_expected_value(exp1, grid, 600, seed=5, workers=1)
-    b, _ = estimate_expected_value(exp1, grid, 600, seed=5, workers=3)
-    np.testing.assert_array_equal(a.values, b.values)
-    c, _ = estimate_covariance(exp1, grid, 600, seed=5, workers=1)
-    d, _ = estimate_covariance(exp1, grid, 600, seed=5, workers=4)
-    np.testing.assert_array_equal(c.values, d.values)
+    t, n = grid.times(), 3 * _BLOCK + 17
+    for estimate, draw_start in ((estimate_expected_value, lambda dist, rng, m: np.zeros(m)),
+                                 (estimate_covariance, _forward_delays)):
+        odd = 0
+        for b in reversed(range(4)):
+            rng = make_rng(5, stream=(b,))
+            start = draw_start(exp1, rng, min(_BLOCK, n - b * _BLOCK))
+            odd = odd + _odd_counts(exp1, t, start, rng)
+        np.testing.assert_array_equal(estimate(exp1, grid, n, seed=5)[0].values,
+                                      1.0 - 2.0 * odd / n)
 
 
 def test_estimators_need_enough_paths(exp1):
@@ -195,41 +226,29 @@ def test_estimators_need_an_integer_seed(exp1, seed):
         estimate_covariance(exp1, GridSpec.from_t_end(1.0, 0.5), 200, seed=seed)
 
 
-def test_estimates_are_worker_independent_over_blocks(exp1):
-    grid = GridSpec.from_t_end(2.0, 0.5)
-    n = 3 * _BLOCK + 17
-    for estimate in (estimate_expected_value, estimate_covariance):
-        runs = [estimate(exp1, grid, n, seed=6, workers=w)[0].values for w in (1, 2, 3)]
-        np.testing.assert_array_equal(runs[0], runs[1])
-        np.testing.assert_array_equal(runs[0], runs[2])
+def test_estimates_are_worker_independent_over_blocks():
+    # three full blocks and a partial one, run in order: the running total is
+    # the frozen per-path count over every block's paths
+    n, grid = 3 * _BLOCK + 17, GridSpec.from_t_end(6.0, 0.25)
+    for target in ("expected", "covariance"):
+        rounds, starts, first_round = [], [], []
 
+        def draw_start(dist, rng, m):
+            # dyadic delays (all 0 for E), so every epoch sum is exact
+            starts.append(np.zeros(m) if target == "expected" else rng.integers(0, 56, m) / 8.0)
+            first_round.append(len(rounds))
+            return starts[-1]
 
-@pytest.mark.parametrize("cpus", [None, 1, 3, 64])
-def test_a_huge_worker_count_asks_for_at_most_one_thread_per_block_and_cpu(
-        exp1, monkeypatch, cpus):
-    asked = []
-
-    class RecordingPool:  # ThreadPoolExecutor's interface, mapped serially
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    grid = GridSpec.from_t_end(2.0, 0.5)
-    serial = estimate_expected_value(exp1, grid, 4 * _BLOCK, seed=8)[0].values
-    monkeypatch.setattr(simulation, "ThreadPoolExecutor", RecordingPool)
-    monkeypatch.setattr(simulation.os, "cpu_count", lambda: cpus)
-    mean, _ = estimate_expected_value(exp1, grid, 4 * _BLOCK, seed=8, workers=10**6)
-    threads = min(4, cpus or 1)
-    assert asked == ([threads] if threads > 1 else [])
-    np.testing.assert_array_equal(mean.values, serial)
+        mean, _ = simulation._estimate(_recording_dyadic_law(rounds), grid, n, 6, draw_start)
+        assert [len(start) for start in starts] == [_BLOCK] * 3 + [17]
+        plus = 0
+        for start, lo, hi in zip(starts, first_round, first_round[1:] + [len(rounds)]):
+            rows = _epoch_rows(start, grid.t_end, rounds[lo:hi])
+            if target == "expected":
+                plus = plus + expected_plus_counts(rows, grid.times())
+            else:
+                plus = plus + covariance_plus_counts(start, rows, grid.times())
+        np.testing.assert_array_equal(mean.values, 1.0 - 2.0 * (n - plus) / n)
 
 
 def test_estimates_do_not_depend_on_the_grid_step(gamma22):
@@ -244,17 +263,24 @@ def test_estimates_do_not_depend_on_the_grid_step(gamma22):
 
 
 def test_block_memory_does_not_grow_with_the_horizon(exp1):
-    # one full block to t_end / mean = 1e4 draws about 1e7 epochs: 80 MB if
-    # they were all held at once
-    grid = GridSpec.from_t_end(1e4, 1e3)
-    tracemalloc.start()
-    try:
-        mean, _ = estimate_expected_value(exp1, grid, _BLOCK, seed=3)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
-    assert abs(mean.values[-1]) < 0.2
+    cases = [
+        # one full block to t_end / mean = 1e4 draws about 1e7 epochs: 80 MB
+        # if they were all held at once
+        (estimate_expected_value, GridSpec.from_t_end(1e4, 1e3), _BLOCK, 16e6),
+        # 16 blocks on 200 001 points: 26 MB of counts if every block's were
+        # kept to the end; about 15 MB peak with one running total
+        (estimate_expected_value, GridSpec.from_t_end(200.0, 1e-3), 16 * _BLOCK, 24e6),
+        (estimate_covariance, GridSpec.from_t_end(200.0, 1e-3), 16 * _BLOCK, 24e6),
+    ]
+    for estimate, grid, n_paths, bound in cases:
+        tracemalloc.start()
+        try:
+            mean, _ = estimate(exp1, grid, n_paths, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (estimate.__name__, grid.n, peak)
+        assert abs(mean.values[-1]) < 0.2
 
 
 def _recording_dyadic_law(rounds):

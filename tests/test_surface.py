@@ -44,8 +44,6 @@ DEFAULTED = {
     "cli.run": ("argv",),
     "distributions.geometric_map_grid": ("g",),
     "distributions.make_rng": ("stream",),
-    "simulation.estimate_covariance": ("workers",),
-    "simulation.estimate_expected_value": ("workers",),
 }
 
 # Class.method, for the public methods an exported class defines -> names of
@@ -132,9 +130,9 @@ def test_exported_names_are_frozen():
     assert set(switchkit.__all__) == NAMES and len(switchkit.__all__) == len(NAMES)
 
 
-def test_package_api_has_four_defaulted_parameters():
+def test_package_api_has_two_defaulted_parameters():
     fns = [getattr(switchkit, n) for n in switchkit.__all__]
-    assert sum(len(_defaulted(f)) for f in fns if inspect.isfunction(f)) == 4
+    assert sum(len(_defaulted(f)) for f in fns if inspect.isfunction(f)) == 2
 
 
 def test_dataclass_fields_are_frozen():
