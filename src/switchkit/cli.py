@@ -12,13 +12,14 @@ import argparse
 import ctypes
 import functools
 import json
+import os
 import sys
 
 from . import iia as iia_mod
 from .distributions import geometric_map_grid, parse_distribution
 from .divisibility import gd_check
 from .errors import InvalidArgumentError, SwitchKitError
-from .grid import GridFunction, GridSpec, _write_rows
+from .grid import GridFunction, GridSpec, _write_csv
 from .recovery import (
     MU_MISMATCH_TOL,
     covariance_from_expected,
@@ -117,9 +118,7 @@ def _emit(summary: dict) -> None:
 def _cmd_simulate(args) -> dict:
     dist = parse_distribution(args.dist)
     traj = simulate_switch(dist, args.horizon, args.seed)
-    with open(args.out, "w", newline="") as fh:
-        fh.write("epoch\n")
-        _write_rows(fh, traj.epochs[:, None], end="\n")
+    _write_csv([(args.out, ["epoch"], [0])], [traj.epochs], end="\n")
     return {
         "verb": "simulate",
         "dist": dist.name,
@@ -133,6 +132,7 @@ def _cmd_simulate(args) -> dict:
 def _cmd_estimate(args) -> dict:
     if args.workers < 1:
         raise InvalidArgumentError(f"workers must be at least 1, got {args.workers}")
+    _check_distinct(args.out, args.plot)
     dist = parse_distribution(args.dist)
     grid = GridSpec.from_t_end(args.t_end, args.h)
     estimate = estimate_expected_value if args.target == "expected" else estimate_covariance
@@ -170,25 +170,38 @@ def _cmd_gd_check(args) -> dict:
     return {"verb": "gd-check", "dist": dist.name, **report.to_json_dict()}
 
 
-def _write_divisor(prefix: str, cdf: GridFunction, pdf: GridFunction) -> list[str]:
-    paths = [f"{prefix}_divisor_cdf.csv", f"{prefix}_divisor_pdf.csv"]
-    cdf.to_csv(paths[0])
-    pdf.to_csv(paths[1])
-    return paths
+def _check_distinct(*paths) -> None:
+    """Refuse, before any work, outputs of which two are one file: the second
+    would overwrite the first, or interleave with it in a one-pass write."""
+    seen = {}
+    for path in filter(None, paths):
+        if (real := os.path.realpath(path)) in seen:
+            raise InvalidArgumentError(f"outputs {seen[real]} and {path} are one file")
+        seen[real] = path
+
+
+def _write_tables(paths: list[str], tables: list[GridFunction]) -> None:
+    """Write each table, all on one grid, as a ``t,value`` CSV at its path,
+    in one pass that formats the t column once."""
+    _write_csv([(path, ["t", "value"], [0, i]) for i, path in enumerate(paths, 1)],
+               [tables[0].times(), *(g.values for g in tables)])
 
 
 def _cmd_recover(args) -> dict:
+    outputs = [f"{args.out_prefix}_divisor_cdf.csv", f"{args.out_prefix}_divisor_pdf.csv"]
+    outputs += [args.compound_pdf_out] if args.compound_pdf_out else []
+    _check_distinct(*outputs)
     route = divisor_from_expected if args.source == "expected" else divisor_from_covariance
     mu, divisor_cdf, divisor_pdf = route(GridFunction.from_csv(args.input))
     if args.mu is not None and not abs(args.mu - mu) <= MU_MISMATCH_TOL * mu:
         raise InvalidArgumentError(f"--mu {args.mu} is not the table's mean {mu:.6g} to "
                                    f"within {MU_MISMATCH_TOL:g} relative")
-    outputs = _write_divisor(args.out_prefix, divisor_cdf, divisor_pdf)
+    tables = [divisor_cdf, divisor_pdf]
     summary = {"verb": "recover", "from": args.source, "mu": mu, "outputs": outputs}
     if args.compound_pdf_out:
-        geometric_map_grid(divisor_pdf, 0.5).to_csv(args.compound_pdf_out)
-        outputs.append(args.compound_pdf_out)
+        tables.append(geometric_map_grid(divisor_pdf, 0.5))
         summary["compound_pdf"] = {"path": args.compound_pdf_out, "approximate": False}
+    _write_tables(outputs, tables)
     return summary
 
 
@@ -200,16 +213,16 @@ _BUILTIN_COVARIANCES = {
 
 
 def _cmd_iia(args) -> dict:
+    outputs = [f"{args.out_prefix}_{name}.csv"
+               for name in ("divisor_cdf", "divisor_pdf", "clipped_covariance")]
+    _check_distinct(*outputs, args.plot)
     if args.r in _BUILTIN_COVARIANCES:
         r = _BUILTIN_COVARIANCES[args.r]()
     else:
         r = iia_mod.GaussianCovariance(fn=GridFunction.from_csv(args.r).interp, name="tabulated")
     grid = GridSpec.from_t_end(args.t_end, args.h)
     result = iia_mod.iia_pipeline(r, grid)
-    clip_path = f"{args.out_prefix}_clipped_covariance.csv"
-    outputs = _write_divisor(args.out_prefix, result.divisor_cdf, result.divisor_pdf)
-    result.clipped.to_csv(clip_path)
-    outputs.append(clip_path)
+    _write_tables(outputs, [result.divisor_cdf, result.divisor_pdf, result.clipped])
     if args.plot:
         t = grid.times()
         render_panels([

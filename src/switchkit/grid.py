@@ -14,13 +14,15 @@ run on ``numpy.fft`` at lengths from :func:`_fast_len`.
 
 CSV text is written by :func:`_write_rows` and read by :func:`_read_rows` over
 one power-of-ten table, bit for bit as ``%.17e`` prints and ``float()`` reads.
-The writer lays each block of rows out at one fixed width and stores 8-byte
-words of digits at their final offsets; only a block whose columns mix signs
-or exponent widths is gathered afterwards.
+The writer serves every file of one grid in one pass: it formats each block
+of its distinct columns once, lays each file's rows out at one fixed width
+with 8-byte words of digits at their final offsets, gathers only a block in
+which a column mixes signs or exponent widths, and writes bytes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import math
@@ -31,11 +33,13 @@ import numpy as np
 
 from .errors import InvalidArgumentError, NumericError, ResourceLimitError
 
-# Rows formatted per step of _write_rows.  A step holds about twenty 8-byte
-# arrays of this many rows per column, its rows' bytes (at most 26 per field)
-# and their text, so the writer's working memory stays at 2 to 2.5 MB per
-# column whatever the table length.
-_CSV_BLOCK = 8192
+# Fields formatted per step of _write_rows, over its distinct columns.  A
+# step holds about twenty 8-byte arrays of this many values and each file's
+# bytes of its rows (at most 26 per field), so the writer's working memory
+# stays at about 4 MB whatever the table length and the number of tables.
+# _read_rows, which holds the whole file besides, reads half as many fields
+# per step.
+_CSV_BLOCK = 16384
 
 # Bound on the a-posteriori residual max|x + c convolve(x, f) - rhs| of
 # solve_renewal relative to max(1, max|rhs|); a larger one is a numeric failure.
@@ -137,10 +141,8 @@ class GridFunction:
     def to_csv(self, path, extra_columns: dict[str, np.ndarray] | None = None) -> None:
         """Write ``t,value[,...]`` rows in full-precision scientific notation."""
         extra = extra_columns or {}
-        cols = np.column_stack([self.times(), self.values, *extra.values()])
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerow(["t", "value", *extra.keys()])
-            _write_rows(fh, cols)
+        _write_csv([(path, ["t", "value", *extra], range(2 + len(extra)))],
+                   [self.times(), self.values, *extra.values()])
 
     @classmethod
     def from_csv(cls, path) -> "GridFunction":
@@ -272,91 +274,118 @@ def _eight_ascii(n):
     return q + ((v - q * 10) << 8) + 0x3030303030303030
 
 
-def _write_rows(fh, cols: np.ndarray, end: str = "\r\n") -> tuple[int, int]:
-    """Write each row of the 2-d float array ``cols`` to ``fh`` as
+def _write_rows(files, cols, end: str = "\r\n") -> tuple[int, int]:
+    """Write to each ``(fh, idx)`` of ``files``, a binary file and indices
+    into ``cols``, the rows of the columns ``cols[i]``, i in ``idx``, as
     comma-separated ``%.17e`` fields followed by ``end`` (by default
-    csv.writer's terminator; at most two ASCII characters).  Returns the
-    number of rows formatted by ``%`` and the number of blocks gathered.
+    csv.writer's terminator; at most two ASCII characters).  ``cols`` holds
+    the distinct columns, of one length: a list of 1-d float arrays, or a
+    2-d array with one row per column.  Returns the number of rows formatted
+    by ``%`` and the number of blocks gathered, summed over the files.
 
-    The text is exactly ``row % tuple(values)`` for each row, built in blocks
-    of ``_CSV_BLOCK`` rows by a numpy kernel: each |v| is scaled to
-    Y = |v| 10^(17-k) in double-double arithmetic (Dekker, Numer. Math. 18,
-    1971) from an exact power-of-ten table, and Y is rounded to 18 digits
-    where its fractional part is certified away from one half.  Rows with a
-    NaN, an infinity or an uncertified rounding are formatted by ``%``.
+    Each file's bytes are exactly ``row % tuple(values)`` for each of its
+    rows, built in blocks of about ``_CSV_BLOCK`` fields of ``cols`` by a
+    numpy kernel that formats each column once, however many files print
+    it: each |v| is scaled to Y = |v| 10^(17-k) in double-double arithmetic
+    (Dekker, Numer. Math. 18, 1971) from an exact power-of-ten table, and Y
+    is rounded to 18 digits where its fractional part is certified away from
+    one half.  A file's rows with a NaN, an infinity or an uncertified
+    rounding are formatted by ``%``.
 
-    The rows of a block share one fixed-width layout: a field has a sign slot
-    where any value of its column is negative, and three exponent digits
-    where any needs them.  Each field is four 8-byte little-endian stores
-    into the row-major block, each inside the field: ``[-]d0.`` at its
-    start, its last 8 bytes (d17, ``e``, the exponent and the separator),
-    then d1..d8 and d9..d16, which overwrite what the first two put in their
-    bytes.  Only a block in which a column mixes signs or exponent widths
-    is gathered, to drop the slots that some of its rows leave empty.
+    A column has one fixed-width layout per block: a sign slot where any of
+    its values is negative, and three exponent digits where any needs them.
+    Each field of a file's row is four 8-byte little-endian stores into the
+    row-major block, each inside the field: ``[-]d0.`` at its start, its last
+    8 bytes (d17, ``e``, the exponent and the separator), then d1..d8 and
+    d9..d16, which overwrite what the first two put in their bytes.  Only a
+    file's block in which a column mixes signs or exponent widths is
+    gathered, to drop the slots that some of its rows leave empty.
     """
-    cols = np.asarray(cols, dtype=np.float64)
-    n_cols = cols.shape[1]
-    row = ",".join(["%.17e"] * n_cols) + end
     if len(end) > 2 or not end.isascii():
         raise ValueError(f"row end {end!r} is not at most two ASCII characters")
-    if n_cols == 0:
-        fh.write(end * len(cols))
-        return 0, 0
-    seps = [b","] * (n_cols - 1) + [end.encode()]
+    n = cols.shape[1] if isinstance(cols, np.ndarray) else len(cols[0])
+    step = max(1, _CSV_BLOCK // max(1, len(cols)))
+    end = end.encode()
     n_percent = n_gathered = 0
-    for lo in range(0, len(cols), _CSV_BLOCK):
-        block = cols[lo : lo + _CSV_BLOCK]
-        n = len(block)
-        x = np.ascontiguousarray(block.T)
+    for lo in range(0, n, step):
+        nb = min(step, n - lo)
+        x = np.array([c[lo : lo + step] for c in cols], dtype=np.float64).reshape(-1, nb)
         D, k, ok = _decimal(x)
         neg = np.signbit(x)
-        good = ok.all(axis=0)
-        bad = np.flatnonzero(~good)
-        # rows left to `%` take the digits of a certified row, if there is
-        # one, so they add no slot to the layout
-        j = np.argmax(good)
-        D[:, bad], k[:, bad], neg[:, bad] = D[:, j, None], k[:, j, None], neg[:, j, None]
+        # a field left to `%` takes the digits of a certified field of its
+        # column, if there is one, so it adds no slot to the layout
+        certified = ok.all()
+        if not certified:
+            c, i = np.nonzero(~ok)
+            j = np.argmax(ok, axis=1)[c]
+            D[c, i], k[c, i], neg[c, i] = D[c, j], k[c, j], neg[c, j]
         three = np.abs(k) >= 100
         q = D // 10
         r = q // 10**8
         d0 = r // 10**8
         first, second = _eight_ascii(r - d0 * 10**8), _eight_ascii(q - r * 10**8)
-        d17 = D - q * 10
-        signs, threes = (m.any(axis=1).astype(int).tolist() for m in (neg, three))
-        width = sum(signs) + sum(threes) + sum(map(len, seps)) + 23 * n_cols
-        buf = np.empty(n * width, dtype=np.uint8)
-        drop, o = [], 0  # drop: (byte, rows that print it) of the mixed slots
-        for c, (sign, wide, sep) in enumerate(zip(signs, threes, seps)):
-            w = sign + 23 + wide + len(sep)
-            head = (d0[c] << 8 * sign) + int.from_bytes(b"-0."[1 - sign :], "little")
-            # d17, 'e', the exponent and the separator: the field's last
-            # 5 + wide + len(sep) bytes, at the top of an 8-byte word
-            tail = _EXP_WORDS[wide].take(k[c] - _K_MIN) + d17[c]
-            tail += int.from_bytes(sep, "little") << 8 * (5 + wide)
-            tail <<= 8 * (3 - wide - len(sep))
-            for at, word in ((0, head), (w - 8, tail), (sign + 2, first[c]),
-                             (sign + 10, second[c])):
-                np.ndarray(n, "<i8", buf, o + at, (width,))[...] = word
-            drop += [(o + at, m) for has, at, m in ((sign, 0, neg[c]), (wide, sign + 21, three[c]))
-                     if has and not m.all()]
-            o += w
-        if drop:
-            n_gathered += 1
-            keep = np.ones((n, width), dtype=bool)
-            for at, m in drop:
-                keep[:, at] = m
-            buf = buf.reshape(n, width)[keep]
-        text = str(buf.data, "ascii")
-        if len(bad):
-            n_percent += len(bad)
-            bounds = np.r_[0, np.cumsum(keep.sum(axis=1))] if drop else width * np.arange(n + 1)
-            parts, start = [], 0
-            for i in bad:
-                parts += [text[start : bounds[i]], row % tuple(block[i].tolist())]
-                start = bounds[i + 1]
-            text = "".join(parts + [text[start:]])
-        fh.write(text)
+        sign_, wide_ = (m.any(axis=1, keepdims=True).astype(np.int64) for m in (neg, three))
+        heads = (d0 << 8 * sign_) + np.where(sign_, *(int.from_bytes(b, "little")
+                                                      for b in (b"-0.", b"0.")))
+        exp = _EXP_WORDS[wide_, k - _K_MIN] + (D - q * 10)  # d17, 'e' and the exponent
+        signs, threes = sign_.ravel().tolist(), wide_.ravel().tolist()
+        # (offset in the field, rows that print it) of each slot some rows leave empty
+        mixed = [[(at, m[c]) for has, at, m in ((sign, 0, neg), (wide, sign + 21, three))
+                  if has and not m[c].all()] for c, (sign, wide) in enumerate(zip(signs, threes))]
+        tails = {}
+        for fh, idx in files:
+            if not idx:
+                fh.write(end * nb)
+                continue
+            seps = [b","] * (len(idx) - 1) + [end]
+            width = sum(signs[c] + 23 + threes[c] + len(sep) for c, sep in zip(idx, seps))
+            buf = np.empty(nb * width, dtype=np.uint8)
+            drop, o = [], 0  # drop: (byte, rows that print it) of the mixed slots
+            for c, sep in zip(idx, seps):
+                sign, wide = signs[c], threes[c]
+                w = sign + 23 + wide + len(sep)
+                if (c, sep) not in tails:
+                    # the field's last 5 + wide + len(sep) bytes, at the top of a word
+                    tail = exp[c] + (int.from_bytes(sep, "little") << 8 * (5 + wide))
+                    tails[c, sep] = tail << 8 * (3 - wide - len(sep))
+                for at, word in ((0, heads[c]), (w - 8, tails[c, sep]), (sign + 2, first[c]),
+                                 (sign + 10, second[c])):
+                    np.ndarray(nb, "<i8", buf, o + at, (width,))[...] = word
+                drop += [(o + at, m) for at, m in mixed[c]]
+                o += w
+            if drop:
+                n_gathered += 1
+                keep = np.ones((nb, width), dtype=bool)
+                for at, m in drop:
+                    keep[:, at] = m
+                buf = buf.reshape(nb, width)[keep]
+            bad = () if certified else np.flatnonzero(~ok[idx].all(axis=0))
+            if len(bad):
+                n_percent += len(bad)
+                row = b",".join([b"%.17e"] * len(idx)) + end
+                bounds = np.r_[0, np.cumsum(keep.sum(axis=1))] if drop else width * np.arange(nb + 1)
+                parts, start = [], 0
+                for i in bad:
+                    parts += [buf[start : bounds[i]], row % tuple(x[idx, i].tolist())]
+                    start = bounds[i + 1]
+                buf = b"".join(parts + [buf[start:]])
+            fh.write(buf)
     return n_percent, n_gathered
+
+
+def _write_csv(tables, cols, end: str = "\r\n") -> None:
+    """Write each ``(path, names, idx)`` of ``tables``: a csv.writer header
+    row of ``names``, then the rows of the columns ``cols[i]``, i in ``idx``,
+    all in one pass of :func:`_write_rows`."""
+    with contextlib.ExitStack() as stack:
+        files = []
+        for path, names, idx in tables:
+            fh = stack.enter_context(open(path, "wb"))
+            header = io.StringIO()
+            csv.writer(header, lineterminator=end).writerow(names)
+            fh.write(header.getvalue().encode())
+            files.append((fh, idx))
+        _write_rows(files, cols, end)
 
 
 def _table_rows(raw: bytes, path):
@@ -384,7 +413,7 @@ def _read_rows(raw: bytes, start: int):
     """The first two columns of the rows in ``raw[start:]`` (after a header
     line), or None unless each row is the same number (2 or more) of ``%.17e``
     fields ended by ``,``, ``\n`` or ``\r\n``: the mirror of :func:`_write_rows`,
-    in blocks of about ``_CSV_BLOCK`` fields, each read by :func:`_value` or,
+    in blocks of about ``_CSV_BLOCK // 2`` fields, each read by :func:`_value` or,
     where that is not certified, ``float``.  Past ``MAX_POINTS`` rows nothing
     is converted."""
     if len(raw) < start + _FIELD or raw[-1:] != b"\n":
@@ -394,7 +423,7 @@ def _read_rows(raw: bytes, start: int):
     out = np.empty((raw.count(b"\n", start), 2))  # one row per line end
     n_cols, row, a = 0, 0, start
     while a < len(raw):
-        b = raw.find(b"\n", min(a + _CSV_BLOCK * _FIELD, len(raw)) - 1) + 1
+        b = raw.find(b"\n", min(a + _CSV_BLOCK // 2 * _FIELD, len(raw)) - 1) + 1
         p = a + np.flatnonzero(u[a:b] == ord("e"))  # one 'e' per field
         if len(p) == 0 or p[0] < 20 or p[-1] + 5 > len(raw):
             return None

@@ -195,8 +195,12 @@ def check_covariance_shape(C: GridFunction) -> ShapeReport:
     itself but is required for divisor recovery (the recovered density must
     integrate to one), so it is screened here and reported separately.
     """
-    return _screen(C, [("nonnegative", -C.values), ("nonincreasing", derivative(C).values),
-                       ("convex", -second_derivative(C).values)])
+    return _covariance_screen(C, derivative(C).values, second_derivative(C).values)
+
+
+def _covariance_screen(C: GridFunction, dC: np.ndarray, d2C: np.ndarray) -> ShapeReport:
+    """:func:`check_covariance_shape` of C, given C' and C'' on its grid."""
+    return _screen(C, [("nonnegative", -C.values), ("nonincreasing", dC), ("convex", -d2C)])
 
 
 # -- divisor recovery --------------------------------------------------------
@@ -250,8 +254,8 @@ def divisor_from_covariance(C: GridFunction):
 def _covariance_route(C: GridFunction):
     """(report, mu, divisor CDF, divisor density): :func:`divisor_from_covariance`
     together with the passing report of its one shape screen."""
-    report = _require(check_covariance_shape(C), "covariance", "divisor recovery refused")
-    dC = derivative(C).values
+    dC, d2C = derivative(C).values, second_derivative(C).values
+    report = _require(_covariance_screen(C, dC, d2C), "covariance", "divisor recovery refused")
     if not dC[0] < 0:
         raise NumericError(f"C'(0) = {dC[0]:.3e} is not negative; mu is undefined")
     mu = -2.0 / float(dC[0])
@@ -266,7 +270,7 @@ def _covariance_route(C: GridFunction):
         )
 
     f_div = _renormalized_density(
-        C.with_values((mu / 2.0) * second_derivative(C).values), "divisor_from_covariance"
+        C.with_values((mu / 2.0) * d2C), "divisor_from_covariance"
     )
     # F(0) = 0 exactly: mu was built from the same stencil value of C'(0).
     return report, mu, _divisor_cdf(E), f_div

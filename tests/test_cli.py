@@ -185,6 +185,30 @@ def test_iia_verb_builtin(capsys, tmp_path):
     assert svg.startswith("<svg")
 
 
+@pytest.mark.parametrize("verb", ["recover", "iia", "estimate"])
+def test_verbs_refuse_outputs_that_are_one_file(capsys, tmp_path, verb):
+    # a second output at the path of another would overwrite it, or
+    # interleave with it in the one-pass write: refused before any work,
+    # whether the paths are spelled alike or one is a symbolic link
+    src = tmp_path / "C.csv"
+    GridFunction(h=1e-3, values=np.exp(-2e-3 * np.arange(20_001))).to_csv(src)
+    prefix = str(tmp_path / "rec")
+    link = tmp_path / "link.svg"
+    link.symlink_to(tmp_path / "rec_divisor_pdf.csv")
+    argv = {
+        "recover": ["recover", "--from", "covariance", "--input", str(src),
+                    "--out-prefix", prefix, "--compound-pdf-out", prefix + "_divisor_cdf.csv"],
+        "iia": ["iia", "--r", "diffusion2d", "--out-prefix", prefix, "--plot", str(link)],
+        "estimate": ["estimate", "--dist", "exp(rate=1)", "--n-paths", "200",
+                     "--out", prefix + ".svg", "--plot", f"{tmp_path}/./rec.svg"],
+    }[verb]
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: outputs ") and "are one file" in captured.err
+    assert not list(tmp_path.glob("rec*"))
+
+
 def test_iia_verb_long_grid_prints_nothing_on_stderr(capsys, tmp_path):
     # cosh(t/2) overflows past t ~ 1420; sech is 0 there, with no warning
     code = run(["iia", "--r", "diffusion2d", "--t-end", "1500", "--h", "0.05",
@@ -338,9 +362,9 @@ def test_recover_refuses_a_table_off_the_origin(capsys, tmp_path, source):
     # statements about t = 0, so every table input is read from there
     src = tmp_path / "shifted.csv"
     t = 0.5 + 1e-3 * np.arange(20_000)
-    with open(src, "w", newline="") as fh:
-        fh.write("t,value\r\n")
-        _write_rows(fh, np.column_stack([t, np.exp(-2 * t)]))
+    with open(src, "wb") as fh:
+        fh.write(b"t,value\r\n")
+        _write_rows([(fh, [0, 1])], [t, np.exp(-2 * t)])
     prefix = str(tmp_path / "rec")
     argv = {
         "table": ["expected-value", "--dist", f"table({src})", "--out", prefix + ".csv"],

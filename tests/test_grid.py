@@ -22,6 +22,7 @@ from switchkit import (
     second_derivative,
 )
 import switchkit.grid as grid
+from switchkit.cli import _write_tables
 from switchkit.grid import MAX_POINTS, _ROUND_ERR, _decimal, _read_rows, _scale, _value, _write_rows
 
 from conftest import grid_fn
@@ -228,9 +229,9 @@ def test_csv_writer_bytes_are_frozen(tmp_path):
     g = GridFunction(h=0.5, values=np.array([1.0, -0.0, 0.0, 2.5e-300]))
     cols = np.column_stack([g.times(), [1.0, -0.0, np.nan, 2.5e-300], [0.1, 0.0, 1e300, -3.0]])
     path = tmp_path / "g.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write("t,value,stderr\r\n")
-        _write_rows(fh, cols)
+    with open(path, "wb") as fh:
+        fh.write(b"t,value,stderr\r\n")
+        _write_rows([(fh, range(3))], cols.T)
     assert path.read_bytes() == FROZEN_CSV
     g.to_csv(path, extra_columns={"stderr": cols[:, 2]})
     assert path.read_bytes() == FROZEN_CSV.replace(b"nan", b"0.00000000000000000e+00")
@@ -255,12 +256,12 @@ def test_csv_writer_matches_row_writer_across_blocks(tmp_path):
 def _percent_rows(cols, end="\r\n"):
     """The writer's contract: Python's `%` operator on each row."""
     row = ",".join(["%.17e"] * cols.shape[1]) + end
-    return "".join(row % tuple(r) for r in cols.tolist())
+    return "".join(row % tuple(r) for r in cols.tolist()).encode()
 
 
 def _written(cols, end="\r\n"):
-    buf = io.StringIO(newline="")
-    _write_rows(buf, cols, end=end)
+    buf = io.BytesIO()
+    _write_rows([(buf, range(cols.shape[1]))], cols.T, end=end)
     return buf.getvalue()
 
 
@@ -368,16 +369,16 @@ def test_smooth_tables_are_written_without_gather_or_percent(exp1):
     # of exp(1)'s E keeps one sign and two exponent digits: the trapezoid E
     # levels off at h^2/24 = 4.2e-8.
     E = expected_value_series(exp1, GridSpec(h=1e-3, n=100_001))
-    assert _write_rows(io.StringIO(), np.column_stack([E.times(), E.values])) == (0, 0)
+    assert _write_rows([(io.BytesIO(), [0, 1])], [E.times(), E.values]) == (0, 0)
     # Its C crosses zero once, at t = 6.999 (it levels off at -8.6e-6, where
     # the exact C is e^-2t), so only the first block mixes signs.
     C = covariance_from_expected(E, exp1.mean)
-    assert _write_rows(io.StringIO(), np.column_stack([C.times(), C.values])) == (0, 1)
+    assert _write_rows([(io.BytesIO(), [0, 1])], [C.times(), C.values]) == (0, 1)
 
 
 def _layouts():
     """name: (cols, end, rows sent to `%`, blocks gathered)."""
-    n = grid._CSV_BLOCK
+    n = grid._CSV_BLOCK // 2  # rows of a two-column block
     i = np.arange(3 * n)
     t = i * 1e-3
     decay = np.exp(-t)
@@ -404,19 +405,63 @@ def _layouts():
 @pytest.mark.parametrize("name", _layouts())
 def test_writer_layouts_match_percent(name):
     cols, end, percent, gathered = _layouts()[name]
-    buf = io.StringIO(newline="")
-    assert _write_rows(buf, cols, end=end) == (percent, gathered)
+    buf = io.BytesIO()
+    assert _write_rows([(buf, range(cols.shape[1]))], cols.T, end=end) == (percent, gathered)
     assert buf.getvalue() == _percent_rows(cols, end)
+
+
+@pytest.mark.parametrize("name", _layouts())
+def test_writer_layouts_match_percent_in_several_files(name):
+    # one pass writes the whole table, each column alone and each column
+    # after the first, as recover and iia write their tables after t
+    cols, end, _, _ = _layouts()[name]
+    m = cols.shape[1]
+    files = [list(range(m)), *([j] for j in range(m)), *([0, j] for j in range(1, m))]
+    bufs = [io.BytesIO() for _ in files]
+    _write_rows(list(zip(bufs, files)), cols.T, end=end)
+    for buf, idx in zip(bufs, files):
+        assert buf.getvalue() == _percent_rows(cols[:, idx], end)
+
+
+TIE = math.ldexp(2**18 + 1, -18)  # an exact tie at the 18th digit, left to `%`
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_one_pass_writer_matches_percent_in_each_file(data):
+    # Each file's bytes are `%` of its own columns, whatever the other files
+    # hold: non-finite values and ties in one file's value column only, a
+    # sign change at a block boundary, and three-digit exponents in one file.
+    rows = data.draw(st.integers(1, 6), label="rows per block")
+    n = data.draw(st.integers(1, 6 * rows), label="rows")
+    i = np.arange(n)
+    t, decay = 1e-3 * i, np.exp(-1e-3 * i)
+    special = decay.copy()
+    for j, v in data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.sampled_from(
+            [np.nan, np.inf, -np.inf, TIE, -TIE])), max_size=4), label="specials"):
+        special[j] = v
+    flip = rows * data.draw(st.integers(0, 6), label="block of the sign change")
+    anything = np.array(data.draw(st.lists(st.floats(), min_size=n, max_size=n), label="any"))
+    cols = [t, special, np.where(i < flip, decay, -decay), 1e-150 * decay, anything]
+    files = [[0, 1], [0, 2], [0, 3], [0, 4]] + data.draw(st.lists(
+        st.lists(st.integers(0, 4), min_size=1, max_size=5), max_size=3), label="more files")
+    end = data.draw(st.sampled_from(["\r\n", "\n"]), label="end")
+    bufs = [io.BytesIO() for _ in files]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grid, "_CSV_BLOCK", rows * len(cols))
+        _write_rows(list(zip(bufs, files)), cols, end=end)
+    for buf, idx in zip(bufs, files):
+        assert buf.getvalue() == _percent_rows(np.column_stack([cols[j] for j in idx]), end)
 
 
 def test_writer_refuses_a_row_end_it_cannot_store():
     with pytest.raises(ValueError, match="two ASCII characters"):
-        _write_rows(io.StringIO(), np.ones((2, 2)), end="\r\n\n")
+        _write_rows([(io.BytesIO(), [0, 1])], np.ones((2, 2)), end="\r\n\n")
 
 
 def test_csv_writer_memory_is_bounded(tmp_path):
-    # to_csv holds the stacked (n, 2) table, 3.2 MB here, and the writer a
-    # few MB for one block of _CSV_BLOCK rows, whatever the table length
+    # to_csv holds the t column, 1.6 MB here, and the writer a few MB for
+    # one block of _CSV_BLOCK fields, whatever the table length
     g = GridFunction(h=1e-3, values=np.exp(-1e-3 * np.arange(200_001)))
     tracemalloc.start()
     try:
@@ -427,13 +472,31 @@ def test_csv_writer_memory_is_bounded(tmp_path):
     assert peak <= 8_000_000
 
 
+def test_one_pass_writer_memory_is_bounded_for_three_tables(tmp_path):
+    # iia's three tables on one 200 001-point grid: the writer holds the t
+    # column, 1.6 MB, and one block of _CSV_BLOCK fields over its four
+    # columns, about 5.9 MB in all; blocks of 8192 rows would take 9.9 MB
+    t = 1e-3 * np.arange(200_001)
+    tables = [GridFunction(h=1e-3, values=v) for v in (1 - np.exp(-t), np.exp(-t), np.exp(-2 * t))]
+    paths = [tmp_path / f"{name}.csv" for name in ("cdf", "pdf", "clipped")]
+    tracemalloc.start()
+    try:
+        _write_tables(paths, tables)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7_000_000
+    for path, g in zip(paths, tables):
+        assert GridFunction.from_csv(path).values.tobytes() == g.values.tobytes()
+
+
 # -- the reader kernel --------------------------------------------------------
 
 CRLF_HEADER, LF_HEADER = b"t,value\r\n", b"t,value\n"
 
 
 def _crlf_table(cols):
-    return CRLF_HEADER + _written(cols).encode()
+    return CRLF_HEADER + _written(cols)
 
 
 def _lf_table(cols):

@@ -132,13 +132,15 @@ def test_clipped_screen_matches_the_reference_verdict(family, h):
 
 
 def test_pipeline_screens_the_clipped_covariance_once(monkeypatch):
-    screen, reports = recovery.check_covariance_shape, []
+    # the route screens C from its own C' and C'' (check_covariance_shape
+    # takes them anew), through _covariance_screen
+    screen, reports = recovery._covariance_screen, []
 
-    def counted(C):
-        reports.append(screen(C))
+    def counted(*args):
+        reports.append(screen(*args))
         return reports[-1]
 
-    monkeypatch.setattr(recovery, "check_covariance_shape", counted)
+    monkeypatch.setattr(recovery, "_covariance_screen", counted)
     result = iia_pipeline(diffusion2d_covariance(), GRID)
     assert len(reports) == 1
     assert result.screen is reports[0] and result.screen.passed

@@ -370,6 +370,24 @@ def test_divisor_from_covariance_exponential():
     np.testing.assert_allclose(F_div.values, 1 - np.exp(-2 * C.times()), atol=1e-4)
 
 
+def test_covariance_route_takes_each_derivative_once(monkeypatch):
+    # the screen, mu, E and the divisor density share one C' and one C''
+    from switchkit import recovery
+    calls = []
+    for name in ("derivative", "second_derivative"):
+        def counted(g, fn=getattr(recovery, name), name=name):
+            calls.append(name)
+            return fn(g)
+        monkeypatch.setattr(recovery, name, counted)
+    C = grid_fn(lambda t: np.exp(-2 * t), 10.0, 1e-3)
+    report = recovery.check_covariance_shape(C)
+    assert sorted(calls) == ["derivative", "second_derivative"]
+    calls.clear()
+    got = recovery._covariance_route(C)
+    assert sorted(calls) == ["derivative", "second_derivative"]
+    assert got[0] == report
+
+
 def test_divisor_from_covariance_cross_validation_failure():
     # C = exp(-50 t) is resolved by only a few steps of h = 0.01, so the
     # slope and integral estimates of mu differ by ~4%, beyond MU_MISMATCH_TOL

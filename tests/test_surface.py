@@ -142,9 +142,11 @@ def test_dataclass_fields_are_frozen():
 
 
 def test_source_stays_under_its_line_ceiling():
-    # the ceiling ROADMAP sets for src/ this round
+    # the ceiling ROADMAP sets for src/ this round: at most 2 650 physical
+    # lines in src/switchkit/*.py, counted as `wc -l` counts them (one per
+    # newline byte), blank, comment and docstring lines included
     src = Path(switchkit.__file__).parent
-    assert sum(len(p.read_text().splitlines()) for p in src.glob("*.py")) <= 2650
+    assert sum(p.read_bytes().count(b"\n") for p in src.glob("*.py")) <= 2650
 
 
 def test_every_imported_name_is_used():
