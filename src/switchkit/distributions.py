@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .grid import GridFunction, GridSpec, cumulative_integral, solve_renewal
+from .grid import GridFunction, GridSpec, cumulative_integral, integral, solve_renewal
 from .laplace import geometric_map
 
 # Mass discrepancy above this is an error; below it the density is
@@ -292,9 +292,7 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
         )
     vals = np.maximum(vals, 0.0)
     t = pdf.times()
-    weights = np.full_like(vals, pdf.h)
-    weights[0] = weights[-1] = pdf.h / 2
-    mass = float(np.dot(weights, vals))
+    mass = integral(pdf.with_values(vals))
     if abs(mass - 1.0) > MASS_TOLERANCE:
         raise InvalidArgumentError(
             f"tabulated density mass {mass:.6f} deviates from 1 by more than {MASS_TOLERANCE}"
@@ -302,10 +300,12 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
     vals = vals / mass
     density = GridFunction(h=pdf.h, values=vals, notes=pdf.notes)
     cdf_vals = cdf_from_density(density).values
-    mean = float(np.dot(weights, t * vals))
+    mean = integral(density.with_values(t * vals))
     # W[j, i] is the term k = jB + i of the trapezoid sum, zero past the table
     B = math.isqrt(len(t) - 1) + 1
     baby, giant = t[:B], t[::B]
+    weights = np.full_like(vals, pdf.h)
+    weights[0] = weights[-1] = pdf.h / 2
     W = np.pad(weights * vals, (0, B * len(giant) - len(t))).reshape(-1, B)
     rows = max(1, _KERNEL_BLOCK // (2 * B + len(giant)))
 

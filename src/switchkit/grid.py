@@ -17,7 +17,8 @@ one power-of-ten table, bit for bit as ``%.17e`` prints and ``float()`` reads.
 The writer serves every file of one grid in one pass: it formats each block
 of its distinct columns once, lays each file's rows out at one fixed width
 with 8-byte words of digits at their final offsets, gathers only a block in
-which a column mixes signs or exponent widths, and writes bytes.
+which a column mixes signs or exponent widths, and writes bytes.  A file's
+block holding a field it cannot certify (NaN, inf, a tie) goes to ``%``.
 """
 
 from __future__ import annotations
@@ -289,8 +290,8 @@ def _write_rows(files, cols, end: str = "\r\n") -> tuple[int, int]:
     it: each |v| is scaled to Y = |v| 10^(17-k) in double-double arithmetic
     (Dekker, Numer. Math. 18, 1971) from an exact power-of-ten table, and Y
     is rounded to 18 digits where its fractional part is certified away from
-    one half.  A file's rows with a NaN, an infinity or an uncertified
-    rounding are formatted by ``%``.
+    one half.  A file's block in which one of its columns holds a NaN, an
+    infinity or an uncertified rounding is written by ``%``, row by row.
 
     A column has one fixed-width layout per block: a sign slot where any of
     its values is negative, and three exponent digits where any needs them.
@@ -303,44 +304,35 @@ def _write_rows(files, cols, end: str = "\r\n") -> tuple[int, int]:
     """
     if len(end) > 2 or not end.isascii():
         raise ValueError(f"row end {end!r} is not at most two ASCII characters")
-    n = cols.shape[1] if isinstance(cols, np.ndarray) else len(cols[0])
-    step = max(1, _CSV_BLOCK // max(1, len(cols)))
+    n = len(cols[0])
+    step = max(1, _CSV_BLOCK // len(cols))
     end = end.encode()
     n_percent = n_gathered = 0
     for lo in range(0, n, step):
         nb = min(step, n - lo)
         x = np.array([c[lo : lo + step] for c in cols], dtype=np.float64).reshape(-1, nb)
         D, k, ok = _decimal(x)
-        neg = np.signbit(x)
-        # a field left to `%` takes the digits of a certified field of its
-        # column, if there is one, so it adds no slot to the layout
         certified = ok.all()
-        if not certified:
-            c, i = np.nonzero(~ok)
-            j = np.argmax(ok, axis=1)[c]
-            D[c, i], k[c, i], neg[c, i] = D[c, j], k[c, j], neg[c, j]
-        three = np.abs(k) >= 100
+        neg, three = np.signbit(x), np.abs(k) >= 100
         q = D // 10
         r = q // 10**8
         d0 = r // 10**8
         first, second = _eight_ascii(r - d0 * 10**8), _eight_ascii(q - r * 10**8)
         sign_, wide_ = (m.any(axis=1, keepdims=True).astype(np.int64) for m in (neg, three))
-        heads = (d0 << 8 * sign_) + np.where(sign_, *(int.from_bytes(b, "little")
-                                                      for b in (b"-0.", b"0.")))
+        heads = (d0 << 8 * sign_) + np.where(sign_, 0x2E302D, 0x2E30)  # b"-0." or b"0."
         exp = _EXP_WORDS[wide_, k - _K_MIN] + (D - q * 10)  # d17, 'e' and the exponent
         signs, threes = sign_.ravel().tolist(), wide_.ravel().tolist()
-        # (offset in the field, rows that print it) of each slot some rows leave empty
-        mixed = [[(at, m[c]) for has, at, m in ((sign, 0, neg), (wide, sign + 21, three))
-                  if has and not m[c].all()] for c, (sign, wide) in enumerate(zip(signs, threes))]
         tails = {}
         for fh, idx in files:
-            if not idx:
-                fh.write(end * nb)
+            if not certified and not ok[idx].all():
+                n_percent += nb
+                row = b",".join([b"%.17e"] * len(idx)) + end
+                fh.write(b"".join([row % tuple(v) for v in x[idx].T.tolist()]))
                 continue
             seps = [b","] * (len(idx) - 1) + [end]
             width = sum(signs[c] + 23 + threes[c] + len(sep) for c, sep in zip(idx, seps))
             buf = np.empty(nb * width, dtype=np.uint8)
-            drop, o = [], 0  # drop: (byte, rows that print it) of the mixed slots
+            drop, o = [], 0  # (byte, rows that print it) of each slot some rows leave empty
             for c, sep in zip(idx, seps):
                 sign, wide = signs[c], threes[c]
                 w = sign + 23 + wide + len(sep)
@@ -351,7 +343,8 @@ def _write_rows(files, cols, end: str = "\r\n") -> tuple[int, int]:
                 for at, word in ((0, heads[c]), (w - 8, tails[c, sep]), (sign + 2, first[c]),
                                  (sign + 10, second[c])):
                     np.ndarray(nb, "<i8", buf, o + at, (width,))[...] = word
-                drop += [(o + at, m) for at, m in mixed[c]]
+                drop += [(o + at, m[c]) for has, at, m in
+                         ((sign, 0, neg), (wide, sign + 21, three)) if has and not m[c].all()]
                 o += w
             if drop:
                 n_gathered += 1
@@ -359,16 +352,6 @@ def _write_rows(files, cols, end: str = "\r\n") -> tuple[int, int]:
                 for at, m in drop:
                     keep[:, at] = m
                 buf = buf.reshape(nb, width)[keep]
-            bad = () if certified else np.flatnonzero(~ok[idx].all(axis=0))
-            if len(bad):
-                n_percent += len(bad)
-                row = b",".join([b"%.17e"] * len(idx)) + end
-                bounds = np.r_[0, np.cumsum(keep.sum(axis=1))] if drop else width * np.arange(nb + 1)
-                parts, start = [], 0
-                for i in bad:
-                    parts += [buf[start : bounds[i]], row % tuple(x[idx, i].tolist())]
-                    start = bounds[i + 1]
-                buf = b"".join(parts + [buf[start:]])
             fh.write(buf)
     return n_percent, n_gathered
 
@@ -377,6 +360,9 @@ def _write_csv(tables, cols, end: str = "\r\n") -> None:
     """Write each ``(path, names, idx)`` of ``tables``: a csv.writer header
     row of ``names``, then the rows of the columns ``cols[i]``, i in ``idx``,
     all in one pass of :func:`_write_rows`."""
+    if any(np.shape(c) != (len(cols[0]),) for c in cols):
+        raise InvalidArgumentError(f"columns of shapes {[np.shape(c) for c in cols]} "
+                                   "are not 1-d of one length")
     with contextlib.ExitStack() as stack:
         files = []
         for path, names, idx in tables:

@@ -269,26 +269,39 @@ def _bit_patterns(seed, n):
     return np.random.default_rng(seed).integers(0, 2**64, n, dtype=np.uint64).view(np.float64)
 
 
+def _assert_kernel_and_percent_write(values, m=1):
+    """Write the fields of ``values`` that _decimal certifies as one table of
+    m columns (its last row filled from the first values), which the kernel
+    must write with no row left to `%`, and the rest as a second table.  A
+    block holding one uncertified field goes to `%` whole, so a single table
+    of both would compare `%` with `%` and never reach the kernel."""
+    ok = _decimal(values)[2]
+    for part, kernel in ((values[ok], True), (values[~ok], False)):
+        cols = np.resize(part, -(-len(part) // m) * m).reshape(-1, m)
+        buf = io.BytesIO()
+        n_percent, _ = _write_rows([(buf, range(m))], cols.T)
+        assert buf.getvalue() == _percent_rows(cols)
+        if kernel:
+            assert n_percent == 0
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(), min_size=1, max_size=60))
 def test_writer_matches_percent_on_any_float(xs):
-    cols = np.array(xs).reshape(-1, 1)
-    assert _written(cols) == _percent_rows(cols)
+    _assert_kernel_and_percent_write(np.array(xs))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(0, 2**64 - 1)),
                 min_size=1, max_size=30))
 def test_writer_matches_percent_on_random_bit_patterns(bits):
-    cols = np.array(bits, dtype=np.uint64).view(np.float64).reshape(-1, 2)
-    assert _written(cols) == _percent_rows(cols)
+    _assert_kernel_and_percent_write(np.array(bits, dtype=np.uint64).view(np.float64).ravel(), 2)
 
 
 def test_writer_matches_percent_on_many_bit_patterns():
     # several blocks of uniformly random 64-bit patterns: every binade,
     # subnormals, NaN payloads and infinities
-    cols = _bit_patterns(3, 60_000).reshape(-1, 3)
-    assert _written(cols) == _percent_rows(cols)
+    _assert_kernel_and_percent_write(_bit_patterns(3, 60_000), 3)
 
 
 def test_writer_matches_percent_on_edge_values():
@@ -298,9 +311,8 @@ def test_writer_matches_percent_on_edge_values():
     for p in range(-307, 309):
         x = float(f"1e{p}")
         edges += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
-    cols = np.array(edges).reshape(-1, 1)
-    assert _written(cols) == _percent_rows(cols)
-    assert _written(cols.reshape(-1, 2)) == _percent_rows(cols.reshape(-1, 2))
+    _assert_kernel_and_percent_write(np.array(edges))
+    _assert_kernel_and_percent_write(np.array(edges), 2)
 
 
 def test_writer_rounds_exact_ties_half_even():
@@ -311,9 +323,22 @@ def test_writer_rounds_exact_ties_half_even():
     ties = np.ldexp(odd.astype(float), -18)
     dyadic = np.ldexp(rng.integers(1, 2**53, 24_000).astype(float),
                       rng.integers(-80, 30, 24_000).astype(np.int32))
-    cols = np.concatenate([ties, -ties, dyadic]).reshape(-1, 1)
     assert not _decimal(ties)[2].any()  # ties are left to `%` ...
-    assert _written(cols) == _percent_rows(cols)  # ... which rounds half-even
+    _assert_kernel_and_percent_write(np.concatenate([ties, -ties, dyadic]))  # ... half-even
+
+
+def test_writer_sends_each_block_holding_a_tie_to_percent():
+    # t = i 2^-20 is an exact tie at the 18th digit for odd i from t = 0.01
+    # on, so every block from the one that reaches 0.01 is written by `%`
+    t = np.ldexp(np.arange(int(0.05 * 2**20)), -20)
+    cols = np.column_stack([t, np.exp(-t)])
+    assert len(t) == 52_428 and (~_decimal(t)[2]).sum() == 20_971
+    rows = grid._CSV_BLOCK // 2
+    ok = _decimal(cols)[2].all(axis=1)
+    tied = sum(len(b) for b in np.split(ok, range(rows, len(t), rows)) if not b.all())
+    buf = io.BytesIO()
+    assert _write_rows([(buf, range(2))], cols.T) == (tied, 0)
+    assert buf.getvalue() == _percent_rows(cols)
 
 
 def _near_ties():
@@ -341,12 +366,11 @@ def test_scaling_error_is_within_the_certification_bound():
     for v, kv, p, t in zip(x.tolist(), k.tolist(), P.tolist(), T.tolist()):
         exact = Fraction(v) * Fraction(10) ** (17 - kv)
         assert abs(exact - Fraction(p) - Fraction(t)) < _ROUND_ERR / 2
-    near = _near_ties().reshape(-1, 1)
-    assert _written(near) == _percent_rows(near)
+    _assert_kernel_and_percent_write(_near_ties())
 
 
 @pytest.mark.parametrize("shape, end", [((0, 2), "\r\n"), ((1, 1), "\r\n"), ((5, 1), "\n"),
-                                        ((3, 4), "\n"), ((2, 0), "\n")])
+                                        ((3, 4), "\n")])
 def test_writer_shapes_and_terminators(shape, end):
     cols = np.random.default_rng(1).normal(size=shape) * 1e5
     assert _written(cols, end) == _percent_rows(cols, end)
@@ -393,12 +417,12 @@ def _layouts():
         "sign changes at a block boundary": (np.column_stack([t, np.where(i < n, decay, -decay)]),
                                              "\r\n", 0, 0),
         "one column, LF rows (simulate)": (epochs[:, None], "\n", 0, 0),
-        "three columns (estimate)": (np.column_stack([t, decay, stderr]), "\r\n", 2, 0),
+        # the two 5461-row blocks that hold its NaN and its inf go to `%`
+        "three columns (estimate)": (np.column_stack([t, decay, stderr]), "\r\n", 10_922, 0),
         "-0.0 in a positive column": (np.column_stack([t, np.where(i == n + 3, -0.0, decay)]),
                                       "\r\n", 0, 1),
         "shape (0, 2)": (np.zeros((0, 2)), "\r\n", 0, 0),
         "shape (1, 1)": (np.ones((1, 1)), "\r\n", 0, 0),
-        "shape (2, 0)": (np.zeros((2, 0)), "\n", 0, 0),
     }
 
 
@@ -413,12 +437,16 @@ def test_writer_layouts_match_percent(name):
 @pytest.mark.parametrize("name", _layouts())
 def test_writer_layouts_match_percent_in_several_files(name):
     # one pass writes the whole table, each column alone and each column
-    # after the first, as recover and iia write their tables after t
+    # after the first, as recover and iia write their tables after t; only a
+    # file's own uncertified fields send its block to `%`
     cols, end, _, _ = _layouts()[name]
     m = cols.shape[1]
     files = [list(range(m)), *([j] for j in range(m)), *([0, j] for j in range(1, m))]
     bufs = [io.BytesIO() for _ in files]
-    _write_rows(list(zip(bufs, files)), cols.T, end=end)
+    ok, rows = _decimal(cols.T)[2], grid._CSV_BLOCK // m
+    percent = sum(min(rows, len(cols) - lo) for idx in files
+                  for lo in range(0, len(cols), rows) if not ok[idx, lo : lo + rows].all())
+    assert _write_rows(list(zip(bufs, files)), cols.T, end=end)[0] == percent
     for buf, idx in zip(bufs, files):
         assert buf.getvalue() == _percent_rows(cols[:, idx], end)
 
@@ -452,6 +480,16 @@ def test_one_pass_writer_matches_percent_in_each_file(data):
         _write_rows(list(zip(bufs, files)), cols, end=end)
     for buf, idx in zip(bufs, files):
         assert buf.getvalue() == _percent_rows(np.column_stack([cols[j] for j in idx]), end)
+
+
+@pytest.mark.parametrize("stderr", [np.ones(20_000), np.ones(20_002), np.ones((20_001, 1)), 1.0])
+def test_to_csv_refuses_an_extra_column_of_another_length(tmp_path, stderr):
+    g = GridFunction(h=1e-3, values=np.ones(20_001))
+    path = tmp_path / "g.csv"
+    path.write_bytes(b"untouched")
+    with pytest.raises(InvalidArgumentError, match="not 1-d of one length"):
+        g.to_csv(path, extra_columns={"stderr": stderr})
+    assert path.read_bytes() == b"untouched"
 
 
 def test_writer_refuses_a_row_end_it_cannot_store():
