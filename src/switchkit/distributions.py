@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _require_above
 from .grid import GridFunction, GridSpec, cumulative_integral, integral, solve_renewal
 from .laplace import geometric_map
 
@@ -79,8 +79,7 @@ class SwitchingDistribution:
     size_biased_sampler: Callable | None = None
 
     def __post_init__(self):
-        if not (self.mean > 0 and math.isfinite(self.mean)):
-            raise InvalidArgumentError(f"mean must be in (0, inf), got {self.mean}")
+        _require_above("mean", self.mean, 0)
 
     def sample(self, seed_or_rng, size: int | None = None):
         if self.sampler is None:
@@ -115,15 +114,13 @@ class GeometricCompound(SwitchingDistribution):
         super().__post_init__()
         if self.divisor is None:
             raise InvalidArgumentError("GeometricCompound requires a divisor")
-        if not self.r > 1:
-            raise InvalidArgumentError(f"r must be > 1, got {self.r}")
+        _require_above("r", self.r, 1)
 
 
 def make_exponential(rate: float) -> SwitchingDistribution:
     """Exponential switching times with the given intensity: the shape-1
     gamma law of scale 1/rate under its own name, with the same draws."""
-    if not (rate > 0 and math.isfinite(rate)):
-        raise InvalidArgumentError(f"rate must be positive, got {rate}")
+    _require_above("rate", rate, 0)
     return replace(make_gamma(1.0, 1.0 / rate), name=f"exp(rate={float(rate):g})")
 
 
@@ -226,10 +223,8 @@ def make_gamma(shape: float, scale: float) -> SwitchingDistribution:
     arithmetic (about 400 points per shape, a quarter of them within a few
     sqrt(shape) of t/scale = shape).
     """
-    if not (shape > 0 and math.isfinite(shape)):
-        raise InvalidArgumentError(f"shape must be positive, got {shape}")
-    if not (scale > 0 and math.isfinite(scale)):
-        raise InvalidArgumentError(f"scale must be positive, got {scale}")
+    _require_above("shape", shape, 0)
+    _require_above("scale", scale, 0)
     shape, scale = float(shape), float(scale)
     # density at the origin: an integrable singularity below shape 1
     origin = math.inf if shape < 1 else (1.0 / scale if shape == 1 else 0.0)
@@ -356,8 +351,7 @@ def make_geometric_compound(divisor: SwitchingDistribution, r: float) -> Geometr
     nu = 1 + floor(log U / log(1-p)), so a fixed uniform stream reproduces
     identical counts on any platform.
     """
-    if not (r > 1 and math.isfinite(r)):
-        raise InvalidArgumentError(f"r must be > 1, got {r}")
+    _require_above("r", r, 1)
     r = float(r)
     p = 1.0 / r
     log_q = math.log1p(-p)
@@ -400,8 +394,7 @@ def geometric_map_grid(f: GridFunction, q: float, g: GridFunction | None = None)
     """G_q(psi) = q psi / (1 - (1 - q) psi) on the grid: x + (q - 1) (x * f) = q g,
     solved exactly by :func:`solve_renewal`.  With g = f (default) x is the
     density of the law with transform G_q(psi_f), with g = F (f's CDF) its CDF."""
-    if not (q > 0 and math.isfinite(q)):
-        raise InvalidArgumentError(f"q must be in (0, inf), got {q}")
+    _require_above("q", q, 0)
     g = f if g is None else g
     return f.with_values(solve_renewal(f, g.with_values(q * g.values), q - 1.0).values)
 

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .distributions import SwitchingDistribution, geometric_base, geometric_map_grid, tabulate_pdf
-from .errors import InvalidArgumentError, NumericError
+from .errors import NumericError, _require_above
 from .grid import GridFunction, GridSpec
 from .laplace import geometric_map
 
@@ -117,8 +117,7 @@ def gd_check(dist: SwitchingDistribution, r: float) -> DivisibilityReport:
     An r outside (1, inf), or a law without a grid density, raises
     InvalidArgumentError.
     """
-    if not (r > 1 and math.isfinite(r)):
-        raise InvalidArgumentError(f"r must be > 1, got {r}")
+    _require_above("r", r, 1)
     at_zero = float(geometric_map(dist.laplace, r)(0.0))
     time_domain = _time_domain(dist, r)
     return DivisibilityReport(

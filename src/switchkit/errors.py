@@ -6,6 +6,8 @@ failures exit 2.
 
 from __future__ import annotations
 
+import math
+
 
 class SwitchKitError(Exception):
     """Base class for all errors raised by this package."""
@@ -29,3 +31,9 @@ class ShapeCheckError(NumericError):
     def __init__(self, message, report=None):
         super().__init__(message)
         self.report = report
+
+
+def _require_above(name: str, x, floor: float) -> None:
+    """Refuse a scalar argument ``x`` unless it is finite and above ``floor``."""
+    if not (x > floor and math.isfinite(x)):
+        raise InvalidArgumentError(f"{name} must be finite and > {floor:g}, got {x}")

@@ -18,7 +18,8 @@ The writer serves every file of one grid in one pass: it formats each block
 of its distinct columns once, lays each file's rows out at one fixed width
 with 8-byte words of digits at their final offsets, gathers only a block in
 which a column mixes signs or exponent widths, and writes bytes.  A file's
-block holding a field it cannot certify (NaN, inf, a tie) goes to ``%``.
+block holding a field it cannot certify (NaN, inf, a near-tie, or a tie
+where 10^(17-k) is not a double) goes to ``%``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError, NumericError, ResourceLimitError
+from .errors import InvalidArgumentError, NumericError, ResourceLimitError, _require_above
 
 # Fields formatted per step of _write_rows, over its distinct columns.  A
 # step holds about twenty 8-byte arrays of this many values and each file's
@@ -65,8 +66,7 @@ class GridSpec:
     n: int
 
     def __post_init__(self):
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise InvalidArgumentError(f"grid step must be positive and finite, got {self.h}")
+        _require_above("grid step", self.h, 0)
         if self.n < 1:
             raise InvalidArgumentError(f"grid needs at least one sample, got n={self.n}")
         if self.n > MAX_POINTS:
@@ -74,9 +74,8 @@ class GridSpec:
 
     @classmethod
     def from_t_end(cls, t_end: float, h: float) -> "GridSpec":
-        for name, x in (("t_end", t_end), ("grid step", h)):
-            if not (x > 0 and math.isfinite(x)):
-                raise InvalidArgumentError(f"{name} must be positive and finite, got {x}")
+        _require_above("t_end", t_end, 0)
+        _require_above("grid step", h, 0)
         if t_end / h > MAX_POINTS:  # before int(), which overflows on inf
             raise ResourceLimitError(f"grid of t_end / h = {t_end / h:.3g} steps exceeds "
                                      f"MAX_POINTS = {MAX_POINTS}")
@@ -110,8 +109,7 @@ class GridFunction:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size == 0:
             raise InvalidArgumentError("values must be a non-empty 1-d array")
-        if not (self.h > 0 and math.isfinite(self.h)):
-            raise InvalidArgumentError(f"grid step must be positive and finite, got {self.h}")
+        _require_above("grid step", self.h, 0)
         if not np.isfinite(vals).all():
             raise InvalidArgumentError("values must be finite")
         vals.setflags(write=False)
@@ -205,7 +203,7 @@ _POW10 = _pow10_table()
 # Bound on the error of P + T from _scale: the table, the product's low part
 # and its additions each err by ~2^-106 relative, under 5e-14 below 10^18 (and
 # 1e-15 ulp in _value).  Nearer a half, the rounding is not certain (or is an
-# exact tie): the writer's row goes to `%`, the reader's field to `float()`.
+# exact tie): the writer's block goes to `%`, the reader's field to `float()`.
 _ROUND_ERR = 2.0**-43
 
 # Bytes of the widest field with its separator: sign, d0, '.', d1..d17, 'e',
@@ -235,7 +233,9 @@ def _decimal(x: np.ndarray):
     Returns (D, k, ok): ``|v|`` rounds half-even to D 10^(k-17) with the
     18-digit integer D (0 for zeros).  ``ok`` is false where v is not finite
     or the rounding is not certified; D and k mean nothing there, but they
-    are still an 18-digit D and a k of a finite double.
+    are still an 18-digit D and a k of a finite double.  An exact tie is
+    certified for k in [-5, 17], where 10^(17-k) is a double: P + T is then
+    exact, and rint(T) rounds it half-even since P >= 1e17 is even.
     """
     a = np.abs(x)
     finite = np.isfinite(a)
@@ -254,7 +254,10 @@ def _decimal(x: np.ndarray):
         k[redo] += step[redo]
         P[redo], T[redo] = _scale(f[redo], e[redo], k[redo])
     R = np.rint(T)
-    ok = finite & (np.abs(T - R) < 0.5 - _ROUND_ERR)
+    gap = np.abs(T - R)
+    ok = finite & (gap < 0.5 - _ROUND_ERR)
+    if not ok.all():  # NaN, inf and zeros were replaced by 1.0, which is no tie
+        ok |= (gap == 0.5) & (k >= -5) & (k <= 17)
     D = P.astype(np.int64) + R.astype(np.int64)
     top = D == 10**18
     D[top] = 10**17
@@ -290,8 +293,9 @@ def _write_rows(files, cols, end: str = "\r\n") -> tuple[int, int]:
     it: each |v| is scaled to Y = |v| 10^(17-k) in double-double arithmetic
     (Dekker, Numer. Math. 18, 1971) from an exact power-of-ten table, and Y
     is rounded to 18 digits where its fractional part is certified away from
-    one half.  A file's block in which one of its columns holds a NaN, an
-    infinity or an uncertified rounding is written by ``%``, row by row.
+    one half, or is exactly one half of an exact Y (see :func:`_decimal`).
+    A file's block in which one of its columns holds a NaN, an infinity or an
+    uncertified rounding is written by ``%``, row by row.
 
     A column has one fixed-width layout per block: a sign slot where any of
     its values is negative, and three exponent digits where any needs them.

@@ -9,11 +9,9 @@ the maps accept real or complex s.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import _require_above
 
 # |s L(E)(s)| may exceed one by this much (roundoff) before
 # psi_from_expected_laplace marks the point NaN.
@@ -27,8 +25,7 @@ def geometric_map(psi, q: float):
     Geometric(1/r) compound of psi is q = 1/r, its r-geometric divisor q = r,
     and the order-u reduction of that divisor q = u/r; q must be in (0, inf).
     """
-    if not (q > 0 and math.isfinite(q)):
-        raise InvalidArgumentError(f"q must be in (0, inf), got {q}")
+    _require_above("q", q, 0)
 
     def fn(s):
         v = psi(s)
@@ -75,8 +72,7 @@ def psi_from_expected_laplace(le):
 
 def covariance_laplace(le, mu: float):
     """L(C)(s) = (1/s) (1 - (2/mu) L(E)(s)) for the stationary covariance."""
-    if not (mu > 0 and math.isfinite(mu)):
-        raise InvalidArgumentError(f"mu must be positive, got {mu}")
+    _require_above("mu", mu, 0)
 
     def fn(s):
         return (1.0 - (2.0 / mu) * le(s)) / s

@@ -14,7 +14,6 @@ CDF = 1 - E, divisor density = -E'.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,7 +26,7 @@ from .distributions import (
     tabulate_cdf,
     tabulate_pdf,
 )
-from .errors import InvalidArgumentError, NumericError, ShapeCheckError
+from .errors import InvalidArgumentError, NumericError, ShapeCheckError, _require_above
 from .grid import (
     GridFunction,
     GridSpec,
@@ -132,15 +131,13 @@ def expected_value_series(dist: SwitchingDistribution, grid: GridSpec) -> GridFu
 
 def covariance_from_expected(E: GridFunction, mu: float) -> GridFunction:
     """C(t) = 1 - (2/mu) * int_0^t E(u) du."""
-    if not (mu > 0 and math.isfinite(mu)):
-        raise InvalidArgumentError(f"mu must be positive, got {mu}")
+    _require_above("mu", mu, 0)
     return E.with_values(1.0 - (2.0 / mu) * cumulative_integral(E).values)
 
 
 def expected_from_covariance(C: GridFunction, mu: float) -> GridFunction:
     """E(t) = -(mu/2) C'(t)."""
-    if not (mu > 0 and math.isfinite(mu)):
-        raise InvalidArgumentError(f"mu must be positive, got {mu}")
+    _require_above("mu", mu, 0)
     return C.with_values(-(mu / 2.0) * derivative(C).values)
 
 
@@ -153,8 +150,7 @@ def covariance_delay_route(E: GridFunction, F: GridFunction, mu: float) -> GridF
     """
     if not E.same_grid(F):
         raise InvalidArgumentError("E and F must share a grid")
-    if not (mu > 0 and math.isfinite(mu)):
-        raise InvalidArgumentError(f"mu must be positive, got {mu}")
+    _require_above("mu", mu, 0)
     f_A = F.with_values((1.0 - F.values) / mu)
     F_A = cumulative_integral(f_A)
     conv = convolve(E, f_A)

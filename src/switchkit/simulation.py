@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import SwitchingDistribution, make_rng
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import InvalidArgumentError, ResourceLimitError, _require_above
 from .grid import MAX_POINTS, GridFunction, GridSpec
 
 # Paths per random stream: a constant, so an estimate is a pure function of
@@ -72,8 +72,7 @@ class SwitchTrajectory:
 
 def simulate_switch(dist: SwitchingDistribution, horizon: float, seed) -> SwitchTrajectory:
     """One switch-process path on [0, horizon], starting at +1."""
-    if not (horizon > 0 and math.isfinite(horizon)):
-        raise InvalidArgumentError(f"horizon must be positive and finite, got {horizon}")
+    _require_above("horizon", horizon, 0)
     if horizon / dist.mean > MAX_POINTS:
         raise ResourceLimitError(f"horizon / mean exceeds MAX_POINTS = {MAX_POINTS}")
     rounds = _rounds(dist, np.zeros(1), horizon, make_rng(seed))

@@ -54,7 +54,7 @@ def test_divisor_gamma_value(gamma22):
 
 
 def test_divisor_requires_r_above_one(exp1):
-    with pytest.raises(InvalidArgumentError, match="r must be > 1, got 1.0"):
+    with pytest.raises(InvalidArgumentError, match="r must be finite and > 1, got 1.0"):
         gd_check(exp1, 1.0)
 
 
@@ -325,7 +325,7 @@ def test_reduce_order_matches_direct_extraction(exp1):
 
 def test_geometric_map_refuses_q_outside_the_positive_reals(exp1):
     for q in (0.0, -1.0, math.inf, math.nan):
-        with pytest.raises(InvalidArgumentError, match="q must be in"):
+        with pytest.raises(InvalidArgumentError, match=f"q must be finite and > 0, got {q}"):
             geometric_map(exp1.laplace, q)
 
 

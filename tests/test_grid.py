@@ -323,21 +323,29 @@ def test_writer_rounds_exact_ties_half_even():
     ties = np.ldexp(odd.astype(float), -18)
     dyadic = np.ldexp(rng.integers(1, 2**53, 24_000).astype(float),
                       rng.integers(-80, 30, 24_000).astype(np.int32))
-    assert not _decimal(ties)[2].any()  # ties are left to `%` ...
-    _assert_kernel_and_percent_write(np.concatenate([ties, -ties, dyadic]))  # ... half-even
+    assert _decimal(ties)[2].all()  # 10^17 is a double: the kernel certifies ties ...
+    # ... but not at k = -6, where 10^23 is not: 17 2^-24 = 1.01327896118164062|5e-06
+    assert not _decimal(np.array([17 * 2.0**-24]))[2].any()
+    _assert_kernel_and_percent_write(
+        np.concatenate([ties, -ties, dyadic, [17 * 2.0**-24]]))  # half-even, as `%`
 
 
 def test_writer_sends_each_block_holding_a_tie_to_percent():
     # t = i 2^-20 is an exact tie at the 18th digit for odd i from t = 0.01
-    # on, so every block from the one that reaches 0.01 is written by `%`
+    # on (k = -2), and the kernel certifies each: no block goes to `%`
     t = np.ldexp(np.arange(int(0.05 * 2**20)), -20)
     cols = np.column_stack([t, np.exp(-t)])
-    assert len(t) == 52_428 and (~_decimal(t)[2]).sum() == 20_971
-    rows = grid._CSV_BLOCK // 2
-    ok = _decimal(cols)[2].all(axis=1)
-    tied = sum(len(b) for b in np.split(ok, range(rows, len(t), rows)) if not b.all())
+    assert len(t) == 52_428 and _decimal(t)[2].all()
     buf = io.BytesIO()
-    assert _write_rows([(buf, range(2))], cols.T) == (tied, 0)
+    assert _write_rows([(buf, range(2))], cols.T) == (0, 0)
+    assert buf.getvalue() == _percent_rows(cols)
+    # t = i 2^-24 is an exact tie for odd i at k = -6, where 10^23 is not a
+    # double: the first block, which holds them, is written by `%`
+    t = np.ldexp(np.arange(grid._CSV_BLOCK), -24)
+    cols = np.column_stack([t, np.exp(-t)])
+    assert (~_decimal(t)[2]).sum() == 76  # odd i in [17, 167]
+    buf = io.BytesIO()
+    assert _write_rows([(buf, range(2))], cols.T) == (grid._CSV_BLOCK // 2, 0)
     assert buf.getvalue() == _percent_rows(cols)
 
 

@@ -2,6 +2,8 @@
 error type and message it promises.  A case whose refusal is an int runs the
 CLI and expects that exit code with a single ``error:`` line on stderr."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,18 @@ from switchkit import (
     ShapeReport,
     SwitchingDistribution,
     covariance_delay_route,
+    covariance_from_expected,
+    covariance_laplace,
     expected_from_covariance,
+    gd_check,
+    geometric_map,
+    geometric_map_grid,
     make_exponential,
+    make_gamma,
+    make_geometric_compound,
     mean_from_expected,
     second_derivative,
+    simulate_switch,
     solve_renewal,
     tabulate_cdf,
     tabulate_pdf,
@@ -49,14 +59,14 @@ CASES = {
     "grid_no_samples": (lambda: GridSpec(h=1.0, n=0), InvalidArgumentError, "at least one"),
     "law_mean_zero": (
         lambda: SwitchingDistribution(name="law", mean=0.0, laplace=lambda s: s),
-        InvalidArgumentError, "mean must be in"),
+        InvalidArgumentError, "mean must be finite and > 0, got 0.0"),
     "compound_without_divisor": (
         lambda: GeometricCompound(name="c", mean=1.0, laplace=lambda s: s),
         InvalidArgumentError, "requires a divisor"),
     "compound_r_one": (
         lambda: GeometricCompound(name="c", mean=1.0, laplace=lambda s: s,
                                   divisor=make_exponential(1.0), r=1.0),
-        InvalidArgumentError, "r must be > 1"),
+        InvalidArgumentError, "r must be finite and > 1, got 1.0"),
     "tabulate_pdf_nan_interior": (
         lambda: tabulate_pdf(_law(pdf=lambda t: np.where(t > 0.5, np.nan, 1.0)),
                              GridSpec(h=0.1, n=11)),
@@ -79,7 +89,7 @@ CASES = {
         InvalidArgumentError, "share a grid"),
     "expected_from_covariance_zero_mean": (
         lambda: expected_from_covariance(_grid(np.ones(10)), 0.0),
-        InvalidArgumentError, "mu must be positive"),
+        InvalidArgumentError, "mu must be finite and > 0, got 0.0"),
 }
 
 
@@ -92,3 +102,72 @@ def test_typed_refusal(call, refusal, message, capsys):
     else:
         with pytest.raises(refusal, match=message):
             call()
+
+
+# Every scalar parameter of the package held to the one rule "finite and
+# above a floor": (call with the value x, name in the message, floor).
+SCALARS = {
+    "GridSpec.h": (lambda x: GridSpec(h=x, n=10), "grid step", 0),
+    "GridSpec.from_t_end.t_end": (lambda x: GridSpec.from_t_end(x, 0.1), "t_end", 0),
+    "GridSpec.from_t_end.h": (lambda x: GridSpec.from_t_end(1.0, x), "grid step", 0),
+    "GridFunction.h": (lambda x: _grid(np.ones(3), h=x), "grid step", 0),
+    "SwitchingDistribution.mean": (
+        lambda x: SwitchingDistribution(name="law", mean=x, laplace=lambda s: s), "mean", 0),
+    "GeometricCompound.r": (
+        lambda x: GeometricCompound(name="c", mean=1.0, laplace=lambda s: s,
+                                    divisor=make_exponential(1.0), r=x), "r", 1),
+    "make_exponential.rate": (make_exponential, "rate", 0),
+    "make_gamma.shape": (lambda x: make_gamma(x, 1.0), "shape", 0),
+    "make_gamma.scale": (lambda x: make_gamma(1.0, x), "scale", 0),
+    "make_geometric_compound.r": (
+        lambda x: make_geometric_compound(make_exponential(1.0), x), "r", 1),
+    "geometric_map.q": (lambda x: geometric_map(lambda s: 1 / (1 + s), x), "q", 0),
+    "geometric_map_grid.q": (lambda x: geometric_map_grid(_grid(np.ones(5)), x), "q", 0),
+    "covariance_from_expected.mu": (
+        lambda x: covariance_from_expected(_grid(np.ones(5)), x), "mu", 0),
+    "expected_from_covariance.mu": (
+        lambda x: expected_from_covariance(_grid(np.ones(5)), x), "mu", 0),
+    "covariance_delay_route.mu": (
+        lambda x: covariance_delay_route(_grid(np.ones(5)), _grid(np.zeros(5)), x), "mu", 0),
+    "covariance_laplace.mu": (lambda x: covariance_laplace(lambda s: 1 / s, x), "mu", 0),
+    "simulate_switch.horizon": (
+        lambda x: simulate_switch(make_exponential(1.0), x, seed=1), "horizon", 0),
+    "gd_check.r": (lambda x: gd_check(make_exponential(1.0), x), "r", 1),
+}
+
+
+@pytest.mark.parametrize("bad", ["floor", -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("call, name, floor", SCALARS.values(), ids=SCALARS.keys())
+def test_scalar_arguments_share_one_refusal(call, name, floor, bad):
+    x = float(floor) if bad == "floor" else bad
+    with pytest.raises(InvalidArgumentError) as refusal:
+        call(x)
+    assert str(refusal.value) == f"{name} must be finite and > {floor}, got {x}"
+
+
+# The scalars the CLI reads, with {} for the value: (argv, name, floor).
+CLI_SCALARS = {
+    "h": (["expected-value", "--dist", "exp(rate=1)", "--h", "{}"], "grid step", 0),
+    "t_end": (["covariance", "--dist", "exp(rate=1)", "--t-end", "{}"], "t_end", 0),
+    "horizon": (["simulate", "--dist", "exp(rate=1)", "--horizon", "{}"], "horizon", 0),
+    "rate": (["gd-check", "--dist", "exp(rate={})", "--r", "2"], "rate", 0),
+    "shape": (["gd-check", "--dist", "gamma(shape={},scale=1)", "--r", "2"], "shape", 0),
+    "scale": (["gd-check", "--dist", "gamma(shape=2,scale={})", "--r", "2"], "scale", 0),
+    "compound_r": (["gd-check", "--dist", "compound(r={},divisor=exp(rate=1))", "--r", "2"],
+                   "r", 1),
+    "gd_check_r": (["gd-check", "--dist", "exp(rate=1)", "--r", "{}"], "r", 1),
+}
+
+
+@pytest.mark.parametrize("bad", ["floor", "-1", "inf", "nan"])
+@pytest.mark.parametrize("argv, name, floor", CLI_SCALARS.values(), ids=CLI_SCALARS.keys())
+def test_cli_scalar_refusals_exit_one(argv, name, floor, bad, capsys, tmp_path):
+    x = float(floor) if bad == "floor" else float(bad)
+    argv = [a.format(x) for a in argv]
+    if argv[0] != "gd-check":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {name} must be finite and > {floor}, got {x}\n"
+    assert not list(tmp_path.iterdir())

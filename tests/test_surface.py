@@ -165,6 +165,20 @@ def test_every_imported_name_is_used():
     assert not unused
 
 
+def test_only_errors_checks_finiteness_by_hand():
+    # a scalar argument is refused by errors._require_above, the one place
+    # that spells out "finite and above a floor"; math.isfinite anywhere else
+    # would be a hand-written copy of that rule
+    src = Path(switchkit.__file__).parent
+    uses = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if (isinstance(node, ast.Attribute) and node.attr == "isfinite"
+                and isinstance(node.value, ast.Name) and node.value.id == "math")
+            or (isinstance(node, ast.ImportFrom) and node.module == "math"
+                and any(alias.name == "isfinite" for alias in node.names))]
+    assert uses and all(use.startswith("errors.py:") for use in uses), uses
+
+
 def test_cli_options_are_frozen():
     assert _verb_options() == OPTIONS
 
