@@ -38,7 +38,6 @@ from .grid import (
     solve_renewal,
 )
 from .iia import (
-    GaussianCovariance,
     IIAResult,
     clip_covariance,
     damped_cosine_covariance,
@@ -75,7 +74,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DivisibilityReport",
-    "GaussianCovariance",
     "GeometricCompound",
     "GridFunction",
     "GridSpec",

@@ -28,7 +28,7 @@ from .recovery import (
     expected_value_series,
 )
 from .simulation import estimate_covariance, estimate_expected_value, simulate_switch
-from .svgplot import Panel, render_panels
+from .svgplot import render_panels
 
 USAGE_EXIT = 64
 
@@ -219,19 +219,19 @@ def _cmd_iia(args) -> dict:
     if args.r in _BUILTIN_COVARIANCES:
         r = _BUILTIN_COVARIANCES[args.r]()
     else:
-        r = iia_mod.GaussianCovariance(fn=GridFunction.from_csv(args.r).interp, name="tabulated")
+        r = GridFunction.from_csv(args.r).interp
     grid = GridSpec.from_t_end(args.t_end, args.h)
     result = iia_mod.iia_pipeline(r, grid)
     _write_tables(outputs, [result.divisor_cdf, result.divisor_pdf, result.clipped])
     if args.plot:
         t = grid.times()
         render_panels([
-            Panel(title="clipped covariance").add(t, result.clipped.values, "C"),
-            Panel(title="divisor CDF").add(t, result.divisor_cdf.values, "CDF"),
-            Panel(title="divisor density").add(t, result.divisor_pdf.values, "pdf"),
+            ("clipped covariance", [(t, result.clipped.values, "C")]),
+            ("divisor CDF", [(t, result.divisor_cdf.values, "CDF")]),
+            ("divisor density", [(t, result.divisor_pdf.values, "pdf")]),
         ], args.plot)
         outputs.append(args.plot)
-    return {"verb": "iia", "r": r.name or args.r, "screen": result.screen.to_json_dict(),
+    return {"verb": "iia", "r": args.r, "screen": result.screen.to_json_dict(),
             "mu": result.mu, "outputs": outputs}
 
 
@@ -243,20 +243,17 @@ def _cmd_figure1(args) -> dict:
     C = covariance_from_expected(E, dist.mean)
     t = grid.times()
     render_panels([
-        Panel(title="sample path").add(xs, ys, "X(t)"),
-        Panel(title="expected value").add(t, E.values, "E(t)"),
-        Panel(title="stationary covariance").add(t, C.values, "C(t)"),
+        ("sample path", [(xs, ys, "X(t)")]),
+        ("expected value", [(t, E.values, "E(t)")]),
+        ("stationary covariance", [(t, C.values, "C(t)")]),
     ], args.out)
     return {"verb": "figure1", "dist": dist.name, "seed": args.seed, "outputs": [args.out]}
 
 
 def _cmd_estimate_plot(mean, stderr, target: str, path) -> None:
-    t = mean.times()
-    panel = Panel(title=f"MC {target} (4 stderr band)")
-    panel.add(t, mean.values, "estimate")
-    panel.add(t, mean.values + 4 * stderr.values, "")
-    panel.add(t, mean.values - 4 * stderr.values, "")
-    render_panels([panel], path)
+    t, m, band = mean.times(), mean.values, 4 * stderr.values
+    render_panels([(f"MC {target} (4 stderr band)",
+                    [(t, m, "estimate"), (t, m + band, ""), (t, m - band, "")])], path)
 
 
 _DISPATCH = {

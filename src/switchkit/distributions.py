@@ -121,6 +121,7 @@ def make_exponential(rate: float) -> SwitchingDistribution:
     """Exponential switching times with the given intensity: the shape-1
     gamma law of scale 1/rate under its own name, with the same draws."""
     _require_above("rate", rate, 0)
+    _require_above(f"1/rate (1/{rate})", 1.0 / rate, 0)
     return replace(make_gamma(1.0, 1.0 / rate), name=f"exp(rate={float(rate):g})")
 
 
@@ -352,6 +353,7 @@ def make_geometric_compound(divisor: SwitchingDistribution, r: float) -> Geometr
     identical counts on any platform.
     """
     _require_above("r", r, 1)
+    _require_above(f"r * divisor mean ({r:g} * {divisor.mean:g})", r * divisor.mean, 0)
     r = float(r)
     p = 1.0 / r
     log_q = math.log1p(-p)

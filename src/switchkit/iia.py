@@ -32,18 +32,6 @@ CORRELATION_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class GaussianCovariance:
-    """Correlation function of the process to be clipped: r(0) must be 1
-    (correlation scale) and |r| <= 1."""
-
-    fn: Callable
-    name: str = ""
-
-    def __call__(self, t):
-        return self.fn(t)
-
-
-@dataclass(frozen=True)
 class IIAResult:
     """Output bundle of the pipeline; ``screen`` is the passing shape report
     of the clipped covariance."""
@@ -56,8 +44,8 @@ class IIAResult:
     compound: GeometricCompound
 
 
-def clip_covariance(r: GaussianCovariance, grid: GridSpec) -> GridFunction:
-    """Covariance of the clipped (sign) process: (2/pi) arcsin(r(t))."""
+def clip_covariance(r: Callable, grid: GridSpec) -> GridFunction:
+    """Covariance (2/pi) arcsin(r(t)) of the clipped (sign) process; r is vectorized."""
     vals = np.asarray(r(grid.times()), dtype=float)
     if np.max(np.abs(vals)) > 1.0 + CORRELATION_TOL:
         raise InvalidArgumentError(
@@ -68,7 +56,7 @@ def clip_covariance(r: GaussianCovariance, grid: GridSpec) -> GridFunction:
     return GridFunction(h=grid.h, values=clipped)
 
 
-def iia_pipeline(r: GaussianCovariance, grid: GridSpec) -> IIAResult:
+def iia_pipeline(r: Callable, grid: GridSpec) -> IIAResult:
     """Clip r, recover the divisor from the clipped covariance as
     :func:`~switchkit.recovery.divisor_from_covariance` does, and rebuild the
     approximated switching-time law as a 2-geometric compound.
@@ -83,7 +71,7 @@ def iia_pipeline(r: GaussianCovariance, grid: GridSpec) -> IIAResult:
                      divisor_pdf=divisor_pdf, compound=compound)
 
 
-def diffusion2d_covariance() -> GaussianCovariance:
+def diffusion2d_covariance() -> Callable:
     """Correlation sech(t/2) of the planar diffusion fixture."""
 
     def fn(t):
@@ -91,20 +79,15 @@ def diffusion2d_covariance() -> GaussianCovariance:
         with np.errstate(over="ignore"):
             return 1.0 / np.cosh(np.asarray(t) / 2.0)
 
-    return GaussianCovariance(fn=fn, name="diffusion2d")
+    return fn
 
 
-def exponential_covariance() -> GaussianCovariance:
+def exponential_covariance() -> Callable:
     """Correlation exp(-t) (Ornstein-Uhlenbeck type)."""
-    return GaussianCovariance(fn=lambda t: np.exp(-np.asarray(t)), name="exp(scale=1)")
+    return lambda t: np.exp(-np.asarray(t))
 
 
-def damped_cosine_covariance() -> GaussianCovariance:
+def damped_cosine_covariance() -> Callable:
     """Correlation cos(t) exp(-t); it oscillates, so its clipped covariance
     fails the shape screen (the rejected fixture)."""
-
-    def fn(t):
-        t = np.asarray(t)
-        return np.cos(t) * np.exp(-t)
-
-    return GaussianCovariance(fn=fn, name="damped-cosine")
+    return lambda t: np.cos(t) * np.exp(-np.asarray(t))

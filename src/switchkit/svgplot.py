@@ -7,7 +7,6 @@ element order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,16 +15,6 @@ _COLORS = ("#1f6fb2", "#c44e52", "#2f7d4f", "#8172b2")
 PANEL_W = 320
 PANEL_H = 260
 MARGIN = 46
-
-
-@dataclass
-class Panel:
-    title: str
-    curves: list = field(default_factory=list)  # (x, y, label) triples
-
-    def add(self, x, y, label: str = "") -> "Panel":
-        self.curves.append((np.asarray(x, dtype=float), np.asarray(y, dtype=float), label))
-        return self
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -50,9 +39,9 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _panel_svg(panel: Panel, x_off: int) -> list[str]:
-    xs = np.concatenate([c[0] for c in panel.curves]) if panel.curves else np.array([0.0, 1.0])
-    ys = np.concatenate([c[1] for c in panel.curves]) if panel.curves else np.array([0.0, 1.0])
+def _panel_svg(title: str, curves: list, x_off: int) -> list[str]:
+    xs = np.concatenate([c[0] for c in curves])
+    ys = np.concatenate([c[1] for c in curves])
     x_lo, x_hi = float(np.min(xs)), float(np.max(xs))
     y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
     if y_hi == y_lo:
@@ -71,7 +60,7 @@ def _panel_svg(panel: Panel, x_off: int) -> list[str]:
 
     out = [
         f'<text x="{x_off + PANEL_W / 2:.1f}" y="16" text-anchor="middle" '
-        f'font-size="13" font-family="sans-serif">{panel.title}</text>',
+        f'font-size="13" font-family="sans-serif">{title}</text>',
         f'<line x1="{px0}" y1="{py0}" x2="{px1}" y2="{py0}" stroke="#333" stroke-width="1"/>',
         f'<line x1="{px0}" y1="{py0}" x2="{px0}" y2="{py1}" stroke="#333" stroke-width="1"/>',
     ]
@@ -91,7 +80,7 @@ def _panel_svg(panel: Panel, x_off: int) -> list[str]:
             f'<text x="{px0 - 7}" y="{sy(ty) + 3.5:.2f}" text-anchor="end" '
             f'font-size="10" font-family="sans-serif">{_fmt(ty)}</text>'
         )
-    for k, (cx, cy, label) in enumerate(panel.curves):
+    for k, (cx, cy, label) in enumerate(curves):
         color = _COLORS[k % len(_COLORS)]
         pts = " ".join(f"{sx(float(a)):.2f},{sy(float(b)):.2f}" for a, b in zip(cx, cy))
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.4"/>')
@@ -103,11 +92,12 @@ def _panel_svg(panel: Panel, x_off: int) -> list[str]:
     return out
 
 
-def render_panels(panels: list[Panel], path) -> None:
+def render_panels(panels: list, path) -> None:
+    """Write panels (title, [(x, y, label), ...]) side by side as one SVG at ``path``."""
     width = PANEL_W * len(panels)
     body = []
-    for i, panel in enumerate(panels):
-        body.extend(_panel_svg(panel, i * PANEL_W))
+    for i, (title, curves) in enumerate(panels):
+        body.extend(_panel_svg(title, curves, i * PANEL_W))
     svg = (
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{PANEL_H}" '
         f'viewBox="0 0 {width} {PANEL_H}">\n'

@@ -200,6 +200,17 @@ def test_exponential_is_not_refuted_at_r_1e12():
     assert gd_check(make_exponential(1.0), 1e12).passed
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "the 2/h cut reads the divisor's growth as decay that outruns the step: the divisor "
+    "transform has poles at 0.565 +- 0.248i, so the density grows like e^(0.565 t) and "
+    "first changes sign near pi/0.248 = 12.7, but the span is cut at 12.69 with minima "
+    "-1.5e-10 and -2.4e-10 (ROADMAP items 8 and 9)"))
+def test_a_large_shape_gamma_is_refuted_at_r_1e4():
+    # gamma(a, 1) is r-divisible for no r when a > 1; the poles of G_r(psi)
+    # are s = (r - 1)^(1/a) e^(+-i pi/a) - 1
+    assert not gd_check(make_gamma(20.0, 1.0), 1e4).passed
+
+
 def test_gd_check_without_a_density_is_refused(exp1):
     transform_only = SwitchingDistribution(name="transform", mean=1.0, laplace=exp1.laplace)
     with pytest.raises(InvalidArgumentError, match="no density"):
@@ -236,6 +247,17 @@ def test_a_table_without_s_star_is_undecided(r):
     td = report.time_domain
     assert td["s_star"] is None and td["min"] is None and td["reason"] == "no s*"
     assert not td["refuted"] and report.passed
+
+
+def test_a_divisor_no_span_can_solve_is_undecided():
+    # a density of 1e300 e^-t overflows the solve's residual to NaN on every
+    # span, so nothing is solved and nothing refuted
+    huge = SwitchingDistribution(name="huge", mean=1.0, laplace=lambda s: 1.0 / (1.0 + s),
+                                 pdf=lambda t: 1e300 * np.exp(-np.asarray(t)))
+    report = gd_check(huge, 2.0)
+    td = report.time_domain
+    assert td["reason"] == "residual" and not td["refuted"] and report.passed
+    assert td["t_end"] is td["h"] is td["min"] is td["t_min"] is None
 
 
 def test_a_table_at_its_own_scale_is_refuted_at_r_100():

@@ -7,7 +7,6 @@ from scipy.optimize import brentq
 from switchkit import (
     GridSpec,
     InvalidArgumentError,
-    GaussianCovariance,
     ShapeCheckError,
     check_covariance_shape,
     clip_covariance,
@@ -48,8 +47,7 @@ def test_clip_matches_arcsine_form():
 
 
 def test_clip_vanishing_tail():
-    r = GaussianCovariance(fn=lambda t: np.where(np.asarray(t) < 1, 1 - np.asarray(t), 0.0))
-    C = clip_covariance(r, GridSpec.from_t_end(3.0, 0.01))
+    C = clip_covariance(lambda t: np.where(t < 1, 1 - t, 0.0), GridSpec.from_t_end(3.0, 0.01))
     assert C.values[-1] == 0.0
 
 
@@ -60,9 +58,8 @@ def test_clip_known_point():
 
 
 def test_clip_rejects_non_correlation():
-    r = GaussianCovariance(fn=lambda t: 1.0 + 0.1 * np.asarray(t))
     with pytest.raises(InvalidArgumentError):
-        clip_covariance(r, GridSpec.from_t_end(1.0, 0.1))
+        clip_covariance(lambda t: 1.0 + 0.1 * t, GridSpec.from_t_end(1.0, 0.1))
 
 
 def test_clip_preserves_sign():
@@ -93,7 +90,7 @@ def test_screen_rejects_damped_cosine():
 
 def test_tabulated_correlation_screens_like_its_closed_form():
     table = grid_fn(lambda t: sech(t / 2), 40.0, 1e-3)
-    tabulated = check_covariance_shape(clip_covariance(GaussianCovariance(fn=table.interp), GRID))
+    tabulated = check_covariance_shape(clip_covariance(table.interp, GRID))
     builtin = check_covariance_shape(clip_covariance(diffusion2d_covariance(), GRID))
     assert tabulated.passed and tabulated == builtin
 
@@ -122,7 +119,7 @@ def test_clipped_screen_matches_the_reference_verdict(family, h):
     # rule, the reference screen's r >= 0, r' <= 0, r'' >= -r r'^2 / (1 - r^2)
     fn = FAMILIES[family]
     grid = GridSpec.from_t_end(60.0, h)
-    report = check_covariance_shape(clip_covariance(GaussianCovariance(fn=fn), grid))
+    report = check_covariance_shape(clip_covariance(fn, grid))
     reference = iia_conditions(fn(grid.times()), h)
     pairs = {"nonnegative": "nonnegative", "nonincreasing": "nonincreasing",
              "convex": "curvature_bound"}
@@ -186,8 +183,7 @@ def test_pipeline_exponential_covariance_degenerates():
 def test_pipeline_smooth_admissible_covariance():
     # a smooth admissible correlation (flat at the origin) recovers a
     # genuine divisor: CDF starts at 0, density mass is one
-    r = GaussianCovariance(fn=lambda t: 1.0 / np.cosh(np.asarray(t)), name="sech")
-    result = iia_pipeline(r, GridSpec.from_t_end(30.0, 1e-3))
+    result = iia_pipeline(lambda t: 1.0 / np.cosh(t), GridSpec.from_t_end(30.0, 1e-3))
     assert result.screen.passed
     assert result.divisor_cdf.values[0] == 0.0
     mass = np.trapezoid(result.divisor_pdf.values, dx=result.divisor_pdf.h)
@@ -265,4 +261,3 @@ def test_iia_survival_matches_the_oracle(gp_paths, diffusion_iia):
 def test_diffusion2d_normalization():
     r = diffusion2d_covariance()
     assert r(0.0) == 1.0
-    assert r.name == "diffusion2d"

@@ -80,6 +80,14 @@ CASES = {
     "cli_positional_parameter": (
         lambda: run(["gd-check", "--dist", "exp(1)", "--r", "2"]),
         1, "expected key=value in '1'"),
+    # a value derived from the given ones overflows: the refusal names them
+    "cli_rate_whose_reciprocal_overflows": (
+        lambda: run(["gd-check", "--dist", "exp(rate=1e-320)", "--r", "2"]),
+        1, "1/rate (1/1e-320) must be finite and > 0, got inf"),
+    "cli_compound_whose_mean_overflows": (
+        lambda: run(["gd-check", "--dist", "compound(r=1e10,divisor=exp(rate=1e-300))",
+                     "--r", "2"]),
+        1, "r * divisor mean (1e+10 * 1e+300) must be finite and > 0, got inf"),
     "shape_report_unknown_condition": (
         lambda: ShapeReport(passed=True, checked_conditions=(), limits=(1.0, 0.0))
         .violation("nope"),

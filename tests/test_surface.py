@@ -22,7 +22,7 @@ from switchkit.cli import build_parser
 
 # every name in switchkit.__all__
 NAMES = {
-    "DivisibilityReport", "GaussianCovariance", "GeometricCompound",
+    "DivisibilityReport", "GeometricCompound",
     "GridFunction", "GridSpec", "IIAResult", "InvalidArgumentError", "NumericError",
     "ResourceLimitError", "ShapeCheckError", "ShapeReport", "SwitchKitError",
     "SwitchTrajectory", "SwitchingDistribution", "check_covariance_shape",
@@ -57,7 +57,6 @@ METHOD_DEFAULTED = {
 # public dataclass -> its field names, in order
 FIELDS = {
     "DivisibilityReport": ("r", "passed", "laplace_at_zero", "zero_tolerance", "time_domain"),
-    "GaussianCovariance": ("fn", "name"),
     "GeometricCompound": ("name", "mean", "laplace", "pdf", "cdf", "sampler",
                           "size_biased_sampler", "divisor", "r"),
     "GridFunction": ("h", "values", "notes"),
