@@ -266,6 +266,18 @@ def make_gamma(shape: float, scale: float) -> SwitchingDistribution:
     )
 
 
+def _invert_cdf(rng, size, cdf_vals, t):
+    """``size`` draws np.interp(u, cdf_vals, t) of uniforms u, evaluated in the order
+    of u's top 16 bits (a stable radix sort) and scattered back to draw order."""
+    u = rng.random(size)
+    if size is None:
+        return np.interp(u, cdf_vals, t)
+    order = np.argsort((u * 65536).astype(np.uint16), kind="stable")
+    u = u[order]
+    u[order] = np.interp(u, cdf_vals, t)
+    return u
+
+
 def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
     """Switching-time law from a density tabulated on a uniform grid.
 
@@ -278,7 +290,9 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
     m = ceil(n / B) giant steps z^{jB} around one matrix product (Paterson
     & Stockmeyer 1973): about 2 sqrt(n) exponentials per s, not one per
     point.  Sampling inverts the CDF with linear interpolation; the
-    size-biased sampler inverts the cumulative of t f(t)/mean the same way.
+    size-biased sampler inverts the cumulative of t f(t)/mean the same way,
+    on uniforms taken in bucket order and put back (:func:`_invert_cdf`):
+    np.interp's value at u depends only on u and the knots, so no draw moves.
     """
     vals = np.array(pdf.values, dtype=float)
     if np.min(vals) < -NEGATIVE_DENSITY_TOL:
@@ -324,14 +338,13 @@ def make_tabulated(pdf: GridFunction) -> SwitchingDistribution:
         return out.reshape(s_arr.shape)[()]
 
     def sampler(rng, size=None):
-        u = rng.random(size)
-        return np.interp(u, cdf_vals, t)
+        return _invert_cdf(rng, size, cdf_vals, t)
 
     # the length-biased law t*f(t)/mean, inverted the same way
     biased_cdf_vals = cdf_from_density(density.with_values(t * vals / mean)).values
 
     def size_biased(rng, size=None):
-        return np.interp(rng.random(size), biased_cdf_vals, t)
+        return _invert_cdf(rng, size, biased_cdf_vals, t)
 
     return SwitchingDistribution(
         name="tabulated",

@@ -86,9 +86,11 @@ def _time_domain(dist: SwitchingDistribution, r: float) -> dict:
            "refuted": False, "reason": "no s*" if s_star is None else "residual"}
     if s_star is None:
         return out
+    span = TIME_SPAN_MEANS * min(dist.mean, 1.0 / s_star)
+    _require_above(f"time span {TIME_SPAN_MEANS:g} * min(mean, 1/s*) "
+                   f"({TIME_SPAN_MEANS:g} * min({dist.mean:g}, {1.0 / s_star:g}))", span, 0)
     for k in range(TIME_SPAN_HALVINGS + 1):
-        span = TIME_SPAN_MEANS * min(dist.mean, 1.0 / s_star) / 2**k
-        steps = [span / (n - 1) for n in TIME_POINTS]
+        steps = [span / 2**k / (n - 1) for n in TIME_POINTS]
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 xs = [divisor_density(dist, r, GridSpec(h=h, n=n)).values

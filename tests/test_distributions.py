@@ -269,6 +269,49 @@ def test_tabulated_sampler_matches_cdf(tab_exp1):
     assert np.max(np.abs(emp - tab_exp1.cdf(xs))) < 0.01
 
 
+class _Uniforms:
+    """Stands in for a Generator: ``random(size)`` hands out the first
+    ``size`` of the given uniforms (the first one alone when size is None)."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size=None):
+        return float(self.u[0]) if size is None else self.u[:size].copy()
+
+
+def _gapped_table():
+    """A density that is 0 on [0, 0.5] and on [1, 2], so CDF knots repeat."""
+    t = GridSpec.from_t_end(20.0, 1e-3).times()
+    vals = np.where((t > 0.5) & ((t < 1.0) | (t > 2.0)), np.exp(-t), 0.0)
+    return GridFunction(h=1e-3, values=vals / np.trapezoid(vals, dx=1e-3))
+
+
+@pytest.mark.parametrize("size", [None, 0, 1, 131_072])
+@pytest.mark.parametrize("table", ["smooth", "gapped"])
+def test_tabulated_samplers_draw_the_bits_of_one_interp(table, size):
+    # each draw is np.interp of its own uniform, in draw order, whatever
+    # order the sampler evaluates them in
+    pdf = grid_fn(lambda t: np.exp(-t), 40.0, 1e-3) if table == "smooth" else _gapped_table()
+    law, t = make_tabulated(pdf), pdf.times()
+    knots = law.cdf(t)
+    biased_knots = distributions.cdf_from_density(
+        pdf.with_values(t * law.pdf(t) / law.mean)).values
+    on_knots = np.concatenate([knots[[1, 499, 500, 501, 1500, 2001, 7777]],
+                               biased_knots[[1, 600, 1500, 2001, 7777]]])
+    assert (np.unique(knots[:2500]).size < 1600) == (table == "gapped")  # repeated knots
+    u = make_rng(5).random(131_072)
+    u[: 1 + on_knots.size] = np.concatenate([[0.0], on_knots])
+    starts = [u[i:] for i in range(1 + on_knots.size)] if size is None else [u]
+    for draw, cdf in ((law.sampler, knots), (law.size_biased_sampler, biased_knots)):
+        for start in starts:
+            got = draw(_Uniforms(start), size)
+            want = np.interp(start[0] if size is None else start[:size], cdf, t)
+            assert type(got) is type(want)
+            np.testing.assert_array_equal(np.asarray(got).view(np.uint64),
+                                          np.asarray(want).view(np.uint64))
+
+
 def test_tabulated_laplace_memory_is_bounded_on_long_tables():
     # 200 001 points: 64 s-values at a time would hold 102 MB per kernel
     # array; the transform takes as many rows as fit in _KERNEL_BLOCK entries

@@ -88,6 +88,14 @@ CASES = {
         lambda: run(["gd-check", "--dist", "compound(r=1e10,divisor=exp(rate=1e-300))",
                      "--r", "2"]),
         1, "r * divisor mean (1e+10 * 1e+300) must be finite and > 0, got inf"),
+    "cli_gamma_whose_time_span_overflows": (
+        lambda: run(["gd-check", "--dist", "gamma(shape=2,scale=1e307)", "--r", "2"]),
+        1, "time span 40 * min(mean, 1/s*) (40 * min(2e+307, 2.41421e+307)) "
+           "must be finite and > 0, got inf"),
+    "cli_rate_whose_time_span_overflows": (
+        lambda: run(["gd-check", "--dist", "exp(rate=6e-309)", "--r", "2"]),
+        1, "time span 40 * min(mean, 1/s*) (40 * min(1.66667e+308, 1.66667e+308)) "
+           "must be finite and > 0, got inf"),
     "shape_report_unknown_condition": (
         lambda: ShapeReport(passed=True, checked_conditions=(), limits=(1.0, 0.0))
         .violation("nope"),

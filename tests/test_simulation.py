@@ -171,6 +171,18 @@ def test_estimate_expected_value_exponential(exp1):
     assert mean.values[0] == 1.0 and stderr.values[0] == 0.0
 
 
+def test_estimate_expected_value_of_a_compound_over_a_table(tmp_path):
+    # the Geometric(1/2) compound of Exp(2) draws is Exp(1) in law, so
+    # E(t) = e^{-2t}; here the divisor is an Exp(2) density read from a CSV
+    path = tmp_path / "divisor.csv"
+    grid_fn(lambda t: 2 * np.exp(-2 * t), 20.0, 1e-3).to_csv(path)
+    law = parse_distribution(f"compound(r=2,divisor=table({path}))")
+    mean, stderr = estimate_expected_value(law, GridSpec(h=0.5, n=5), 20_000, seed=16)
+    i = [1, 2, 4]  # t = 0.5, 1, 2
+    z = np.abs(mean.values[i] - np.exp(-2 * mean.times()[i])) / stderr.values[i]
+    assert np.max(z) < 4.0
+
+
 def test_estimate_expected_value_limits(exp1):
     # near the origin the estimate sits at 1; at t = 20 * mean the start-up
     # bias has died out and it sits at 0
