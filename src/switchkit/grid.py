@@ -19,7 +19,12 @@ of its distinct columns once, lays each file's rows out at one fixed width
 with 8-byte words of digits at their final offsets, gathers only a block in
 which a column mixes signs or exponent widths, and writes bytes.  A file's
 block holding a field it cannot certify (NaN, inf, a near-tie, or a tie
-where 10^(17-k) is not a double) goes to ``%``.
+where 10^(17-k) is not a double) goes to ``%``.  The reader reads a block
+whose rows all have its first row's width as one fixed-width run: it checks
+the (rows, width) byte matrix against that row's layout and reads the digits
+through strided views.  It searches any other block (a zero crossing, an
+exponent passing 1e+-100) field by field for its ``e``, and sends a field it
+cannot certify to ``float()``.
 """
 
 from __future__ import annotations
@@ -213,18 +218,24 @@ _FIELD = 26
 # little-endian word; _write_rows adds the last mantissa digit to its '0'.
 _EXP_WORDS = np.array([[int.from_bytes(b"0e%+0*d" % (3 + three, k), "little")
                         for k in range(_K_MIN, _K_MAX + 1)] for three in (0, 1)])
+# [n]: the 4 ASCII digits of n < 10^4 as a little-endian word, the first digit lowest.
+_ASCII4 = sum((np.arange(10**4) // 10**j % 10 + 48) << 8 * (3 - j) for j in range(4))
 
 
-def _scale(f, e, k, tail=0.0):
-    """(P, T) with P + T = (f + tail) 2^e 10^(17-k) and P = fl(f 2^e 10^(17-k))."""
+def _scale(f, e, k, tail=None):
+    """(P, T) with P + T = (f + tail) 2^e 10^(17-k) and P = fl(f 2^e 10^(17-k));
+    no ``tail`` is a zero one."""
     i = k - _K_MIN
     hi, hi_hi, hi_lo, lo, b = (t.take(i) for t in _POW10)
     p = f * hi
     f_hi, f_lo = _split(f)
     # Dekker's two-product: f hi = p + err exactly (numpy has no fma)
     err = ((f_hi * hi_hi - p) + f_hi * hi_lo + f_lo * hi_hi) + f_lo * hi_lo
+    err += f * lo
+    if tail is not None:
+        err += tail * hi
     s = e + b
-    return np.ldexp(p, s), np.ldexp(err + f * lo + tail * hi, s)
+    return np.ldexp(p, s), np.ldexp(err, s)
 
 
 def _decimal(x: np.ndarray):
@@ -270,12 +281,8 @@ def _decimal(x: np.ndarray):
 def _eight_ascii(n):
     """Each n < 10^8 of the int64 array ``n`` as a word of 8 little-endian
     ASCII digits, the first digit lowest: the inverse of :func:`_eight_digits`."""
-    v = n // 10**4
-    v += (n - v * 10**4) << 32  # two lanes of 4 digits
-    q = (v * 5243 >> 19) & 0x0000007F0000007F  # each lane // 100
-    v = q + ((v - q * 100) << 16)  # four lanes of 2 digits
-    q = (v * 103 >> 10) & 0x000F000F000F000F  # each lane // 10
-    return q + ((v - q * 10) << 8) + 0x3030303030303030
+    hi = n // 10**4
+    return _ASCII4.take(hi) + (_ASCII4.take(n - hi * 10**4) << 32)
 
 
 def _write_rows(files, cols, end: str = "\r\n") -> tuple[int, int]:
@@ -403,47 +410,122 @@ def _read_rows(raw: bytes, start: int):
     """The first two columns of the rows in ``raw[start:]`` (after a header
     line), or None unless each row is the same number (2 or more) of ``%.17e``
     fields ended by ``,``, ``\n`` or ``\r\n``: the mirror of :func:`_write_rows`,
-    in blocks of about ``_CSV_BLOCK // 2`` fields, each read by :func:`_value` or,
-    where that is not certified, ``float``.  Past ``MAX_POINTS`` rows nothing
-    is converted."""
+    in blocks of about ``_CSV_BLOCK // 2`` fields.  A block whose rows all have
+    its first row's width is read by :func:`_run_fields`, any other by
+    :func:`_searched_fields`, and each field by :func:`_value` or, where that
+    is not certified, ``float``.  Past ``MAX_POINTS`` rows nothing is converted."""
     if len(raw) < start + _FIELD or raw[-1:] != b"\n":
         return None
     u = np.frombuffer(raw, dtype=np.uint8)
-    words = np.ndarray(len(raw) - 7, "<u8", raw, strides=(1,))  # the 8 bytes from each byte
-    out = np.empty((raw.count(b"\n", start), 2))  # one row per line end
+    out = np.empty((np.count_nonzero(u[start:] == ord("\n")), 2))  # one row per line end
     n_cols, row, a = 0, 0, start
     while a < len(raw):
         b = raw.find(b"\n", min(a + _CSV_BLOCK // 2 * _FIELD, len(raw)) - 1) + 1
-        p = a + np.flatnonzero(u[a:b] == ord("e"))  # one 'e' per field
-        if len(p) == 0 or p[0] < 20 or p[-1] + 5 > len(raw):
+        block = _run_fields(raw, u, a, b) or _searched_fields(raw, u, a, b)
+        if block is None:
             return None
-        # each field is [-]d0.d1..d17e(+|-)x0x1[x2], d1..d8 and d9..d16 read as words
-        d0, d17, x0, x1, x2 = (u[p + j] - 48 for j in (-19, -1, 2, 3, 4))
-        (hi, hi_ok), (lo, lo_ok) = _eight_digits(words[p - 17]), _eight_digits(words[p - 9])
-        neg, plus, three = u[p - 20] == ord("-"), u[p + 1] == ord("+"), x2 < 10
-        q = p + 4 + three  # the separator
-        sep = u.take(q, mode="clip")
-        crlf = (sep == ord("\r")) & (u.take(q + 1, mode="clip") == ord("\n"))
-        end = crlf | (sep == ord("\n"))  # of a row
-        first, nxt = p - 19 - neg, q + 1 + crlf  # where this field and the next start
-        n_cols = n_cols or int(np.argmax(end)) + 1
-        valid = ((d0 < 10) & (d17 < 10) & (x0 < 10) & (x1 < 10) & (u[p - 18] == ord("."))
-                 & (plus | (u[p + 1] == ord("-"))) & (end | (sep == ord(","))) & hi_ok & lo_ok)
-        # the fields tile [a, b), and each row holds n_cols of them
-        if not (n_cols > 1 and np.array_equal(np.r_[first, b], np.r_[a, nxt]) and valid.all()
-                and np.array_equal(end, np.arange(1, len(p) + 1) % n_cols == 0)):
+        cols, fields = block
+        n_cols = n_cols or cols
+        if cols != n_cols:
             return None
+        rows = len(fields[0])
         if len(out) <= MAX_POINTS:
-            k = np.where(three, 100, 10) * x0 + np.where(three, 10, 1) * x1 + three * x2
-            v, ok = _value((d0 * np.int64(10**8) + hi) * 10**9 + lo * 10 + d17,
-                           np.where(plus, k, -k))
-            v = np.where(neg, -v, v)
-            for j in np.flatnonzero(~ok):
-                v[j] = float(raw[first[j] : q[j]])
-            out[row : row + len(p) // n_cols] = v.reshape(-1, n_cols)[:, :2]
-            row += len(p) // n_cols
+            out[row : row + rows] = _convert(*fields)
+        row += rows
         a = b
     return out
+
+
+def _run_fields(raw: bytes, u, a: int, b: int):
+    """(n_cols, fields of the first two columns) of the rows in ``raw[a:b]``,
+    for :func:`_convert`, or None unless each row has the first row's width
+    and its layout: the sign slot, exponent width and separator of each
+    field.  The block is checked as a (rows, width) matrix against that
+    layout, and its fields are read through strided views of ``raw``."""
+    width = raw.find(b"\n", a) + 1 - a
+    rows = (b - a) // width
+    if rows * width != b - a:
+        return None
+    line = raw[a : a + width]
+    end = b"\r\n" if line.endswith(b"\r\n") else b"\n"
+    # each byte must be in [low, low + span]: '0' to '9' (span 9, a tab) at a
+    # digit, '+' to '-' (span 2) at an exponent sign, else the layout's byte
+    low, span, at, lead, wide = bytearray(), bytearray(), [], [], []
+    for f in line[: -len(end)].split(b","):
+        neg = f.startswith(b"-")
+        wide.append(len(f) - neg - 23)  # a third exponent digit
+        if wide[-1] not in (0, 1):
+            return None
+        lead.append(neg)
+        at.append(len(low) + neg + 19)  # the field's 'e'
+        low += b"-" * neg + b"0.00000000000000000e+00" + b"0" * wide[-1] + b","
+        span += b"\0" * neg + b"\t\0" + b"\t" * 17 + b"\0\2\t\t" + b"\t" * wide[-1] + b"\0"
+    low[-1:], span[-1:] = end, bytes(len(end))
+    if len(at) < 2:
+        return None
+    matrix = u[a:b].reshape(rows, width)
+    if not (((matrix - np.frombuffer(low, np.uint8)) <= np.frombuffer(span, np.uint8)).all()
+            and (matrix[:, np.array(at) + 1] != ord(",")).all()):  # ',' is between '+' and '-'
+        return None
+
+    def view(j, dtype=np.uint8):  # byte or word j after the 'e' of each row's first two fields
+        return np.ndarray((rows, 2), dtype, raw, a + at[0] + j, (width, at[1] - at[0]))
+
+    def digit(j):
+        return view(j) - np.int32(48)
+
+    def field(j):  # the bytes of the first two fields of each row, one after the other
+        i, c = divmod(j, 2)
+        return raw[a + i * width + at[c] - 19 - lead[c] : a + i * width + at[c] + 4 + wide[c]]
+
+    k = 10 * digit(2) + digit(3)
+    if wide[0] or wide[1]:
+        k = np.where(wide[:2], 10 * k + digit(4), k)
+    return len(at), (digit(-19), view(-17, "<u8"), view(-9, "<u8"), digit(-1),
+                     np.where(view(1) == ord("+"), k, -k), np.array(lead[:2]), field)
+
+
+def _searched_fields(raw: bytes, u, a: int, b: int):
+    """As :func:`_run_fields`, for rows of any widths: each field is found by
+    its ``e``."""
+    p = a + np.flatnonzero(u[a:b] == ord("e"))  # one 'e' per field
+    if len(p) == 0 or p[0] < 20 or p[-1] + 5 > len(raw):
+        return None
+    words = np.ndarray(len(raw) - 7, "<u8", raw, strides=(1,))  # the 8 bytes from each byte
+    # each field is [-]d0.d1..d17e(+|-)x0x1[x2], d1..d8 and d9..d16 read as words
+    d0, d17, x0, x1, x2 = (u[p + j] - 48 for j in (-19, -1, 2, 3, 4))
+    hi, lo = words[p - 17], words[p - 9]
+    neg, plus, three = u[p - 20] == ord("-"), u[p + 1] == ord("+"), x2 < 10
+    q = p + 4 + three  # the separator
+    sep = u.take(q, mode="clip")
+    crlf = (sep == ord("\r")) & (u.take(q + 1, mode="clip") == ord("\n"))
+    end = crlf | (sep == ord("\n"))  # of a row
+    first, nxt = p - 19 - neg, q + 1 + crlf  # where this field and the next start
+    n_cols = int(np.argmax(end)) + 1
+    valid = ((d0 < 10) & (d17 < 10) & (x0 < 10) & (x1 < 10) & (u[p - 18] == ord("."))
+             & (plus | (u[p + 1] == ord("-"))) & (end | (sep == ord(",")))
+             & _digit_words(hi) & _digit_words(lo))
+    # the fields tile [a, b), and each row holds n_cols of them
+    if not (n_cols > 1 and np.array_equal(np.r_[first, b], np.r_[a, nxt]) and valid.all()
+            and np.array_equal(end, np.arange(1, len(p) + 1) % n_cols == 0)):
+        return None
+    k = np.where(three, 100, 10) * x0 + np.where(three, 10, 1) * x1 + three * x2
+    d0, hi, lo, d17, k, neg, first, q = (x.reshape(-1, n_cols)[:, :2] for x in
+                                         (d0, hi, lo, d17, np.where(plus, k, -k), neg, first, q))
+    return n_cols, (d0, hi, lo, d17, k, neg, lambda j: raw[first.flat[j] : q.flat[j]])
+
+
+def _convert(d0, hi, lo, d17, k, neg, field):
+    """(rows, 2) values of fields given by their digits d0 and d17, their words
+    of digits d1..d8 (``hi``) and d9..d16 (``lo``), their signed exponents k and
+    their signs: each by :func:`_value` where that is certified, elsewhere
+    ``float()`` of ``field(j)``, the bytes of field j in row-major order."""
+    v, ok = _value((d0 * np.int64(10**8) + _eight_digits(hi)) * 10**9
+                   + _eight_digits(lo) * 10 + d17, k)
+    v = np.where(neg, -v, v)
+    for j in np.flatnonzero(~ok):
+        v.flat[j] = float(field(j))
+    return v
 
 
 def _value(D, k):
@@ -460,12 +542,18 @@ def _value(D, k):
 
 
 def _eight_digits(w):
-    """(n, ok): each uint64 of ``w`` read as 8 little-endian ASCII digits (Lemire's SWAR)."""
-    high, zeros, pairs = np.uint64(0xF0F0F0F0F0F0F0F0), 0x3030303030303030, 0x000000FF000000FF
-    ok = ((w & high) == zeros) & (((w + 0x0606060606060606) & high) == zeros)
+    """Each uint64 of ``w`` read as 8 little-endian ASCII digits (Lemire's SWAR),
+    where :func:`_digit_words` holds."""
+    zeros, pairs = 0x3030303030303030, 0x000000FF000000FF
     v = (w - zeros) * 10 + ((w - zeros) >> 8)  # byte 2j: the two digits 2j, 2j+1
     v = ((v & pairs) * (100 + (1000000 << 32)) + ((v >> 16) & pairs) * (1 + (10000 << 32))) >> 32
-    return v.astype(np.int64), ok
+    return v.astype(np.int64)
+
+
+def _digit_words(w):
+    """Whether each uint64 of ``w`` is 8 ASCII digits."""
+    high, zeros = np.uint64(0xF0F0F0F0F0F0F0F0), 0x3030303030303030
+    return ((w & high) == zeros) & (((w + 0x0606060606060606) & high) == zeros)
 
 
 def _check_combinable(f: GridFunction, g: GridFunction, op: str) -> None:

@@ -180,7 +180,12 @@ def check_expected_shape(E: GridFunction) -> ShapeReport:
     """Screen E for what the divisor theorem asks: a non-positive derivative,
     E(0) = 1 and decay to 0.  E need not be differentiable: a divisor with an
     atom makes E jump."""
-    return _screen(E, [("nonincreasing", derivative(E).values)])
+    return _expected_screen(E, derivative(E).values)
+
+
+def _expected_screen(E: GridFunction, dE: np.ndarray) -> ShapeReport:
+    """:func:`check_expected_shape` of E, given E' on its grid."""
+    return _screen(E, [("nonincreasing", dE)])
 
 
 def check_covariance_shape(C: GridFunction) -> ShapeReport:
@@ -228,8 +233,9 @@ def divisor_from_expected(E: GridFunction):
     exactly when its mass is within ``MASS_TOLERANCE`` of one; larger
     discrepancies are errors.
     """
-    _require(check_expected_shape(E), "expected value", "no 2-geometric divisor exists")
-    f_div = _renormalized_density(E.with_values(-derivative(E).values), "divisor_from_expected")
+    dE = derivative(E).values
+    _require(_expected_screen(E, dE), "expected value", "no 2-geometric divisor exists")
+    f_div = _renormalized_density(E.with_values(-dE), "divisor_from_expected")
     return mean_from_expected(E), _divisor_cdf(E), f_div
 
 

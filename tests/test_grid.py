@@ -650,6 +650,37 @@ def test_reader_covers_written_tables(exp1, monkeypatch):
         assert len(calls) <= 1e-3 * cols.size
 
 
+def test_reader_takes_fixed_width_runs_and_searches_other_blocks(monkeypatch):
+    # Four runs of rows, each longer than a reader block: one layout, a value
+    # that crosses zero every ~190 rows, all-negative values and three-digit
+    # exponents.  The blocks inside the first, third and fourth are one row
+    # width and layout each; the crossing blocks and those that straddle two
+    # runs (the last two have one row width but not one layout) are searched.
+    x = np.linspace(0.0, 1.0, 9000)
+    cols = np.column_stack([1e-3 * np.arange(4 * len(x)),
+                            np.r_[np.exp(-x), np.cos(300 * x), -np.exp(x), 3e-150 * np.exp(-x)]])
+
+    def spy(fn, served):
+        def read(raw, u, a, b):
+            block = fn(raw, u, a, b)
+            if block is not None:
+                served.append(raw[a : raw.index(b"\n", a)].rstrip().split(b",")[1])
+            return block
+        return read
+
+    runs, searched = [], []
+    monkeypatch.setattr(grid, "_run_fields", spy(grid._run_fields, runs))
+    monkeypatch.setattr(grid, "_searched_fields", spy(grid._searched_fields, searched))
+    for raw in (_crlf_table(cols), _lf_table(cols)):
+        runs.clear()
+        searched.clear()
+        assert _assert_reads_as_float(raw)
+        # the first value of each block the fixed-width path served: a plain,
+        # a negative and a three-digit-exponent layout
+        assert {(v[:1] == b"-", len(v)) for v in runs} == {(False, 23), (True, 24), (False, 24)}
+        assert len(searched) >= 4
+
+
 def test_from_csv_memory_is_bounded(tmp_path):
     # the kernel holds the file and works in blocks, not on the whole file
     path = tmp_path / "g.csv"
@@ -672,6 +703,13 @@ DECLINED_LAYOUTS = {
     "leading spaces": f" {Z}, {F}\n{H},{F}\n",
     "capital E": f"{Z},{F}\n1E-1,{F}\n",
     "truncated field": f"{Z},{F}\n1.0e-1,{F}\n",
+    # every row at full width, one byte of another class
+    "letter for a digit": f"{Z},{F}\n1.00x00000000000006e-01,{F}\n",
+    "letter for the last digit": f"{Z},{F}\n{H},1.0000000000000000xe+00\n",
+    "semicolon for a comma": f"{Z},{F}\n{H};{F}\n",
+    "comma for an exponent sign": f"{Z},{F}\n1.00000000000000006e,01,{F}\n",
+    "full-width capital E": f"{Z},{F}\n{H.upper()},{F}\n",
+    "moved point": f"{Z},{F}\n10.0000000000000006e-02,{F}\n",
 }
 
 
@@ -681,7 +719,12 @@ def test_csv_other_layouts_read_as_loadtxt(tmp_path, body):
     path.write_text("t,value\n" + body)
     raw = path.read_bytes()
     assert _read_rows(raw, len(LF_HEADER)) is None
-    want = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1))
+    try:
+        want = np.loadtxt(path, delimiter=",", skiprows=1, usecols=(0, 1))
+    except ValueError:  # from_csv refuses what loadtxt cannot read
+        with pytest.raises(InvalidArgumentError, match="malformed data row"):
+            GridFunction.from_csv(path)
+        return
     g = GridFunction.from_csv(path)
     assert g.h == want[1, 0] and np.array_equal(g.values, want[:, 1])
 
