@@ -4,10 +4,14 @@ and of the stationary covariance C(t).
 
 These simulators are the brute-force oracle for every analytic result in the
 package.  Determinism contract: a path is a pure function of its seed, and
-estimators run fixed-size blocks of paths in order on the calling thread,
+estimators run blocks of ``_BLOCK`` paths in order on the calling thread,
 block b drawing from the stream of (seed, b), and add each block's integer
 counts (the processes are +/-1 valued) to one running total, so memory does
-not grow with the number of paths.
+not grow with the number of paths.  A block draws in rounds sized to the
+horizon its slowest open path has left (:func:`_rounds`), so few draws land
+past t_end.  The block size and the round-size rule fix which draw feeds
+which path, so changing either changes seeded estimates (README,
+Determinism).
 """
 
 from __future__ import annotations
@@ -22,10 +26,12 @@ from .errors import InvalidArgumentError, ResourceLimitError, _require_above
 from .grid import MAX_POINTS, GridFunction, GridSpec
 
 # Paths per random stream: a constant, so an estimate is a pure function of
-# its seed and path count.
-_BLOCK = 1024
-# Inter-arrival draws per round of one block, which bounds a block's memory
-# whatever t_end / mean is.
+# its seed and path count.  A round's numpy calls cost the same fixed time
+# whatever its size, shared by this many paths.
+_BLOCK = 4096
+# Most inter-arrival draws in one round of one block, which bounds a block's
+# memory whatever t_end / mean is (32 draws a path while all of a block's
+# paths are open).
 _ROUND_DRAWS = 1 << 17
 
 
@@ -87,16 +93,22 @@ def _rounds(dist: SwitchingDistribution, start: np.ndarray, t_end: float, rng):
 
     Row i's epochs are start[i] plus the partial sums of i.i.d. draws from
     ``dist``.  Each round tops up, in row order, the rows whose last epoch
-    has not passed t_end, with at most ``_ROUND_DRAWS`` draws;
-    ``epochs[j]`` continues row ``rows[j]``.
+    has not passed t_end, with k draws each; ``epochs[j]`` continues row
+    ``rows[j]``.  k is int(1.5 w + 2), where w = (t_end - the smallest last
+    epoch) / mean is the number of mean inter-arrivals the slowest open row
+    has left, but a round draws at most ``_ROUND_DRAWS`` in all (and at
+    least one a row).  The margin lets most rows pass t_end in one round,
+    and what they draw past it is little.
     """
     last = np.array(start, dtype=float)
     rows = np.flatnonzero(last <= t_end)
     while rows.size:
-        want = 1.5 * (t_end - last[rows].min()) / dist.mean
-        k = int(min(max(want, 8.0), max(_ROUND_DRAWS // rows.size, 1)))
-        gaps = np.reshape(dist.sample(rng, rows.size * k), (rows.size, k))
-        epochs = last[rows, None] + np.cumsum(gaps, axis=1)
+        want = 1.5 * (t_end - last[rows].min()) / dist.mean + 2.0
+        k = int(min(want, max(_ROUND_DRAWS // rows.size, 1)))
+        # no name holds the draws, so they are freed once summed, before the
+        # caller bins the epochs: one round-sized array fewer stays live
+        epochs = np.cumsum(np.reshape(dist.sample(rng, rows.size * k), (rows.size, k)), axis=1)
+        epochs += last[rows, None]
         yield rows, epochs
         last[rows] = epochs[:, -1]
         rows = rows[epochs[:, -1] <= t_end]
@@ -118,9 +130,13 @@ def _odd_counts(dist: SwitchingDistribution, t: np.ndarray, start: np.ndarray,
     hist = np.bincount(2 * np.searchsorted(t, start[start > 0]) + 1, minlength=2 * n + 2)
     numbered = (start > 0).astype(np.int64)
     for rows, epochs in _rounds(dist, start, t[-1], rng):
-        is_odd = (numbered[rows, None] + np.arange(1, epochs.shape[1] + 1)) & 1
-        hist += np.bincount((2 * np.searchsorted(t, epochs) + is_odd).ravel(),
-                            minlength=2 * n + 2)
+        # bins built in place, with no second rows-by-k temporary: the
+        # parity of numbered[row] + j is the xor of a column's and a row's
+        bins = np.searchsorted(t, epochs)
+        bins <<= 1
+        bins |= np.arange(1, epochs.shape[1] + 1) & 1
+        bins ^= numbered[rows, None] & 1
+        hist += np.bincount(bins.ravel(), minlength=2 * n + 2)
         numbered[rows] += epochs.shape[1]
     return np.cumsum(hist[1:2 * n:2] - hist[0:2 * n:2])
 

@@ -20,7 +20,7 @@ from switchkit import (
     simulate_switch,
 )
 from switchkit import simulation
-from switchkit.simulation import _BLOCK, _forward_delays, _odd_counts
+from switchkit.simulation import _BLOCK, _forward_delays, _odd_counts, _rounds
 
 from conftest import grid_fn
 from mc_oracle import covariance_plus_counts, draw_epochs, expected_plus_counts
@@ -293,6 +293,19 @@ def test_block_memory_does_not_grow_with_the_horizon(exp1):
             tracemalloc.stop()
         assert peak < bound, (estimate.__name__, grid.n, peak)
         assert abs(mean.values[-1]) < 0.2
+
+
+@pytest.mark.parametrize("spec", ["gamma(shape=2,scale=2)", "compound(r=2,divisor=exp(rate=1))"])
+def test_rounds_draw_little_past_the_horizon(spec):
+    # a row needs its draws up to its first epoch past t_end; at least half
+    # of a block's draws are needed, in at most three rounds
+    dist, t_end = parse_distribution(spec), 4.0
+    needed = drawn = n_rounds = 0
+    for _, epochs in _rounds(dist, np.zeros(_BLOCK), t_end, make_rng(1, stream=(0,))):
+        n_rounds += 1
+        drawn += epochs.size
+        needed += np.minimum(np.sum(epochs <= t_end, axis=1) + 1, epochs.shape[1]).sum()
+    assert n_rounds <= 3 and needed >= 0.5 * drawn, (n_rounds, needed / drawn)
 
 
 def _recording_dyadic_law(rounds):
