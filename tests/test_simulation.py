@@ -276,8 +276,8 @@ def test_estimates_do_not_depend_on_the_grid_step(gamma22):
 
 def test_block_memory_does_not_grow_with_the_horizon(exp1):
     cases = [
-        # one full block to t_end / mean = 1e4 draws about 1e7 epochs: 80 MB
-        # if they were all held at once
+        # one full block (_BLOCK = 4096 paths) to t_end / mean = 1e4 draws
+        # about 4e7 epochs: 320 MB if they were all held at once
         (estimate_expected_value, GridSpec.from_t_end(1e4, 1e3), _BLOCK, 16e6),
         # 16 blocks on 200 001 points: 26 MB of counts if every block's were
         # kept to the end; about 15 MB peak with one running total
